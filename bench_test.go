@@ -1,5 +1,5 @@
 // Benchmarks regenerating the paper's evaluation artifacts, one target
-// per table/figure (see DESIGN.md's per-experiment index), plus
+// per table/figure (cmd/iddbench runs the same experiments), plus
 // micro-benchmarks for the hot paths. Benchmark budgets are step-bounded
 // so -bench=. completes in minutes; use cmd/iddbench for full-budget
 // runs.
@@ -83,7 +83,7 @@ func BenchmarkTable5_MIP_N6Low(b *testing.B) {
 	c := model.MustCompile(in)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Node-limited: a full proof takes ~10s (see EXPERIMENTS.md);
+		// Node-limited: a full proof takes ~10s;
 		// the bench measures per-node cost of the time-indexed model.
 		if _, err := mip.Solve(c, nil, mip.Options{TimestepsPerIndex: 3, NodeLimit: 5}); err != nil {
 			b.Fatal(err)
@@ -223,10 +223,11 @@ func BenchmarkFigure13_VNSDecomposed_TPCDS(b *testing.B) {
 // --- Parallel CP: the work-stealing proof search (speedup benchmark) ---
 //
 // BenchmarkCPParallel_ProofN20Low_* is the acceptance benchmark for the
-// parallel branch-and-bound: a complete optimality proof of the largest
-// comfortably-provable reduced TPC-H instance (n=20, low density,
-// analyzed constraints, greedy incumbent — ~22M nodes) at 1, 2 and 8
-// workers. The recorded per-worker wall-clock ratio IS the speedup;
+// parallel branch-and-bound: a complete optimality proof of the reduced
+// TPC-H n=20 instance (low density, analyzed constraints, greedy
+// incumbent — 21.8M nodes without the subset-dominance memo, about 8k
+// serially with it) at 1, 2 and 8 workers, reporting nodes/op next to
+// the time. The recorded per-worker wall-clock ratio IS the speedup;
 // note that a container pinned to a single CPU (GOMAXPROCS=1) cannot
 // show wall-clock gains — compare runs on multi-core hardware, where
 // the workers split the frontier across real cores.
@@ -243,6 +244,7 @@ func benchCPParallelProof(b *testing.B, workers int) {
 	// Production configuration (registry default): the tail tables are
 	// preprocessing, built once per request outside the search.
 	tb := prune.NewTailBound(c, cs, prune.Options{})
+	var nodes int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := cp.Solve(c, cs, cp.Options{
@@ -251,7 +253,9 @@ func benchCPParallelProof(b *testing.B, workers int) {
 		if !res.Proved {
 			b.Fatal("proof did not complete")
 		}
+		nodes += res.Nodes
 	}
+	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 }
 
 func BenchmarkCPParallel_ProofN20Low_W1(b *testing.B) { benchCPParallelProof(b, 1) }
@@ -284,9 +288,9 @@ func BenchmarkCPParallel_ProofN20Low_W4Instrumented(b *testing.B) {
 			b.Fatal("proof did not complete")
 		}
 		st := res.Stats
-		if st.PrunedBound+st.PrunedTail+st.Infeasible != res.Fails {
-			b.Fatalf("prune causes %d+%d+%d do not sum to fails %d",
-				st.PrunedBound, st.PrunedTail, st.Infeasible, res.Fails)
+		if st.PrunedBound+st.PrunedTail+st.PrunedMemo+st.Infeasible != res.Fails {
+			b.Fatalf("prune causes %d+%d+%d+%d do not sum to fails %d",
+				st.PrunedBound, st.PrunedTail, st.PrunedMemo, st.Infeasible, res.Fails)
 		}
 	}
 }
@@ -549,7 +553,7 @@ func TestHarnessSmoke(t *testing.T) {
 	}
 }
 
-// --- Ablation benches: the design choices DESIGN.md calls out ---
+// --- Ablation benches: the CP engine's design choices, one switched off at a time ---
 
 func benchCPAblation(b *testing.B, opt cp.Options) {
 	c := model.MustCompile(datasets.ReducedTPCH(11, datasets.Low))
@@ -568,6 +572,7 @@ func BenchmarkAblation_CP_NaiveBranching(b *testing.B) {
 	benchCPAblation(b, cp.Options{NaiveBranching: true})
 }
 func BenchmarkAblation_CP_NoBound(b *testing.B) { benchCPAblation(b, cp.Options{NoBound: true}) }
+func BenchmarkAblation_CP_NoMemo(b *testing.B)  { benchCPAblation(b, cp.Options{NoMemo: true}) }
 
 func BenchmarkAblation_PruneProperties(b *testing.B) {
 	// Marginal value of the full property set vs alliances alone, as

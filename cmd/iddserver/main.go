@@ -198,7 +198,7 @@ func main() {
 		srv = service.New(svcCfg)
 		handler = srv.Handler()
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	httpSrv := newHTTPServer(*addr, handler, readHeaderTimeout, idleTimeout)
 
 	errc := make(chan error, 1)
 	go func() {
@@ -217,7 +217,7 @@ func main() {
 		dmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		debugSrv = &http.Server{Addr: *debugAddr, Handler: dmux}
+		debugSrv = newHTTPServer(*debugAddr, dmux, readHeaderTimeout, idleTimeout)
 		go func() {
 			log.Printf("iddserver: pprof listening on %s", *debugAddr)
 			if err := debugSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -248,4 +248,21 @@ func main() {
 		_ = debugSrv.Shutdown(ctx)
 	}
 	log.Printf("iddserver: drained, bye")
+}
+
+// Connection timeouts for both listeners: a client gets readHeaderTimeout
+// to send a complete request header, and a keep-alive connection closes
+// after idleTimeout without a request.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer bounds how long a client may take to send its request
+// header and how long a keep-alive connection may sit idle, so slow or
+// abandoned clients cannot pin connections open. There is deliberately
+// no read or write timeout on the body or response: synchronous solves
+// and SSE event streams legitimately run for the whole solve budget.
+func newHTTPServer(addr string, h http.Handler, readHeader, idle time.Duration) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeader, IdleTimeout: idle}
 }

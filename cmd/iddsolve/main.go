@@ -289,7 +289,7 @@ type jsonReport struct {
 	Curve        []curvePt `json:"curve,omitempty"`
 	// Counters are the solving backend's engine counters (cp: nodes,
 	// fails and the prune-cause breakdown pruned_incumbent + pruned_tail
-	// + infeasible = fails; locals: steps/accepted/adopted).
+	// + pruned_memo + infeasible = fails; locals: steps/accepted/adopted).
 	Counters map[string]int64 `json:"counters,omitempty"`
 	// Trace is the flight-recorder span timeline (-trace / -trace-json).
 	Trace    *obs.TraceSnapshot `json:"trace,omitempty"`

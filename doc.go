@@ -80,9 +80,7 @@
 //
 // The public surface lives in the commands (cmd/iddgen, cmd/iddsolve,
 // cmd/iddinspect, cmd/iddbench, cmd/iddserver, cmd/iddload) and the
-// internal packages; see README.md for the architecture overview,
-// DESIGN.md for the system inventory, and EXPERIMENTS.md for the
-// paper-versus-measured evaluation. BENCH_eval.json and BENCH_serve.json
-// are the checked-in performance baselines, regenerated by
-// scripts/bench.sh.
+// internal packages; see README.md for the architecture overview.
+// BENCH_eval.json and BENCH_serve.json are the checked-in performance
+// baselines, regenerated by scripts/bench.sh.
 package idd

@@ -23,6 +23,11 @@ func New(n int) Set {
 // Cap returns the capacity in bits.
 func (s Set) Cap() int { return s.n }
 
+// Words returns the backing words: element i is bit i&63 of word i>>6.
+// The slice aliases the set, so it changes with every Add and Remove and
+// must not be mutated.
+func (s Set) Words() []uint64 { return s.words }
+
 // Clone returns a copy.
 func (s Set) Clone() Set {
 	out := Set{words: make([]uint64, len(s.words)), n: s.n}

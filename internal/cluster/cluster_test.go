@@ -324,10 +324,10 @@ func TestClusterDistributedProof(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second distributed proof")
 	}
-	// ~1.5s proof through the service path (pruning + tail bound
-	// included): long enough for helpers to land steals, short enough
-	// for CI.
-	in := genInstance(33, 18, 13, 0.35)
+	// ~1s proof through the service path (pruning, tail bound and the
+	// CP memo included): long enough for helpers to land steals, short
+	// enough for CI.
+	in := genInstance(33, 26, 13, 0.35)
 	body := solveBody(t, in, map[string]any{
 		"backends": []string{"cp"},
 		"budget":   "45s",
@@ -385,9 +385,9 @@ func TestClusterHelperFailureRequeue(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second failure drill")
 	}
-	// ~2s proof through the service path: a wide window to kill the
+	// ~3s proof through the service path: a wide window to kill the
 	// helper while it holds a subtree.
-	in := genInstance(11, 18, 14, 0.4)
+	in := genInstance(11, 26, 14, 0.4)
 	body := solveBody(t, in, map[string]any{
 		"backends": []string{"cp"},
 		"budget":   "50s",

@@ -3,7 +3,7 @@
 // TPC-DS instance (≈150 indexes), plus the reduced-density TPC-H variants
 // of §8.1 used by the exact-search experiments (Tables 5 and 6). The
 // advisor parameters are calibrated so the instance statistics match
-// Table 4 (see EXPERIMENTS.md for the side-by-side numbers).
+// Table 4 (iddinspect prints them for any instance file).
 package datasets
 
 import (

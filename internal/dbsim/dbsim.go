@@ -4,8 +4,9 @@
 // paper ran these steps against a commercial DBMS; dbsim substitutes a
 // transparent analytical cost model that produces problem instances with
 // the same structure — competing plans per query, multi-index query
-// interactions and pairwise build interactions (see DESIGN.md for the
-// substitution argument).
+// interactions and pairwise build interactions. The ordering problem
+// consumes only these estimates, so matching their structure is what
+// the substitution has to get right.
 //
 // Cost units are abstract "seconds": a sequential page read costs 1 unit
 // per page over a 8 KiB page model, random accesses cost a multiple, CPU

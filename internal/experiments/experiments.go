@@ -3,8 +3,8 @@
 // Table 6 (pruning drill-down), Table 7 (initial solutions), Figure 11
 // (local search on TPC-H), Figure 12 (local search on TPC-DS) and
 // Figure 13 (VNS improvement decomposition). Budgets are scaled down
-// from the paper's hours to seconds — EXPERIMENTS.md records the
-// mapping — and every run is seeded, so reports are repeatable.
+// from the paper's hours to seconds (Config holds them) and every run
+// is seeded, so reports are repeatable.
 package experiments
 
 import (

@@ -250,7 +250,7 @@ func TestBackendCountersSurfaced(t *testing.T) {
 	if c["nodes"] <= 0 {
 		t.Fatalf("counters = %v, want nodes > 0", c)
 	}
-	if got := c["pruned_incumbent"] + c["pruned_tail"] + c["infeasible"]; got != c["fails"] {
+	if got := c["pruned_incumbent"] + c["pruned_tail"] + c["pruned_memo"] + c["infeasible"]; got != c["fails"] {
 		t.Fatalf("prune causes sum to %d, fails = %d (counters %v)", got, c["fails"], c)
 	}
 }

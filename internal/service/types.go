@@ -159,8 +159,8 @@ type BackendSummary struct {
 	Skipped bool     `json:"skipped,omitempty"`
 	// Counters are the backend's engine counters under stable snake_case
 	// keys — e.g. cp's prune-cause breakdown (pruned_incumbent,
-	// pruned_tail, infeasible — summing to fails) and the local searches'
-	// steps/accepted/adopted.
+	// pruned_tail, pruned_memo, infeasible — summing to fails) and the
+	// local searches' steps/accepted/adopted.
 	Counters map[string]int64 `json:"counters,omitempty"`
 }
 

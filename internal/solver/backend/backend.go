@@ -177,7 +177,8 @@ type Outcome struct {
 	// Counters is the backend's effort breakdown by named cause (nil =
 	// none reported). Keys are backend-specific but snake_case and
 	// stable; the CP engine reports its prune-cause split
-	// (pruned_incumbent / pruned_tail / infeasible, summing to fails),
+	// (pruned_incumbent / pruned_tail / pruned_memo / infeasible, summing
+	// to fails),
 	// steal traffic, and incumbent offer/accept counts, the local
 	// searches report steps/accepted/adopted. Surfaced verbatim through
 	// portfolio.BackendResult, iddsolve -json, and the service's

@@ -9,11 +9,13 @@
 package cp
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
 	"github.com/evolving-olap/idd/internal/prune"
 	"github.com/evolving-olap/idd/internal/sched"
+	"github.com/evolving-olap/idd/internal/solver/greedy"
 )
 
 // TestAllocSerialDescent pins the per-solve allocation budget of the
@@ -71,6 +73,48 @@ func TestAllocParallelSolve(t *testing.T) {
 	if allocs > parallelBudget {
 		t.Fatalf("parallel solve allocates %.1f/op (budget %d): the spawn/steal path is allocating again",
 			allocs, parallelBudget)
+	}
+}
+
+// TestAllocLNSShapedSolve pins the bytes one LNS-shaped solve costs:
+// all but three positions frozen, once fail-limited as LNS runs it
+// (without the memo) and once exhaustive, where the memo is live. LNS calls the engine once per
+// relaxation, so the memo table must start small and grow only with
+// use; a table sized for 2^n sets up front would allocate megabytes.
+func TestAllocLNSShapedSolve(t *testing.T) {
+	in, c := inst(5, 20)
+	cs := sched.PrecedenceSet(in)
+	cur := greedy.Solve(c, cs)
+	fixed := append([]int(nil), cur...)
+	for _, p := range []int{3, 9, 14} {
+		fixed[p] = -1
+	}
+	for _, failLimit := range []int64{500, 0} {
+		opt := Options{FailLimit: failLimit, Incumbent: cur, Fixed: fixed}
+		Solve(c, cs, opt) // warm up lazily built model state
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var res Result
+		for r := 0; r < runs; r++ {
+			res = Solve(c, cs, opt)
+		}
+		runtime.ReadMemStats(&after)
+		perSolve := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		t.Logf("n=%d, fail limit %d: %.0f B over %d nodes, %d memo cuts",
+			c.N, failLimit, perSolve, res.Nodes, res.Stats.PrunedMemo)
+		if failLimit > 0 && res.Stats.PrunedMemo != 0 {
+			t.Fatalf("fail-limited solve made %d memo cuts; LNS relaxations run without the memo", res.Stats.PrunedMemo)
+		}
+		if failLimit == 0 && (!res.Proved || res.Stats.PrunedMemo == 0) {
+			t.Fatalf("exhaustive neighbourhood: proved=%v with %d memo cuts; the memo path is not exercised",
+				res.Proved, res.Stats.PrunedMemo)
+		}
+		const budget = 16 << 10
+		if perSolve > budget {
+			t.Fatalf("fail limit %d: solve allocates %.0f B (budget %d): per-solve tables are sized up front again",
+				failLimit, perSolve, budget)
+		}
 	}
 }
 

@@ -117,7 +117,7 @@ func TestNodeLimitAborts(t *testing.T) {
 }
 
 func TestDeadlineAborts(t *testing.T) {
-	_, c := inst(5, 11)
+	_, c := inst(5, 22) // not provable within seconds
 	start := time.Now()
 	res := Solve(c, nil, Options{Deadline: start.Add(30 * time.Millisecond)})
 	if res.Proved {

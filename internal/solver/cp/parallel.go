@@ -390,7 +390,7 @@ func xorshift(s *uint64) uint64 {
 // and close the run when the last open subproblem finishes.
 func (r *parRun) worker(wid int, wg *sync.WaitGroup) {
 	defer wg.Done()
-	s := newSearcher(r.c, r.cs, r.opt)
+	s := newSearcher(r.c, r.cs, r.opt, r.splitDepth)
 	s.par = r
 	s.wid = wid
 	s.adoptSet = bitset.New(r.c.N)

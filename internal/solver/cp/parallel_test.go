@@ -73,10 +73,10 @@ func TestParallelObjectiveBitIdenticalToSerial(t *testing.T) {
 }
 
 func TestParallelNodeLimitAborts(t *testing.T) {
-	_, c := inst(5, 11)
+	_, c := inst(5, 16) // ~140k nodes to prove at W=4
 	res := Solve(c, nil, Options{Workers: 4, NodeLimit: 500})
 	if res.Proved {
-		t.Fatal("node-limited parallel search claimed a proof on 11 indexes")
+		t.Fatal("node-limited parallel search claimed a proof on 16 indexes")
 	}
 	// The limit is polled on a stride per worker; allow that overshoot
 	// but nothing unbounded.
@@ -86,10 +86,10 @@ func TestParallelNodeLimitAborts(t *testing.T) {
 }
 
 func TestParallelFailLimitAborts(t *testing.T) {
-	_, c := inst(5, 11)
+	_, c := inst(5, 16)
 	res := Solve(c, nil, Options{Workers: 4, FailLimit: 200})
 	if res.Proved {
-		t.Fatal("fail-limited parallel search claimed a proof on 11 indexes")
+		t.Fatal("fail-limited parallel search claimed a proof on 16 indexes")
 	}
 }
 
@@ -228,7 +228,7 @@ func TestSplitDepthAuto(t *testing.T) {
 }
 
 func TestParallelDeadlineAborts(t *testing.T) {
-	_, c := inst(5, 14)
+	_, c := inst(5, 22) // not provable within seconds
 	start := time.Now()
 	res := Solve(c, nil, Options{Workers: 4, Deadline: start.Add(30 * time.Millisecond)})
 	if res.Proved {

@@ -16,9 +16,9 @@ import (
 func checkStats(t *testing.T, tag string, res Result) {
 	t.Helper()
 	st := res.Stats
-	if got := st.PrunedBound + st.PrunedTail + st.Infeasible; got != res.Fails {
-		t.Errorf("%s: prune causes %d+%d+%d = %d != fails %d",
-			tag, st.PrunedBound, st.PrunedTail, st.Infeasible, got, res.Fails)
+	if got := st.PrunedBound + st.PrunedTail + st.PrunedMemo + st.Infeasible; got != res.Fails {
+		t.Errorf("%s: prune causes %d+%d+%d+%d = %d != fails %d",
+			tag, st.PrunedBound, st.PrunedTail, st.PrunedMemo, st.Infeasible, got, res.Fails)
 	}
 	if st.Accepts > st.Offers {
 		t.Errorf("%s: accepts %d > offers %d", tag, st.Accepts, st.Offers)
@@ -49,7 +49,8 @@ func TestStatsPruneCausesSumToFails(t *testing.T) {
 					t.Fatalf("corpus %d w=%d: not proved", ci, workers)
 				}
 				checkStats(t, "corpus", res)
-				if res.Fails > 0 && res.Stats.PrunedBound == 0 && res.Stats.Infeasible == 0 && res.Stats.PrunedTail == 0 {
+				if res.Fails > 0 && res.Stats.PrunedBound == 0 && res.Stats.Infeasible == 0 &&
+					res.Stats.PrunedTail == 0 && res.Stats.PrunedMemo == 0 {
 					t.Errorf("corpus %d w=%d: fails %d but no causes recorded", ci, workers, res.Fails)
 				}
 				if tail == nil && res.Stats.PrunedTail != 0 {

@@ -9,7 +9,7 @@
 // the dimensions it joins, and realistic predicate selectivities, with
 // three cross-channel variants appended to reach the paper's 102. The
 // ordering problem only consumes optimizer estimates, so this structural
-// level is what matters (see DESIGN.md, substitutions).
+// level is what matters.
 package tpcds
 
 import (

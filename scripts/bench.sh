@@ -5,9 +5,11 @@
 #
 # The "cp_parallel" summary records the optimality-proof wall clock of
 # the reduced TPC-H n=20 instance at 1/2/8 CP workers and the resulting
-# speedups. Wall-clock speedup is bounded by the cores the runner
-# actually has ("cpus" in the JSON): a single-core container measures
-# ~1x by construction; rerun on multi-core hardware for the real curve.
+# speedups, with the median CP nodes per proof at each worker count
+# (exact at one worker). Wall-clock speedup is bounded by the cores the
+# runner actually has ("cpus" in the JSON): a single-core container
+# measures ~1x by construction; rerun on multi-core hardware for the
+# real curve.
 #
 # Usage:
 #   scripts/bench.sh                 # run + write BENCH_eval.json
@@ -297,6 +299,7 @@ function record(line, dst,    name, f) {
         if ($(f) == "ns/op")     ns[name, runs[name]] = $(f-1)
         if ($(f) == "B/op")      bop[name] = $(f-1)
         if ($(f) == "allocs/op") aop[name] = $(f-1)
+        if ($(f) == "nodes/op")  nop[name, runs[name]] = $(f-1)
     }
     raw[++nraw] = line
 }
@@ -310,6 +313,10 @@ END {
         n = runs[name]
         for (r = 1; r <= n; r++) v[r] = ns[name, r]
         med[name] = median(v, n)
+        if ((name, 1) in nop) {
+            for (r = 1; r <= n; r++) v[r] = nop[name, r]
+            nodes[name] = median(v, n)
+        }
     }
     printf "{\n"
     printf "  \"generated_by\": \"scripts/bench.sh\",\n"
@@ -323,6 +330,7 @@ END {
         name = order[i]
         printf "    {\"name\": \"%s\", \"runs\": %d, \"ns_per_op_median\": %g", esc(name), runs[name], med[name]
         if (name in bop) printf ", \"b_per_op\": %g, \"allocs_per_op\": %g", bop[name], aop[name]
+        if (name in nodes) printf ", \"nodes_per_op_median\": %g", nodes[name]
         printf "}%s\n", (i < norder ? "," : "")
     }
     printf "  ],\n"
@@ -335,9 +343,12 @@ END {
         printf "    \"proof_ns_w1\": %g,\n", med[w1]
         if (w2 in med) printf "    \"proof_ns_w2\": %g,\n", med[w2]
         printf "    \"proof_ns_w8\": %g,\n", med[w8]
+        if (w1 in nodes) printf "    \"proof_nodes_w1\": %g,\n", nodes[w1]
+        if (w2 in nodes) printf "    \"proof_nodes_w2\": %g,\n", nodes[w2]
+        if (w8 in nodes) printf "    \"proof_nodes_w8\": %g,\n", nodes[w8]
         if (w2 in med) printf "    \"speedup_w2\": %.3f,\n", med[w1] / med[w2]
         printf "    \"speedup_w8\": %.3f,\n", med[w1] / med[w8]
-        printf "    \"note\": \"speedup is bounded by min(cpus, gomaxprocs) recorded above; a 1-cpu runner measures ~1x by construction\"\n"
+        printf "    \"note\": \"speedup is bounded by min(cpus, gomaxprocs) recorded above; a 1-cpu runner measures ~1x by construction. proof_nodes_w1 is exact; W>1 node counts depend on steal timing\"\n"
         printf "  },\n"
     }
     printf "  \"raw\": [\n"
