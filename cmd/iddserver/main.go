@@ -44,7 +44,8 @@
 // traffic; -tenant-rate/-tenant-burst add per-tenant admission rate
 // limits and -tenant-queue a per-tenant queued-run quota. Small
 // instances (≤ -fastpath-max-n indexes) skip the portfolio race and run
-// one exact backend straight to a proved optimum.
+// A* straight to a proved optimum; one that A* cannot prove within the
+// request's budget or step limit falls back to the race.
 //
 // Sessions make workload drift first-class: POST /sessions solves the
 // initial workload and pins its deployment plan; each delta (query
@@ -116,7 +117,6 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
 		workers   = flag.Int("workers", 0, "concurrent solves (0 = GOMAXPROCS)")
-		cpWorkers = flag.Int("cp-workers", 0, "deprecated alias of -param cp.workers=N")
 		queueCap  = flag.Int("queue", 64, "queued-solve capacity before 429s")
 		cacheSize = flag.Int("cache", 256, "solution cache entries")
 		budget    = flag.Duration("budget", 2*time.Second, "default per-job solve budget")
@@ -138,7 +138,7 @@ func main() {
 		tenantBurst = flag.Int("tenant-burst", 0, "per-tenant submission burst (0 = 2×rate+1)")
 		tenantQueue = flag.Int("tenant-queue", 0, "per-tenant queued-run quota (0 = no per-tenant cap)")
 		maxBatch    = flag.Int("max-batch", 64, "instances accepted per POST /batch")
-		fastpathN   = flag.Int("fastpath-max-n", 0, "route instances with at most this many indexes straight to an exact backend (0 = default 12, negative = disable)")
+		fastpathN   = flag.Int("fastpath-max-n", 0, "route instances with at most this many indexes straight to A* (0 = default 12, negative = disable)")
 	)
 	flag.Var(&rawParams, "param", "server-wide default backend param as key=value (repeatable; see GET /solvers)")
 	flag.Parse()
@@ -151,7 +151,6 @@ func main() {
 	svcCfg := service.Config{
 		Workers:       *workers,
 		DefaultParams: defaults,
-		CPWorkers:     *cpWorkers, // deprecated alias; -param cp.workers wins
 
 		QueueCap:        *queueCap,
 		CacheSize:       *cacheSize,

@@ -75,7 +75,6 @@ import (
 	"github.com/evolving-olap/idd/internal/prune"
 	"github.com/evolving-olap/idd/internal/sched"
 	"github.com/evolving-olap/idd/internal/solver/backend"
-	"github.com/evolving-olap/idd/internal/solver/cp"
 	"github.com/evolving-olap/idd/internal/solver/greedy"
 	"github.com/evolving-olap/idd/internal/solver/portfolio"
 )
@@ -113,7 +112,6 @@ func main() {
 		curve    = flag.Bool("curve", false, "print the per-step improvement curve")
 		jsonOut  = flag.Bool("json", false, "emit one JSON object instead of the text report")
 		workers  = flag.Int("workers", 0, "portfolio: concurrent backends (0 = GOMAXPROCS)")
-		cpWork   = flag.Int("cp-workers", 0, "deprecated alias of -param cp.workers=N")
 		solvers  = flag.String("solvers", "", "portfolio: comma-separated backend list (empty = auto; available: "+strings.Join(portfolio.Names(), ",")+")")
 		warmFrom = flag.String("warm-start-from", "", "seed the search from a prior -json report (or a JSON array of index names), repaired against this instance")
 		trace    = flag.Bool("trace", false, "record a flight-recorder trace and print its span timeline after the report")
@@ -136,9 +134,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	// Deprecated -cp-workers alias; an explicit -param wins (even
-	// -param cp.workers=0, which forces the serial engine).
-	params = params.WithIntFallback(cp.ParamWorkers, *cpWork)
 	startProfiles(*cpuProf, *memProf)
 	in, err := codec.LoadFile(flag.Arg(0))
 	if err != nil {

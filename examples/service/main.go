@@ -238,9 +238,8 @@ func main() {
 	}
 	stream.Body.Close()
 
-	// Small instances skip the portfolio race entirely: the feature
-	// router sends them straight to one exact backend, proof included —
-	// the result says so.
+	// Small instances skip the portfolio race entirely: the fast path
+	// sends them straight to A*, proof included — the result says so.
 	resp, err = http.Get(ts.URL + "/batch/" + batch.ID)
 	if err != nil {
 		log.Fatal(err)

@@ -61,7 +61,7 @@ func TestCLIIntegration(t *testing.T) {
 
 	// Registry surfaces: the roster listing, -param plumbing down to the
 	// cp engine (visible as workers telemetry in the JSON report), and
-	// the deprecated -cp-workers alias.
+	// the valid set in the unknown-param error.
 	out = run("iddsolve", "-list-solvers")
 	for _, want := range []string{"cp.workers", "cp.tail_bound", "vns", "exact", "anytime"} {
 		if !strings.Contains(out, want) {
@@ -71,10 +71,6 @@ func TestCLIIntegration(t *testing.T) {
 	out = run("iddsolve", "-json", "-method", "cp", "-param", "cp.workers=2", "-budget", "10s", inst)
 	if !strings.Contains(out, `"workers": 2`) {
 		t.Errorf("-param cp.workers=2 did not reach the cp engine:\n%s", out)
-	}
-	out = run("iddsolve", "-json", "-method", "cp", "-cp-workers", "2", "-budget", "10s", inst)
-	if !strings.Contains(out, `"workers": 2`) {
-		t.Errorf("deprecated -cp-workers did not reach the cp engine:\n%s", out)
 	}
 	if raw, err := exec.Command(filepath.Join(bin, "iddsolve"), "-param", "nope=1", inst).CombinedOutput(); err == nil {
 		t.Errorf("iddsolve accepted an unknown -param:\n%s", raw)

@@ -22,6 +22,9 @@ const (
 	// says whether the prior incumbent seeded the run or was rejected
 	// (infeasible under the new instance) and the run degraded to cold.
 	SpanWarmStart = "warm-start"
+	// SpanFastPath records a routed fast-path attempt that ended without
+	// a proof, so the solve fell back to the full portfolio race.
+	SpanFastPath = "fastpath"
 )
 
 // Span is one timestamped event in a solve's flight-recorder trace.

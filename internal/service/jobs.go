@@ -19,7 +19,6 @@ import (
 	"github.com/evolving-olap/idd/internal/prune"
 	"github.com/evolving-olap/idd/internal/sched"
 	"github.com/evolving-olap/idd/internal/solver/backend"
-	"github.com/evolving-olap/idd/internal/solver/cp"
 	"github.com/evolving-olap/idd/internal/solver/portfolio"
 )
 
@@ -51,11 +50,6 @@ type Config struct {
 	// multiplies the goroutines a single job may run, so size
 	// Workers × cp.workers together).
 	DefaultParams backend.Params
-	// CPWorkers is a deprecated alias for DefaultParams["cp.workers"];
-	// an explicit DefaultParams entry wins.
-	//
-	// Deprecated: set DefaultParams["cp.workers"] instead.
-	CPWorkers int
 	// TenantRate is the sustained per-tenant submission rate
 	// (jobs/second; 0 = unlimited). TenantBurst sizes the token bucket
 	// (0 = 2×rate+1). Excess submissions are rejected with
@@ -70,8 +64,8 @@ type Config struct {
 	MaxBatchItems int
 	// FastPathMaxN is the routing size threshold: instances with at most
 	// this many indexes (and no explicit backend list) skip the
-	// portfolio race and run one exact backend to a proof
-	// (0 = portfolio.DefaultFastPathMaxN; negative disables routing).
+	// portfolio race and run A* to a proof (see portfolio.Route;
+	// 0 = portfolio.DefaultFastPathMaxN; negative disables routing).
 	FastPathMaxN int
 	// NodeName, when non-empty, prefixes every generated job/batch/
 	// session id as "<node>-<hex>". In cluster mode each node names
@@ -112,7 +106,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatchItems <= 0 {
 		c.MaxBatchItems = 64
 	}
-	c.DefaultParams = c.DefaultParams.WithIntFallback(cp.ParamWorkers, c.CPWorkers)
 	return c
 }
 
@@ -270,9 +263,10 @@ func (j *Job) start(now time.Time) {
 }
 
 // finish moves the job to a terminal state, records the result or error,
-// emits the done event, and releases waiters. Reports false (and changes
-// nothing) when the job is already terminal — e.g. it was canceled while
-// its run kept going — so callers count each job exactly once.
+// and emits the done event; Manager.settle releases the waiters. Reports
+// false (and changes nothing) when the job is already terminal — e.g. it
+// was canceled while its run kept going — so each job is counted exactly
+// once.
 func (j *Job) finish(state string, res *SolveResult, err error) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -302,7 +296,6 @@ func (j *Job) finish(state string, res *SolveResult, err error) bool {
 		ev.Error = err.Error()
 	}
 	j.appendEvent(ev)
-	close(j.done)
 	return true
 }
 
@@ -312,8 +305,8 @@ type run struct {
 	key string
 	// hash is the instance's canonical hash alone (the cluster routing
 	// key; key adds the solve-shaping parameters on top).
-	hash  string
-	canon *model.Instance
+	hash   string
+	canon  *model.Instance
 	params Params
 	// bag is the registry-validated, canonically typed form of
 	// params.Params.
@@ -414,14 +407,14 @@ func (r *run) recordSpan(ev portfolio.ProgressEvent) {
 	}
 }
 
-// recordWarm writes the warm-start admission span into every attached
-// job's trace.
-func (r *run) recordWarm(detail string) {
+// record writes one span into every attached job's trace: warm-start
+// admission, or a fast-path fallback.
+func (r *run) record(kind, name, detail string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, j := range r.jobs {
 		if j.trace != nil {
-			j.trace.RecordBackend(obs.SpanWarmStart, "", detail)
+			j.trace.RecordBackend(kind, name, detail)
 		}
 	}
 }
@@ -466,8 +459,7 @@ type Manager struct {
 	// cache. A weight-only change misses the full solve key (the
 	// canonical hash moved) but hits here, and the old incumbent seeds
 	// the re-solve as a warm start instead of starting cold.
-	hints  *hintCache
-	router *portfolio.Router
+	hints *hintCache
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -505,7 +497,6 @@ func NewManager(cfg Config) *Manager {
 		sessions: make(map[string]*Session),
 		buckets:  make(map[string]*tokenBucket),
 	}
-	m.router = portfolio.NewRouter(m.cfg.FastPathMaxN)
 	m.sched = newTenantSched(m.cfg.DefaultBudget.Seconds())
 	m.cache = newLRUCache(m.cfg.CacheSize)
 	m.hints = newHintCache(m.cfg.CacheSize)
@@ -526,12 +517,8 @@ func (m *Manager) Metrics() MetricsSnapshot {
 	tenants := m.sched.depths()
 	m.mu.Unlock()
 	return m.metrics.snapshot(m.cfg.Workers, depth, m.cfg.QueueCap, running,
-		m.cache.len(), m.cfg.CacheSize, tenants, m.router.Snapshot())
+		m.cache.len(), m.cfg.CacheSize, tenants)
 }
-
-// Router exposes the fast-path router (telemetry for tests and
-// embedders).
-func (m *Manager) Router() *portfolio.Router { return m.router }
 
 // ObsRegistry returns the manager's metric registry (for the Prometheus
 // text rendering of GET /metrics and for embedders that want to add
@@ -782,12 +769,7 @@ func (m *Manager) submitWarm(in *model.Instance, p Params, warmNames []string, p
 		hit.CacheHit = true
 		j.start(time.Now())
 		j.trace.Record(obs.SpanCacheHit)
-		if j.finish(StateDone, &hit, nil) {
-			m.metrics.jobsCompleted.Add(1)
-			m.metrics.tenantCompleted.With(tenant).Inc()
-			m.metrics.e2e.ObserveDuration(time.Since(j.queuedAt))
-			m.noteFinished(j.ID)
-		}
+		m.settle(j, StateDone, &hit, nil)
 		return j, nil
 	}
 	m.metrics.cacheMisses.Add(1)
@@ -846,16 +828,32 @@ func (m *Manager) submitWarm(in *model.Instance, p Params, warmNames []string, p
 	return j, nil
 }
 
-// noteFinished records terminal jobs and evicts the oldest beyond the
-// retention cap. Only ever called with jobs already in a terminal state.
-func (m *Manager) noteFinished(ids ...string) {
+// settle finishes j (see Job.finish), counts it, records it for
+// retention — evicting the oldest finished jobs beyond the cap — and only
+// then releases its waiters, so a caller woken by Done sees the counters
+// and the retention order that include j.
+func (m *Manager) settle(j *Job, state string, res *SolveResult, err error) {
+	if !j.finish(state, res, err) {
+		return
+	}
+	switch state {
+	case StateDone:
+		m.metrics.jobsCompleted.Add(1)
+		m.metrics.tenantCompleted.With(j.tenant).Inc()
+		m.metrics.e2e.ObserveDuration(time.Since(j.queuedAt))
+	case StateFailed:
+		m.metrics.jobsFailed.Add(1)
+	case StateCanceled:
+		m.metrics.jobsCanceled.Add(1)
+	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.finished = append(m.finished, ids...)
+	m.finished = append(m.finished, j.ID)
 	for len(m.finished) > m.cfg.MaxFinishedJobs {
 		delete(m.jobs, m.finished[0])
 		m.finished = m.finished[1:]
 	}
+	m.mu.Unlock()
+	close(j.done)
 }
 
 // Get looks a job up by id.
@@ -893,10 +891,7 @@ func (m *Manager) Cancel(id string) error {
 	}
 	m.mu.Unlock()
 
-	if j.finish(StateCanceled, nil, context.Canceled) {
-		m.metrics.jobsCanceled.Add(1)
-		m.noteFinished(id)
-	}
+	m.settle(j, StateCanceled, nil, context.Canceled)
 	return nil
 }
 
@@ -968,10 +963,7 @@ func (m *Manager) execute(r *run) {
 		// Drain timeout hit while this run sat in the queue; release any
 		// still-attached waiters.
 		for _, j := range r.complete() {
-			if j.finish(StateCanceled, nil, err) {
-				m.metrics.jobsCanceled.Add(1)
-				m.noteFinished(j.ID)
-			}
+			m.settle(j, StateCanceled, nil, err)
 		}
 		return
 	}
@@ -1004,16 +996,16 @@ func (m *Manager) execute(r *run) {
 		repaired, werr := portfolio.RepairInitial(c, cs, initial)
 		if werr != nil {
 			m.metrics.warmRejected.Add(1)
-			r.recordWarm("rejected: " + werr.Error())
+			r.record(obs.SpanWarmStart, "", "rejected: "+werr.Error())
 			initial = nil
 		} else {
 			initial = repaired
 			warmStarted = true
 			m.metrics.warmStarts.Add(1)
 			if r.warmHint {
-				r.recordWarm("seeded (structural-hash hint)")
+				r.record(obs.SpanWarmStart, "", "seeded (structural-hash hint)")
 			} else {
-				r.recordWarm("seeded")
+				r.record(obs.SpanWarmStart, "", "seeded")
 			}
 		}
 	}
@@ -1086,17 +1078,16 @@ func (m *Manager) execute(r *run) {
 		return f(ctx)
 	}
 
-	features := portfolio.FeaturesOf(c, cs)
 	start := time.Now()
 	var res portfolio.Result
 	routed := false
 	// Fast path: when the request doesn't pin a backend set and the
-	// instance is small, run one applicable exact backend straight to a
-	// proof instead of racing the whole portfolio. The proof guarantees
-	// the objective is identical to what the race would return; if it
-	// doesn't land within budget, fall back to the full race.
+	// instance is small, run A* straight to a proof instead of racing
+	// the whole portfolio. The proof guarantees the objective is
+	// identical to what the race would return; if it doesn't land within
+	// budget, fall back to the full race.
 	if len(r.params.Backends) == 0 {
-		if name, ok := m.router.Route(c, cs); ok {
+		if name, ok := portfolio.Route(c.N, m.cfg.FastPathMaxN); ok {
 			res, err = solveWith(func(ctx context.Context) (portfolio.Result, error) {
 				return portfolio.SolveSingle(ctx, c, cs, name, opts)
 			})
@@ -1105,11 +1096,8 @@ func (m *Manager) execute(r *run) {
 				routed = true
 				m.metrics.fastpathRouted.With(name).Inc()
 			case err == nil:
-				// Charge the failed attempt to the routed backend so the
-				// router explores past it (and eventually stops
-				// fast-pathing a class that never proves in budget).
-				m.router.Observe(features, name, false, 0)
 				m.metrics.fastpathFallback.Add(1)
+				r.record(obs.SpanFastPath, name, "unproved → race")
 			}
 		}
 	}
@@ -1123,10 +1111,6 @@ func (m *Manager) execute(r *run) {
 		m.fail(r, err)
 		return
 	}
-	// Both paths teach the router which exact backend proves fastest
-	// for this feature class.
-	m.router.Observe(features, res.Winner, res.Proved, wall)
-
 	result := &SolveResult{
 		Order:       res.Order,
 		Objective:   res.Objective,
@@ -1185,21 +1169,13 @@ func (m *Manager) execute(r *run) {
 		jr := *result
 		jr.Order = j.translate(result.Order)
 		jr.Shared = shared
-		if j.finish(StateDone, &jr, nil) {
-			m.metrics.jobsCompleted.Add(1)
-			m.metrics.tenantCompleted.With(j.tenant).Inc()
-			m.metrics.e2e.ObserveDuration(time.Since(j.queuedAt))
-			m.noteFinished(j.ID)
-		}
+		m.settle(j, StateDone, &jr, nil)
 	}
 }
 
 func (m *Manager) fail(r *run, err error) {
 	for _, j := range r.complete() {
-		if j.finish(StateFailed, nil, err) {
-			m.metrics.jobsFailed.Add(1)
-			m.noteFinished(j.ID)
-		}
+		m.settle(j, StateFailed, nil, err)
 	}
 }
 

@@ -1,12 +1,15 @@
 package service
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/evolving-olap/idd/internal/datasets"
 	"github.com/evolving-olap/idd/internal/obs"
 )
 
@@ -131,6 +134,49 @@ func TestTraceCacheHit(t *testing.T) {
 	}
 }
 
+// TestTraceFastPathFallback: a routed A* attempt that cannot prove
+// under the request's step limit falls back to the race, and the job
+// trace says so with one fastpath span before the race's backends start.
+func TestTraceFastPathFallback(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	st := decode[JobStatus](t, postJSON(t, ts.URL+"/jobs", solveRequest{
+		Instance: datasets.ReducedTPCH(10, datasets.Low),
+		Params:   Params{Budget: Duration(10 * time.Second), StepLimit: 50},
+	}))
+	done := waitState(t, ts.URL, st.ID, StateDone, 15*time.Second)
+	if done.Result == nil || done.Result.Routed {
+		t.Fatalf("step-limited solve reported as routed: %+v", done.Result)
+	}
+	if got := s.Manager().Metrics().FastPath.Fallback; got != 1 {
+		t.Errorf("fastpath fallback counter = %d, want 1", got)
+	}
+
+	tresp, err := http.Get(ts.URL + "/jobs/" + st.ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := decode[JobTrace](t, tresp)
+	fallbacks, raced := 0, false
+	for _, sp := range tr.Spans {
+		switch {
+		case sp.Kind == obs.SpanFastPath:
+			fallbacks++
+			if sp.Backend != "astar" || !strings.Contains(sp.Detail, "race") {
+				t.Errorf("fastpath span %+v, want backend astar and a race detail", sp)
+			}
+			if raced {
+				t.Error("fastpath span recorded after the race started")
+			}
+		case sp.Kind == obs.SpanBackendStart && sp.Backend != "astar":
+			raced = true
+		}
+	}
+	if fallbacks != 1 || !raced {
+		t.Fatalf("trace has %d fastpath spans (want 1), race started %v: %+v",
+			fallbacks, raced, tr.Spans)
+	}
+}
+
 func TestTraceUnknownJob404(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	resp, err := http.Get(ts.URL + "/jobs/nope/trace")
@@ -220,6 +266,46 @@ func TestMetricsPrometheusText(t *testing.T) {
 	// 1/uptime, strictly positive.
 	if mt.Solves.PerSecond <= 0 {
 		t.Fatalf("per_second = %v, want > 0", mt.Solves.PerSecond)
+	}
+}
+
+// TestMetricsFastPathJSON pins the JSON wire shape of /metrics'
+// fastpath object: routed, fallback and by_backend, with no learned
+// per-class telemetry table, and the counters reflect one routed solve.
+func TestMetricsFastPathJSON(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	res := decode[SolveResult](t, postJSON(t, ts.URL+"/solve", solveRequest{
+		Instance: datasets.ReducedTPCH(8, datasets.Low),
+		Params:   Params{Budget: Duration(10 * time.Second)},
+	}))
+	if !res.Routed || res.Winner != "astar" {
+		t.Fatalf("n=8 default solve: routed=%v winner=%q, want routed astar", res.Routed, res.Winner)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := decode[map[string]json.RawMessage](t, resp)
+	var fp map[string]json.RawMessage
+	if err := json.Unmarshal(top["fastpath"], &fp); err != nil {
+		t.Fatalf("fastpath object: %v (%s)", err, top["fastpath"])
+	}
+	keys := make([]string, 0, len(fp))
+	for k := range fp {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if got := strings.Join(keys, ","); got != "by_backend,fallback,routed" {
+		t.Errorf("fastpath keys = %s, want by_backend,fallback,routed", got)
+	}
+	var byBackend map[string]int64
+	if err := json.Unmarshal(fp["by_backend"], &byBackend); err != nil {
+		t.Fatal(err)
+	}
+	if string(fp["routed"]) != "1" || string(fp["fallback"]) != "0" ||
+		len(byBackend) != 1 || byBackend["astar"] != 1 {
+		t.Errorf("fastpath = %s, want routed 1, fallback 0, by_backend {astar: 1}", top["fastpath"])
 	}
 }
 

@@ -153,31 +153,6 @@ func TestParamsReachCPEngine(t *testing.T) {
 	}
 }
 
-func TestDeprecatedCPWorkersConfigStillApplies(t *testing.T) {
-	// The deprecated Config.CPWorkers alias must still size the proof
-	// search when the request itself names no params — and an explicit
-	// request param must win over it.
-	_, ts := newTestServer(t, Config{Workers: 1, CPWorkers: 2})
-	in := trapInstance(t)
-
-	resp := postJSON(t, ts.URL+"/solve", solveRequest{Instance: in, Params: Params{
-		Budget: Duration(10 * time.Second), Backends: []string{"cp"},
-	}})
-	res := decode[SolveResult](t, resp)
-	if got := cpWorkersOf(t, &res); got != 2 {
-		t.Fatalf("config alias: cp ran %d workers, want 2", got)
-	}
-
-	resp = postJSON(t, ts.URL+"/solve", solveRequest{Instance: in, Params: Params{
-		Budget: Duration(10 * time.Second), Backends: []string{"cp"},
-		Params: map[string]any{"cp.workers": 3},
-	}})
-	res = decode[SolveResult](t, resp)
-	if got := cpWorkersOf(t, &res); got != 3 {
-		t.Fatalf("request param must beat the config alias: got %d workers, want 3", got)
-	}
-}
-
 func TestQueryStringParams(t *testing.T) {
 	// Bare-instance bodies carry their knobs in the URL query; repeated
 	// param=k=v entries must round-trip into the typed bag.

@@ -202,15 +202,29 @@ func TestTenantQueueQuota(t *testing.T) {
 }
 
 // TestFastPathServiceConformance: a default-backends solve of a small
-// instance is served by the fast path (Routed), a forced full-portfolio
-// solve of the identical instance returns the bit-identical objective,
-// and instances across the routing threshold behave as documented
-// (n=12 routed, n=13 raced). This is the service-level guarantee that
-// routing never changes results, only latency.
+// instance is served by the fast path (Routed) through A*, a forced
+// full-portfolio solve of the identical instance returns the
+// bit-identical objective, and instances across the routing threshold
+// behave as documented (n=12 routed, n=13 raced). A raced n=14 solve
+// runs first: routing must not depend on what earlier races observed.
+// This is the service-level guarantee that routing never changes
+// results, only latency.
 func TestFastPathServiceConformance(t *testing.T) {
 	m := newTestManager(t, Config{Workers: 2, MaxBudget: 60 * time.Second})
 
-	for _, n := range []int{6, 12} {
+	// Above the threshold the race runs even with default backends.
+	for _, n := range []int{14, 13} {
+		j, err := m.Submit(datasets.ReducedTPCH(n, datasets.Low), Params{Budget: Duration(2 * time.Second)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := waitDone(t, j, 30*time.Second)
+		if st.Result != nil && st.Result.Routed {
+			t.Errorf("n=%d instance routed past the n=12 threshold", n)
+		}
+	}
+
+	for _, n := range []int{6, 11, 12} {
 		in := datasets.ReducedTPCH(n, datasets.Low)
 		c := model.MustCompile(in)
 		forced := backend.Default(c) // the exact set the race would use
@@ -225,6 +239,9 @@ func TestFastPathServiceConformance(t *testing.T) {
 		}
 		if !routedSt.Result.Routed {
 			t.Errorf("n=%d: default solve not served by the fast path", n)
+		}
+		if routedSt.Result.Winner != "astar" {
+			t.Errorf("n=%d: fast path served by %q, want astar", n, routedSt.Result.Winner)
 		}
 		if !routedSt.Result.Proved {
 			t.Errorf("n=%d: routed solve carries no proof", n)
@@ -249,20 +266,58 @@ func TestFastPathServiceConformance(t *testing.T) {
 		}
 	}
 
-	// Above the threshold the race runs even with default backends.
-	big := datasets.ReducedTPCH(13, datasets.Low)
-	j, err := m.Submit(big, Params{Budget: Duration(2 * time.Second)})
+	snap := m.Metrics()
+	if snap.FastPath.Routed != 3 || snap.FastPath.ByBackend["astar"] != 3 {
+		t.Errorf("fastpath routed counter = %d (by backend %v), want 3, all astar",
+			snap.FastPath.Routed, snap.FastPath.ByBackend)
+	}
+}
+
+// TestFastPathRetriesAfterUnprovedAttempts: routing keeps no memory of
+// earlier outcomes. Every step-limited request that A* cannot prove
+// pays its own routed attempt before falling back to the race, and a
+// later unrestricted request of an instance that fell back is still
+// routed to A*.
+func TestFastPathRetriesAfterUnprovedAttempts(t *testing.T) {
+	m := newTestManager(t, Config{Workers: 1})
+
+	// Distinct sizes give distinct structures, so no request is served
+	// from the result cache or warm-seeded by an earlier one.
+	sizes := []int{8, 9, 10}
+	for _, n := range sizes {
+		j, err := m.Submit(datasets.ReducedTPCH(n, datasets.Low), Params{Budget: Duration(10 * time.Second), StepLimit: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := waitDone(t, j, 15*time.Second)
+		if st.State != StateDone {
+			t.Fatalf("n=%d: job %q: %s", n, st.State, st.Error)
+		}
+		if st.Result.Routed {
+			t.Errorf("n=%d: step-limited solve reported as routed", n)
+		}
+	}
+	if got := m.Metrics().FastPath.Fallback; got != int64(len(sizes)) {
+		t.Errorf("fastpath fallback counter = %d, want %d (one per request)", got, len(sizes))
+	}
+
+	j, err := m.Submit(datasets.ReducedTPCH(10, datasets.Low), Params{Budget: Duration(10 * time.Second)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := waitDone(t, j, 30*time.Second)
-	if st.Result != nil && st.Result.Routed {
-		t.Error("n=13 instance routed past the n=12 threshold")
+	st := waitDone(t, j, 15*time.Second)
+	if st.State != StateDone {
+		t.Fatalf("unrestricted job %q: %s", st.State, st.Error)
 	}
-
+	if !st.Result.Routed || !st.Result.Proved {
+		t.Errorf("unrestricted solve after fallbacks: routed=%v proved=%v, want a routed proof",
+			st.Result.Routed, st.Result.Proved)
+	}
 	snap := m.Metrics()
-	if snap.FastPath.Routed < 2 {
-		t.Errorf("fastpath routed counter = %d, want >= 2", snap.FastPath.Routed)
+	if snap.FastPath.Routed != 1 || snap.FastPath.ByBackend["astar"] != 1 ||
+		snap.FastPath.Fallback != int64(len(sizes)) {
+		t.Errorf("fastpath counters routed=%d (by backend %v) fallback=%d, want 1 astar and %d",
+			snap.FastPath.Routed, snap.FastPath.ByBackend, snap.FastPath.Fallback, len(sizes))
 	}
 }
 

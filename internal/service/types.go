@@ -16,10 +16,10 @@
 // header or "tenant" field), dispatch is deficit round-robin across
 // per-tenant queues so one tenant's flood cannot starve another's
 // sparse traffic, and optional per-tenant rate limits and queue quotas
-// bound admission. Small instances skip the portfolio race entirely: a
-// feature-based router sends them straight to one applicable exact
-// backend (falling back to the race if the proof doesn't land), which
-// returns the identical proved optimum at a fraction of the overhead.
+// bound admission. Small instances skip the portfolio race entirely: the
+// fast path sends them straight to A* (falling back to the race if the
+// proof doesn't land), which returns the identical proved optimum at a
+// fraction of the overhead.
 //
 // Re-solve sessions make workload drift a first-class operation: a
 // session holds an instance and its deployed plan; POST deltas (query
@@ -183,9 +183,9 @@ type SolveResult struct {
 	// (single-flight deduplication).
 	CacheHit bool `json:"cache_hit,omitempty"`
 	Shared   bool `json:"shared,omitempty"`
-	// Routed marks a solve served by the fast path: the feature router
-	// sent the instance straight to one exact backend (Winner) instead
-	// of racing the portfolio, and that backend proved the optimum.
+	// Routed marks a solve served by the fast path: the instance went
+	// straight to one exact backend (Winner) instead of racing the
+	// portfolio, and that backend proved the optimum.
 	Routed bool `json:"routed,omitempty"`
 	// WarmStarted marks a solve seeded with a prior incumbent (an
 	// explicit session/SubmitWarm order or a structural-hash cache hint)

@@ -255,31 +255,6 @@ func TestParamsCanonAndClone(t *testing.T) {
 	}
 }
 
-func TestWithIntFallback(t *testing.T) {
-	// Absent key: fallback applies, clamped into the declared bounds
-	// (zfake-b.knob is declared 0..16).
-	p := Params(nil).WithIntFallback("zfake-b.knob", 4)
-	if p.Int("zfake-b.knob", -1) != 4 {
-		t.Fatalf("fallback not applied: %v", p)
-	}
-	if got := Params(nil).WithIntFallback("zfake-b.knob", 999).Int("zfake-b.knob", -1); got != 16 {
-		t.Fatalf("out-of-bounds alias not clamped to the spec max: %d", got)
-	}
-	// Explicit entries — including an explicit zero — always win.
-	explicit := Params{"zfake-b.knob": 0}
-	if got := explicit.WithIntFallback("zfake-b.knob", 8).Int("zfake-b.knob", -1); got != 0 {
-		t.Fatalf("explicit zero overridden by the alias: %d", got)
-	}
-	// Alias zero means unset: no key is created.
-	if out := Params(nil).WithIntFallback("zfake-b.knob", 0); len(out) != 0 {
-		t.Fatalf("zero alias created an entry: %v", out)
-	}
-	// Undeclared names pass through unclamped (registry-free callers).
-	if got := Params(nil).WithIntFallback("no.spec", 7).Int("no.spec", -1); got != 7 {
-		t.Fatalf("undeclared fallback mangled: %d", got)
-	}
-}
-
 func TestParamsTypedGetterDefaults(t *testing.T) {
 	var p Params
 	if p.Int("x", 7) != 7 || p.Float("x", 1.5) != 1.5 || !p.Bool("x", true) || p.Str("x", "d") != "d" {

@@ -236,32 +236,6 @@ func (p Params) Canon() string {
 	return b.String()
 }
 
-// WithIntFallback returns p with name set to value, unless value <= 0
-// (the zero value means "alias unset") or p already carries the key —
-// an explicit entry, even an explicit zero, always wins. This is the
-// merge rule of the deprecated CPWorkers-style aliases; when name has a
-// declared spec the fallback is clamped into its bounds, so the legacy
-// paths cannot smuggle in a value ValidateParams would reject.
-func (p Params) WithIntFallback(name string, value int) Params {
-	if value <= 0 {
-		return p
-	}
-	if _, set := p[name]; set {
-		return p
-	}
-	if spec, ok := SpecFor(name); ok {
-		if spec.Min != nil && float64(value) < *spec.Min {
-			value = int(*spec.Min)
-		}
-		if spec.Max != nil && float64(value) > *spec.Max {
-			value = int(*spec.Max)
-		}
-	}
-	out := p.Clone()
-	out[name] = value
-	return out
-}
-
 // ValidateParams checks a raw key→value map (typically straight out of
 // a JSON body) against the union of every registered backend's declared
 // specs and returns the canonically typed bag. Unknown keys, ill-typed

@@ -114,21 +114,6 @@ func Default(c *model.Compiled) []string {
 	return out
 }
 
-// ExactProvers returns the applicable exact backends for an instance in
-// rank order: every registered KindExact backend whose applicability
-// predicate accepts c. This is the candidate set for fast-path routing —
-// any of them, run alone to exhaustion, yields the same proved optimum a
-// full portfolio race would.
-func ExactProvers(c *model.Compiled) []string {
-	var out []string
-	for _, b := range All() {
-		if info := b.Info(); info.Kind == KindExact && info.Proves && info.applicable(c) {
-			out = append(out, info.Name)
-		}
-	}
-	return out
-}
-
 // Finisher picks the backend that runs the portfolio's exploitation
 // tail: among names, the one with the highest declared positive
 // Finisher rank ("" when none of them is a finisher).

@@ -7,9 +7,7 @@ import (
 	"github.com/evolving-olap/idd/internal/solver/backend"
 )
 
-// Registry param names. cp.workers replaces the CPWorkers fields that
-// PR 4 hand-threaded through portfolio.Options, service.Config and both
-// binaries; those remain only as explicitly deprecated aliases.
+// Registry param names.
 const (
 	// ParamWorkers is the branch-and-bound worker-goroutine budget for
 	// the work-stealing proof search (0 or 1 = the deterministic serial

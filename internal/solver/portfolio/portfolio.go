@@ -36,12 +36,11 @@ import (
 
 	// Every built-in solver registers itself into the backend registry
 	// from init(); importing them here is what puts them on the roster
-	// for any program that links the portfolio. cp is additionally named
-	// for its ParamWorkers constant (the deprecated-alias merge).
-	"github.com/evolving-olap/idd/internal/solver/cp"
-
+	// for any program that links the portfolio (router.go names astar
+	// for its MaxN).
 	_ "github.com/evolving-olap/idd/internal/solver/astar"
 	_ "github.com/evolving-olap/idd/internal/solver/bruteforce"
+	_ "github.com/evolving-olap/idd/internal/solver/cp"
 	_ "github.com/evolving-olap/idd/internal/solver/dp"
 	_ "github.com/evolving-olap/idd/internal/solver/local"
 	_ "github.com/evolving-olap/idd/internal/solver/mip"
@@ -224,12 +223,6 @@ type Options struct {
 	// backend.ValidateParams / backend.ParseParams; backends read only
 	// their own declared keys.
 	Params backend.Params
-	// CPWorkers is a deprecated alias for Params["cp.workers"]: the
-	// branch-and-bound worker budget of the cp backend's work-stealing
-	// proof search. An explicit Params entry wins.
-	//
-	// Deprecated: set Params["cp.workers"] instead.
-	CPWorkers int
 	// Seed derives each randomized backend's private RNG.
 	Seed int64
 	// Initial seeds the incumbent store (nil = greedy.Solve).
@@ -394,10 +387,6 @@ func Solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, opt Optio
 	if err := backend.CheckNames(names); err != nil {
 		return Result{}, fmt.Errorf("portfolio: %w", err)
 	}
-	// Deprecated Options.CPWorkers alias; any explicit typed param —
-	// including an explicit 0 forcing the serial engine — wins, and the
-	// alias value is clamped into the declared spec bounds.
-	params := opt.Params.WithIntFallback(cp.ParamWorkers, opt.CPWorkers)
 	budget := opt.Budget
 	if budget <= 0 {
 		budget = 10 * time.Second
@@ -531,7 +520,7 @@ func Solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, opt Optio
 					StepLimit:   opt.StepLimit,
 					Seed:        opt.Seed + int64(j)*0x9E3779B9,
 					Initial:     initial,
-					Params:      params,
+					Params:      opt.Params,
 					Publish:     publish,
 					Incumbent:   sh.BetterThan,
 					Bound:       sh.Objective,
@@ -609,7 +598,7 @@ func Solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, opt Optio
 				StepLimit:   opt.StepLimit,
 				Seed:        opt.Seed,
 				Initial:     initial,
-				Params:      params,
+				Params:      opt.Params,
 				Publish:     publish,
 			})
 			if fout.Order != nil {

@@ -427,30 +427,25 @@ func assertFeasible(t *testing.T, n int, cs *constraint.Set, order []int) {
 }
 
 // TestSolveParamsReachBackend: a "cp.workers" entry in the typed params
-// bag — and the deprecated CPWorkers alias — must reach the cp engine,
-// observable through the Workers telemetry it reports back. An explicit
-// param outranks the alias.
+// bag must reach the cp engine, observable through the Workers telemetry
+// it reports back.
 func TestSolveParamsReachBackend(t *testing.T) {
 	cse := solvertest.Cases(t)[1]
-	for name, opt := range map[string]Options{
-		"params":            {Params: backend.Params{"cp.workers": 2}},
-		"deprecated-alias":  {CPWorkers: 2},
-		"param-beats-alias": {CPWorkers: 7, Params: backend.Params{"cp.workers": 2}},
-	} {
-		opt.Backends = []string{"cp"}
-		opt.Budget = 20 * time.Second
-		res, err := Solve(context.Background(), cse.C, cse.CS, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got := res.Backends[0].Workers; got != 2 {
-			t.Errorf("%s: cp ran %d workers, want 2", name, got)
-		}
-		if !res.Proved {
-			t.Errorf("%s: parallel cp did not prove optimality", name)
-		}
-		solvertest.RequireOptimal(t, cse, res.Order)
+	res, err := Solve(context.Background(), cse.C, cse.CS, Options{
+		Backends: []string{"cp"},
+		Budget:   20 * time.Second,
+		Params:   backend.Params{"cp.workers": 2},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if got := res.Backends[0].Workers; got != 2 {
+		t.Errorf("cp ran %d workers, want 2", got)
+	}
+	if !res.Proved {
+		t.Error("parallel cp did not prove optimality")
+	}
+	solvertest.RequireOptimal(t, cse, res.Order)
 }
 
 // TestSolveCPWorkerBudget: with a cp.workers budget the cp backend runs

@@ -4,29 +4,29 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
 	"github.com/evolving-olap/idd/internal/constraint"
 	"github.com/evolving-olap/idd/internal/model"
+	"github.com/evolving-olap/idd/internal/solver/astar"
 	"github.com/evolving-olap/idd/internal/solver/backend"
 	"github.com/evolving-olap/idd/internal/solver/greedy"
 )
 
 // Fast-path routing: most production advisor traffic is small instances
 // for which racing ten backends is pure overhead — one exact solver
-// proves the optimum in microseconds. The Router derives cheap features
-// from an instance, and when the instance is small enough routes it
-// straight to a single applicable exact backend instead of the full
-// portfolio race. Because the routed backend runs to exhaustion and
-// proves optimality, the routed objective is bit-identical to what the
-// race would return (both are the unique optimum under the shared
-// evaluation core); when the routed backend fails to prove within
-// budget, the caller falls back to the race, so routing can never
-// degrade result quality.
+// proves the optimum in milliseconds. Route sends every small instance
+// straight to A* (the paper's §4.5 subset search), the fastest exact
+// prover at every routed size, instead of the full portfolio race.
+// Because the routed backend runs to exhaustion and proves optimality,
+// the routed objective is bit-identical to what the race would return
+// (both are the unique optimum under the shared evaluation core); when
+// it fails to prove within budget, the caller falls back to the race,
+// so routing can never degrade result quality.
 
-// Features are the cheap instance descriptors routing keys on.
+// Features are cheap instance descriptors, bucketed by Class for
+// per-class reporting.
 type Features struct {
 	// N is the index count — the dominant cost driver for every exact
 	// backend.
@@ -40,8 +40,8 @@ type Features struct {
 	Plans int
 }
 
-// FeaturesOf derives routing features from a compiled instance. cs may
-// be nil (no precedence constraints).
+// FeaturesOf derives the features of a compiled instance. cs may be nil
+// (no precedence constraints).
 func FeaturesOf(c *model.Compiled, cs *constraint.Set) Features {
 	f := Features{N: c.N, Plans: len(c.PlanQuery)}
 	if cs != nil {
@@ -53,10 +53,8 @@ func FeaturesOf(c *model.Compiled, cs *constraint.Set) Features {
 	return f
 }
 
-// Class buckets the features into a coarse key for win-telemetry
-// accumulation: size band plus precedence-density band. Coarse on
-// purpose — the router learns per class, and too many classes would
-// never accumulate enough observations to matter.
+// Class buckets the features into a coarse key: size band plus
+// precedence-density band.
 func (f Features) Class() string {
 	size := "tiny"
 	switch {
@@ -75,171 +73,23 @@ func (f Features) Class() string {
 }
 
 // DefaultFastPathMaxN is the routing size threshold when the caller
-// passes 0: instances this small prove in well under a millisecond on
-// any exact backend, so the portfolio race is pure overhead for them.
+// passes 0: instances this small prove in a few milliseconds, so the
+// portfolio race is pure overhead for them.
 const DefaultFastPathMaxN = 12
 
-// Router decides, per instance, between the fast path (one exact
-// backend, straight to a proof) and the full portfolio race, and
-// accumulates per-backend win telemetry to pick the exact backend that
-// historically proves fastest for the instance's feature class. Safe
-// for concurrent use.
-type Router struct {
-	maxN int
-
-	mu sync.Mutex
-	// stats[class][backend] aggregates proof outcomes observed for that
-	// feature class, from routed solves and full races alike.
-	stats map[string]map[string]*routeStats
-}
-
-type routeStats struct {
-	attempts int64 // routed or race-won solves recorded, proved or not
-	proofs   int64
-	wallNano int64
-}
-
-// routeMinAttempts is the exploration floor: every applicable exact
-// prover gets this many routed attempts per feature class before the
-// router starts exploiting the best observed mean proof wall. Without
-// it the cold-start choice (rank order) sticks forever: a routed solve
-// only produces telemetry for the backend it was routed to.
-const routeMinAttempts = 3
-
-// NewRouter returns a router that fast-paths instances with at most
-// maxN indexes (0 = DefaultFastPathMaxN; negative disables routing, so
-// Route never returns ok).
-func NewRouter(maxN int) *Router {
+// Route picks the backend to fast-path an n-index instance to, or
+// reports ok=false when it should run the full portfolio race. maxN is
+// the size threshold (0 = DefaultFastPathMaxN; negative disables
+// routing). Every instance with 1 ≤ n ≤ maxN that A* accepts goes to
+// A*.
+func Route(n, maxN int) (string, bool) {
 	if maxN == 0 {
 		maxN = DefaultFastPathMaxN
 	}
-	return &Router{maxN: maxN, stats: make(map[string]map[string]*routeStats)}
-}
-
-// MaxN reports the configured fast-path size threshold (negative =
-// routing disabled).
-func (r *Router) MaxN() int { return r.maxN }
-
-// Route picks the exact backend to fast-path this instance to, or
-// reports ok=false when the instance should run the full portfolio race
-// (too large, routing disabled, no applicable exact prover, or every
-// sampled prover failed to prove within budget for this feature class).
-// While any applicable prover has fewer than routeMinAttempts recorded
-// attempts for the class, the least-attempted one is explored — rank
-// order breaks ties, so a cold router behaves like the registry's
-// preference order; once sampled, the prover with the best mean proof
-// wall time wins.
-func (r *Router) Route(c *model.Compiled, cs *constraint.Set) (string, bool) {
-	if r == nil || r.maxN < 0 || c.N > r.maxN {
+	if n < 1 || n > maxN || n > astar.MaxN {
 		return "", false
 	}
-	provers := backend.ExactProvers(c)
-	if len(provers) == 0 {
-		return "", false
-	}
-	class := FeaturesOf(c, cs).Class()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	explore, exploreAttempts := "", int64(routeMinAttempts)
-	for _, name := range provers {
-		var a int64
-		if s := r.stats[class][name]; s != nil {
-			a = s.attempts
-		}
-		if a < exploreAttempts {
-			explore, exploreAttempts = name, a
-		}
-	}
-	if explore != "" {
-		return explore, true
-	}
-	best, bestMean := "", math.Inf(1)
-	for _, name := range provers {
-		s := r.stats[class][name]
-		if s == nil || s.proofs == 0 {
-			continue
-		}
-		if mean := float64(s.wallNano) / float64(s.proofs); mean < bestMean {
-			best, bestMean = name, mean
-		}
-	}
-	if best == "" {
-		// Fully sampled and nobody ever proved: the class is too hard
-		// for a single-backend fast path — let the race handle it.
-		return "", false
-	}
-	return best, true
-}
-
-// Observe feeds one solve outcome back into the win telemetry: which
-// backend proved (or won) the instance and how long its solve took.
-// Both routed solves and full portfolio races report here, so the race
-// itself teaches the router which exact backend finishes first per
-// class. Unproved outcomes count as attempts only — they advance the
-// exploration cursor and, if a class never proves, eventually disable
-// its fast path — but never contribute a proof wall.
-func (r *Router) Observe(f Features, winner string, proved bool, wall time.Duration) {
-	if r == nil || winner == "" {
-		return
-	}
-	class := f.Class()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	byBackend := r.stats[class]
-	if byBackend == nil {
-		byBackend = make(map[string]*routeStats)
-		r.stats[class] = byBackend
-	}
-	s := byBackend[winner]
-	if s == nil {
-		s = &routeStats{}
-		byBackend[winner] = s
-	}
-	s.attempts++
-	if !proved {
-		return
-	}
-	s.proofs++
-	s.wallNano += int64(wall)
-}
-
-// RouteStat is one row of the router's accumulated win telemetry.
-type RouteStat struct {
-	Class      string  `json:"class"`
-	Backend    string  `json:"backend"`
-	Attempts   int64   `json:"attempts"`
-	Proofs     int64   `json:"proofs"`
-	MeanWallMS float64 `json:"mean_wall_ms,omitempty"`
-}
-
-// Snapshot returns the accumulated telemetry sorted by class then
-// backend (for metrics endpoints and debugging).
-func (r *Router) Snapshot() []RouteStat {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []RouteStat
-	for class, byBackend := range r.stats {
-		for name, s := range byBackend {
-			st := RouteStat{
-				Class: class, Backend: name,
-				Attempts: s.attempts, Proofs: s.proofs,
-			}
-			if s.proofs > 0 {
-				st.MeanWallMS = float64(s.wallNano) / float64(s.proofs) / 1e6
-			}
-			out = append(out, st)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Class != out[b].Class {
-			return out[a].Class < out[b].Class
-		}
-		return out[a].Backend < out[b].Backend
-	})
-	return out
+	return "astar", true
 }
 
 // SolveSingle runs exactly one named backend over the instance with the
@@ -258,7 +108,6 @@ func SolveSingle(ctx context.Context, c *model.Compiled, cs *constraint.Set, nam
 		cs = constraint.NewSet(c.N)
 	}
 	info := b.Info()
-	params := opt.Params.WithIntFallback("cp.workers", opt.CPWorkers)
 	budget := opt.Budget
 	if budget <= 0 {
 		budget = 10 * time.Second
@@ -316,7 +165,7 @@ func SolveSingle(ctx context.Context, c *model.Compiled, cs *constraint.Set, nam
 		StepLimit:   opt.StepLimit,
 		Seed:        opt.Seed,
 		Initial:     initial,
-		Params:      params,
+		Params:      opt.Params,
 		Publish:     publish,
 		Incumbent:   sh.BetterThan,
 		Bound:       sh.Objective,

@@ -12,35 +12,27 @@ import (
 	"github.com/evolving-olap/idd/internal/solver/solvertest"
 )
 
-// TestRouteThreshold pins the routing decision boundary: instances at or
-// below maxN route to an exact prover, instances above fall through to
-// the race, and a negative maxN disables routing entirely.
+// TestRouteThreshold pins the routing rule: every instance with at
+// most maxN indexes routes to A*, instances above fall through to the
+// race, 0 selects DefaultFastPathMaxN, and a negative maxN disables
+// routing entirely.
 func TestRouteThreshold(t *testing.T) {
-	r := NewRouter(12)
-	for _, tc := range []struct {
-		n    int
-		want bool
-	}{
-		{4, true}, {11, true}, {12, true}, {13, false}, {20, false},
-	} {
-		in := datasets.ReducedTPCH(tc.n, datasets.Low)
-		c := model.MustCompile(in)
-		name, ok := r.Route(c, sched.PrecedenceSet(in))
-		if ok != tc.want {
-			t.Errorf("n=%d: Route ok=%v, want %v", tc.n, ok, tc.want)
+	for _, maxN := range []int{12, 0} {
+		for n := 1; n <= 12; n++ {
+			if name, ok := Route(n, maxN); !ok || name != "astar" {
+				t.Errorf("Route(%d, %d) = %q, %v; want astar", n, maxN, name, ok)
+			}
 		}
-		if ok && name == "" {
-			t.Errorf("n=%d: routed to empty backend name", tc.n)
+		for _, n := range []int{0, 13, 20} {
+			if name, ok := Route(n, maxN); ok {
+				t.Errorf("Route(%d, %d) routed to %q past the threshold", n, maxN, name)
+			}
 		}
 	}
-
-	off := NewRouter(-1)
-	c := model.MustCompile(datasets.ReducedTPCH(4, datasets.Low))
-	if _, ok := off.Route(c, nil); ok {
-		t.Error("disabled router still routes")
-	}
-	if NewRouter(0).MaxN() != DefaultFastPathMaxN {
-		t.Errorf("NewRouter(0).MaxN() = %d, want %d", NewRouter(0).MaxN(), DefaultFastPathMaxN)
+	for _, n := range []int{1, 4, 12} {
+		if name, ok := Route(n, -1); ok {
+			t.Errorf("Route(%d, -1) routed to %q with routing disabled", n, name)
+		}
 	}
 }
 
@@ -50,13 +42,12 @@ func TestRouteThreshold(t *testing.T) {
 // must return bit-identical objectives, and the routed solve must carry
 // a proof. This is what licenses the service to skip the race.
 func TestRouteConformance(t *testing.T) {
-	r := NewRouter(12)
 	for _, n := range []int{4, 6, 8, 10, 11, 12} {
 		in := datasets.ReducedTPCH(n, datasets.Low)
 		c := model.MustCompile(in)
 		cs := sched.PrecedenceSet(in)
 
-		name, ok := r.Route(c, cs)
+		name, ok := Route(c.N, 12)
 		if !ok {
 			t.Fatalf("n=%d: not routed", n)
 		}
@@ -91,12 +82,11 @@ func TestRouteConformance(t *testing.T) {
 // conformance corpus (known optima) — every routed result must hit the
 // recorded optimum exactly.
 func TestRouteConformanceCorpus(t *testing.T) {
-	r := NewRouter(0)
 	for _, cse := range solvertest.Cases(t) {
-		if cse.C.N > r.MaxN() {
+		if cse.C.N > DefaultFastPathMaxN {
 			continue
 		}
-		name, ok := r.Route(cse.C, cse.CS)
+		name, ok := Route(cse.C.N, 0)
 		if !ok {
 			t.Fatalf("%s: corpus case (n=%d) not routed", cse.Name, cse.C.N)
 		}
@@ -113,86 +103,6 @@ func TestRouteConformanceCorpus(t *testing.T) {
 		if len(res.Backends) != 1 || res.Backends[0].Name != name {
 			t.Errorf("%s: routed result telemetry %+v, want exactly backend %s",
 				cse.Name, res.Backends, name)
-		}
-	}
-}
-
-// TestRouterTelemetrySteers: the router explores every applicable exact
-// prover routeMinAttempts times per class, then exploits the best mean
-// proof wall time; a class where no prover ever proves loses its fast
-// path entirely.
-func TestRouterTelemetrySteers(t *testing.T) {
-	in := datasets.ReducedTPCH(6, datasets.Low)
-	c := model.MustCompile(in)
-	cs := sched.PrecedenceSet(in)
-	f := FeaturesOf(c, cs)
-
-	// Exploration: a cold router starts at the rank-order pick, then
-	// spreads attempts across the least-sampled applicable provers.
-	r := NewRouter(12)
-	first, ok := r.Route(c, cs)
-	if !ok {
-		t.Fatal("not routed")
-	}
-	r.Observe(f, first, true, 80*time.Millisecond)
-	second, _ := r.Route(c, cs)
-	if second == first {
-		t.Fatalf("router did not explore past %q after it was sampled", first)
-	}
-
-	// Exploitation: keep following Route's choice, reporting cp as by far
-	// the cheapest prover. Exploration visits every prover at least
-	// routeMinAttempts times, after which Route must settle on cp
-	// despite its rank.
-	sawCP := false
-	for i := 0; i < 20; i++ {
-		name, ok := r.Route(c, cs)
-		if !ok {
-			t.Fatal("routing vanished mid-exploration")
-		}
-		wall := 80 * time.Millisecond
-		if name == "cp" {
-			wall = time.Millisecond
-			sawCP = true
-		}
-		r.Observe(f, name, true, wall)
-	}
-	if !sawCP {
-		t.Fatal("exploration never sampled cp")
-	}
-	if got, _ := r.Route(c, cs); got != "cp" {
-		t.Errorf("Route after full telemetry = %q, want cp", got)
-	}
-
-	// Unproved observations count as attempts but never as proofs, and
-	// empty winners are ignored outright.
-	r2 := NewRouter(12)
-	r2.Observe(f, "cp", false, time.Nanosecond)
-	r2.Observe(f, "", true, time.Nanosecond)
-	if got, _ := r2.Route(c, cs); got != first {
-		t.Errorf("unproved observation changed cold routing: %q, want %q", got, first)
-	}
-	for _, row := range r2.Snapshot() {
-		if row.Proofs != 0 || row.MeanWallMS != 0 {
-			t.Errorf("unproved observation produced a proof row: %+v", row)
-		}
-	}
-
-	// A class that never proves within budget stops being fast-pathed
-	// once every prover has been sampled.
-	r3 := NewRouter(12)
-	for {
-		name, ok := r3.Route(c, cs)
-		if !ok {
-			break
-		}
-		r3.Observe(f, name, false, 0)
-		total := 0
-		for _, row := range r3.Snapshot() {
-			total += int(row.Attempts)
-		}
-		if total > 100 {
-			t.Fatal("router never gave up on a proofless class")
 		}
 	}
 }
