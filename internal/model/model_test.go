@@ -341,6 +341,44 @@ func TestQuickWalkerMatchesReplay(t *testing.T) {
 	}
 }
 
+// Property: at every prefix of a random order, ObjectiveIfPushed(i) is
+// bit-equal to Push(i) followed by Objective() for every unplaced i, and
+// leaves the walker exactly as it found it.
+func TestQuickObjectiveIfPushedMatchesPush(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := randNew(seed)
+		c := MustCompile(genInstance(rng))
+		w := NewWalker(c)
+		for _, next := range rng.Perm(c.N) {
+			for i := 0; i < c.N; i++ {
+				if w.Built(i) {
+					continue
+				}
+				obj, rt, dep, k := w.Objective(), w.Runtime(), w.DeployTime(), w.Len()
+				got := w.ObjectiveIfPushed(i)
+				if w.Objective() != obj || w.Runtime() != rt || w.DeployTime() != dep ||
+					w.Len() != k || w.Built(i) {
+					t.Logf("seed %d: ObjectiveIfPushed(%d) changed the walker", seed, i)
+					return false
+				}
+				w.Push(i)
+				want := w.Objective()
+				w.Pop()
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Logf("seed %d, prefix %v: ObjectiveIfPushed(%d) = %v, Push gives %v",
+						seed, w.Order(), i, got, want)
+					return false
+				}
+			}
+			w.Push(next)
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: objective equals the hand-computed sum of R_{k-1}*C_k from
 // the improvement curve.
 func TestQuickObjectiveMatchesCurve(t *testing.T) {

@@ -209,14 +209,14 @@ func (e *MoveEval) seek(p int) {
 // score replays positions [lo,hi) under the pending move and continues
 // the objective chain with the cached suffix terms. The final window
 // position hi needs no state update — its objective term is just
-// R_{hi-1}·C_hi — so it is computed directly instead of pushed and
-// popped, with bitwise the operands a full push would have used.
+// R_{hi-1}·C_hi — so it comes from ObjectiveIfPushed instead of a push
+// and pop.
 func (e *MoveEval) score(lo, hi int) float64 {
 	e.seek(lo)
 	for k := lo; k < hi; k++ {
 		e.w.Push(e.at(k))
 	}
-	obj := e.w.obj + e.w.runtime*e.w.BuildCost(e.at(hi))
+	obj := e.w.ObjectiveIfPushed(e.at(hi))
 	for k := lo; k < hi; k++ {
 		e.w.Pop()
 	}

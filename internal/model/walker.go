@@ -151,6 +151,13 @@ func (w *Walker) BuildCost(i int) float64 {
 	return w.c.BuildCost(i, w.built)
 }
 
+// ObjectiveIfPushed returns the objective Push(i) followed by Objective()
+// would report, without deploying i: it is bitwise the expression Push
+// accumulates.
+func (w *Walker) ObjectiveIfPushed(i int) float64 {
+	return w.obj + w.runtime*w.BuildCost(i)
+}
+
 // SpeedupIfBuilt returns how much the workload runtime would drop if index
 // i were deployed now (S(i, built)), without deploying it. A plan becomes
 // available iff i is its only missing index; per query only the best newly

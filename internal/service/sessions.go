@@ -241,7 +241,8 @@ func (m *Manager) GetSession(id string) (*Session, bool) {
 
 // CloseSession closes a session: its event stream turns terminal and
 // further deltas are rejected. The session stays queryable until the
-// retention cap evicts it.
+// retention cap evicts it; it releases its workload at once, since
+// neither Status nor the event stream reads it.
 func (m *Manager) CloseSession(id string) (*Session, error) {
 	m.mu.Lock()
 	s, ok := m.sessions[id]
@@ -255,6 +256,7 @@ func (m *Manager) CloseSession(id string) (*Session, error) {
 		return nil, ErrSessionClosed
 	}
 	s.closed = true
+	s.instance = nil
 	s.updatedAt = time.Now()
 	s.appendEvent(Event{Type: EventSessionClosed, State: "closed"})
 	s.mu.Unlock()

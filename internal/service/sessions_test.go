@@ -222,6 +222,45 @@ func TestSessionDeltaValidation(t *testing.T) {
 	}
 }
 
+// TestClosedSessionReleasesInstance: closing keeps everything Status
+// reports — plan, built set, revision, result — but drops the workload,
+// which only a delta would read and a closed session rejects deltas.
+func TestClosedSessionReleasesInstance(t *testing.T) {
+	m := NewManager(Config{Workers: 2})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		m.Shutdown(ctx)
+	}()
+	s, err := m.CreateSession(context.Background(), sessionInstance(),
+		Params{Budget: Duration(10 * time.Second)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := s.Status().Plan[0]
+	if _, err := m.SessionDelta(context.Background(), s.ID, SessionDelta{Built: []string{head}}); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Status()
+	if _, err := m.CloseSession(s.ID); err != nil {
+		t.Fatal(err)
+	}
+	after := s.Status()
+	if after.State != "closed" || after.Revision != 1 || after.Result != before.Result ||
+		!reflect.DeepEqual(after.Plan, before.Plan) || !reflect.DeepEqual(after.Built, []string{head}) {
+		t.Fatalf("closing changed the status:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if _, err := m.SessionDelta(context.Background(), s.ID, SessionDelta{}); err != ErrSessionClosed {
+		t.Fatalf("delta on closed session: %v, want ErrSessionClosed", err)
+	}
+	s.mu.Lock()
+	held := s.instance
+	s.mu.Unlock()
+	if held != nil {
+		t.Fatal("closed session still holds its instance")
+	}
+}
+
 // TestWarmStartNeverWorseThanSeed is the warm-start contract as a
 // property: the portfolio offers the (repaired) seed to the incumbent
 // store before any backend runs, so a warm-started result can never be

@@ -87,6 +87,9 @@ func TestNodeLimitAborts(t *testing.T) {
 	if res.Proved {
 		t.Fatal("20-expansion search claimed a proof on 12 indexes")
 	}
+	if res.States == 0 {
+		t.Fatal("aborted search reports no states; every exit reports the g-table size")
+	}
 }
 
 func TestSubsetDeduplicationBoundsStates(t *testing.T) {
