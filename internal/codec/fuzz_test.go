@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"github.com/evolving-olap/idd/internal/model"
 )
 
 // FuzzReadText feeds arbitrary bytes to the text parser: it must never
@@ -29,6 +31,37 @@ func FuzzReadText(f *testing.F) {
 			t.Fatalf("round trip rejected: %v\n%s", err, buf.String())
 		}
 		if len(back.Indexes) != len(in.Indexes) || len(back.Plans) != len(in.Plans) {
+			t.Fatalf("round trip changed structure: %v vs %v", back.Stats(), in.Stats())
+		}
+	})
+}
+
+// FuzzReadJSON feeds arbitrary bytes to the JSON decoder, the service's
+// input surface: it must never panic, anything it accepts must compile,
+// and it must survive WriteJSON -> ReadJSON with the same statistics.
+func FuzzReadJSON(f *testing.F) {
+	f.Add(`{"name":"demo","indexes":[{"name":"a","create_cost":5}],"queries":[{"name":"q","runtime":50}],"plans":[{"query":0,"indexes":[0],"speedup":10}]}`)
+	f.Add(`{"indexes":[{"name":"a","create_cost":1},{"name":"b","create_cost":2}],"queries":[{"name":"q","runtime":5}],"plans":[],"build_interactions":[{"target":0,"helper":1,"speedup":0.5}],"precedences":[{"before":1,"after":0}]}`)
+	f.Add(`{"indexes":[{"name":"a","create_cost":1}],"queries":[],"plans":[{"query":3,"indexes":[0],"speedup":1}]}`)
+	f.Add(`{"indexes":null}`)
+	f.Add(`[]`)
+	f.Fuzz(func(t *testing.T, src string) {
+		in, err := ReadJSON(strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		if _, err := model.Compile(in); err != nil {
+			t.Fatalf("accepted instance does not compile: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := WriteJSON(&buf, in); err != nil {
+			t.Fatalf("accepted instance failed to serialize: %v", err)
+		}
+		back, err := ReadJSON(&buf)
+		if err != nil {
+			t.Fatalf("round trip rejected: %v\n%s", err, buf.String())
+		}
+		if back.Stats() != in.Stats() {
 			t.Fatalf("round trip changed structure: %v vs %v", back.Stats(), in.Stats())
 		}
 	})

@@ -90,12 +90,15 @@ type Report struct {
 	Rounds int
 	// Edges is the number of explicit precedence edges accumulated.
 	Edges int
+	// TailSets is the number of tail sets whose orders the tail analysis
+	// scored, summed over rounds: its work count.
+	TailSets int
 }
 
 func (r Report) String() string {
-	return fmt.Sprintf("alliances=%d colonized=%d dominated=%d disjoint=%d tail-fixed=%d rounds=%d edges=%d",
+	return fmt.Sprintf("alliances=%d colonized=%d dominated=%d disjoint=%d tail-fixed=%d tail-sets=%d rounds=%d edges=%d",
 		len(r.Alliances), len(r.ColonizedPairs), len(r.DominatedPairs),
-		len(r.DisjointPairs), len(r.TailFixed), r.Rounds, r.Edges)
+		len(r.DisjointPairs), len(r.TailFixed), r.TailSets, r.Rounds, r.Edges)
 }
 
 // Analyze runs the selected analyses to a fixed point, starting from the
@@ -149,6 +152,7 @@ func Analyze(c *model.Compiled, opt Options) (*constraint.Set, Report) {
 type analyzer struct {
 	c  *model.Compiled
 	cs *constraint.Set
+	w  *model.Walker // the tail analysis' walker, kept across rounds
 
 	// helperOf[i] = best discount i gives to any other index's build.
 	givesBuildHelp []bool

@@ -42,6 +42,12 @@ const maxTailBoundLen = 4
 // (default 3, capped at 4). cs may be nil (no constraints). Instances
 // with 2^16 or more indexes (far beyond any proof search) return nil,
 // which every method treats as "bound disabled".
+//
+// It shares the tail enumerator with tails() and TailPatterns: the same
+// candidate window and pattern budget, the same lex order of sets. Only
+// the minimum of each set is stored, so its orders are scored by a
+// depth-first walk that pushes a shared prefix once and reads each
+// order's last step with Walker.ObjectiveIfPushed.
 func NewTailBound(c *model.Compiled, cs *constraint.Set, opt Options) *TailBound {
 	n := c.N
 	if n >= 1<<16 {
@@ -67,34 +73,14 @@ func NewTailBound(c *model.Compiled, cs *constraint.Set, opt Options) *TailBound
 
 	tb := &TailBound{n: n, maxLen: length, tables: make([]map[uint64]float64, length)}
 	w := model.NewWalker(c)
-	inSet := make([]bool, n)
 	for m := 1; m <= length; m++ {
-		var cands []int
-		for i := 0; i < n; i++ {
-			if cs.MaxPos(i) >= n-m {
-				cands = append(cands, i)
-			}
-		}
-		if len(cands) < m {
-			continue // over-constrained; search nodes at this depth are dead anyway
-		}
-		if patterns := binomial(len(cands), m) * factorial(m); patterns <= 0 || patterns > maxPatterns {
-			continue
+		e := newTailEnum(cs, w, m, maxPatterns)
+		if e == nil {
+			continue // over-constrained or over budget; search nodes at this depth get no bound
 		}
 		table := make(map[uint64]float64)
-		forFeasibleTailSets(cs, w, cands, m, inSet, func(set []int, objBase float64) {
-			best := math.Inf(1)
-			permuteFeasible(set, cs, func(perm []int) {
-				for _, i := range perm {
-					w.Push(i)
-				}
-				if t := w.Objective() - objBase; t < best {
-					best = t
-				}
-				for range perm {
-					w.Pop()
-				}
-			})
+		for e.next() {
+			best := e.minTail(e.base())
 			if !math.IsInf(best, 1) {
 				// Deflate by a relative safety margin before storing: the
 				// delta was computed against this enumeration's objective
@@ -105,12 +91,11 @@ func NewTailBound(c *model.Compiled, cs *constraint.Set, opt Options) *TailBound
 				// relative deflation guarantees the prune is conservative
 				// against rounding — pruned subtrees provably contain no
 				// improving solution — at no practical cost in power.
-				table[tailKey(set)] = best - 1e-9*(math.Abs(best)+1)
+				table[tailKey(e.set)] = best - 1e-9*(math.Abs(best)+1)
 			}
-		})
+		}
 		tb.tables[m-1] = table
 	}
-	w.Reset()
 	return tb
 }
 

@@ -43,39 +43,22 @@ func TailPatterns(c *model.Compiled, cs *constraint.Set, length, maxPatterns int
 	if maxPatterns == 0 {
 		maxPatterns = 50000
 	}
-	n := c.N
-	var cands []int
-	for i := 0; i < n; i++ {
-		if cs.MaxPos(i) >= n-length {
-			cands = append(cands, i)
-		}
-	}
-	if len(cands) < length {
+	e := newTailEnum(cs, model.NewWalker(c), length, maxPatterns)
+	if e == nil {
 		return nil
 	}
-	if patterns := binomial(len(cands), length) * factorial(length); patterns <= 0 || patterns > maxPatterns {
-		return nil
-	}
-
 	var groups []TailGroup
-	w := model.NewWalker(c)
-	inSet := make([]bool, n)
-	forFeasibleTailSets(cs, w, cands, length, inSet, func(set []int, objBase float64) {
-		g := TailGroup{Set: append([]int(nil), set...)}
-		permuteFeasible(set, cs, func(perm []int) {
-			for _, m := range perm {
-				w.Push(m)
-			}
+	for e.next() {
+		base := e.base()
+		g := TailGroup{Set: append([]int(nil), e.set...)}
+		e.orders(func(perm []int) {
 			g.Patterns = append(g.Patterns, TailPattern{
 				Perm:      append([]int(nil), perm...),
-				Objective: w.Objective() - objBase,
+				Objective: e.tail(perm, base),
 			})
-			for range perm {
-				w.Pop()
-			}
 		})
 		if len(g.Patterns) == 0 {
-			return
+			continue
 		}
 		sort.SliceStable(g.Patterns, func(a, b int) bool {
 			return g.Patterns[a].Objective < g.Patterns[b].Objective
@@ -85,7 +68,6 @@ func TailPatterns(c *model.Compiled, cs *constraint.Set, length, maxPatterns int
 			g.Patterns[i].Champion = g.Patterns[i].Objective <= best+1e-9
 		}
 		groups = append(groups, g)
-	})
-	w.Reset()
+	}
 	return groups
 }

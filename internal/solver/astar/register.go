@@ -37,5 +37,6 @@ func (asBackend) Solve(ctx context.Context, req backend.Request) backend.Outcome
 	return backend.Outcome{
 		Order: res.Order, Objective: res.Objective,
 		Proved: res.Proved, Iterations: res.Expanded,
+		Counters: map[string]int64{"expanded": res.Expanded, "states": res.States},
 	}
 }
