@@ -55,6 +55,10 @@ type Compiled struct {
 	planRefs [][]planRef
 	planIDs  [][]int32
 
+	// planSets holds every plan as a subset mask of its indexes with its
+	// query and weighted speedup, for SetEval; nil when N > 64.
+	planSets []planSet
+
 	// walkers recycles Walker state across Objective/Evaluate/Curve calls
 	// so full replays are allocation-free in steady state.
 	walkers sync.Pool
@@ -63,6 +67,14 @@ type Compiled struct {
 // planRef is the Push-hot view of one (index, plan) incidence.
 type planRef struct {
 	plan  int32
+	query int32
+	spd   float64
+}
+
+// planSet is one plan seen as a set: a plan is available exactly when
+// mask is a subset of the deployed indexes.
+type planSet struct {
+	mask  uint64
 	query int32
 	spd   float64
 }
@@ -146,6 +158,16 @@ func Compile(in *Instance) (*Compiled, error) {
 		c.planRefs[i] = refs[start:len(refs):len(refs)]
 		c.planIDs[i] = ids[start:len(ids):len(ids)]
 	}
+	if n <= 64 {
+		c.planSets = make([]planSet, len(c.PlanIdx))
+		for p, idx := range c.PlanIdx {
+			for _, ix := range idx {
+				c.planSets[p].mask |= 1 << uint(ix)
+			}
+			c.planSets[p].query = int32(c.PlanQuery[p])
+			c.planSets[p].spd = c.PlanSpd[p]
+		}
+	}
 	return c, nil
 }
 
@@ -187,6 +209,20 @@ func (c *Compiled) BuildCost(i int, built []bool) float64 {
 		}
 	}
 	return cost - best
+}
+
+// runtimeOf returns the canonical runtime R = Base - sum_q best[q] for
+// per-query best speedups best. The fixed summation order makes the value
+// depend only on the deployed set, not on the walk that reached it; the
+// Walker and SetEval both compute runtimes here, which is what makes
+// delta evaluation (MoveEval) and set evaluation bit-identical to a fresh
+// replay.
+func (c *Compiled) runtimeOf(best []float64) float64 {
+	var sum float64
+	for _, b := range best {
+		sum += b
+	}
+	return c.Base - sum
 }
 
 // getWalker returns a pooled walker at the empty schedule. Callers must

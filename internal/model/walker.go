@@ -8,8 +8,8 @@ import (
 
 // Walker evaluates a schedule incrementally: Push deploys one index,
 // Pop undoes the most recent Push. It is the shared evaluation core for
-// exhaustive search, A*, CP, greedy, local search and the MoveEval delta
-// evaluator.
+// exhaustive search, CP, greedy, local search and the MoveEval delta
+// evaluator; A* scores sets through SetEval, which shares its runtime sum.
 //
 // All per-step bookkeeping lives in reusable buffers owned by the walker,
 // so Push/Pop/SpeedupIfBuilt are allocation-free in steady state. Every
@@ -224,15 +224,7 @@ func (w *Walker) Push(i int) {
 		}
 	}
 	if changed {
-		// Canonical runtime: recompute R = Base - sum_q best[q] with a
-		// fixed summation order so the value depends only on the deployed
-		// set, not on the walk that reached it. This is what makes delta
-		// evaluation (MoveEval) bit-identical to a fresh replay.
-		var sum float64
-		for _, b := range w.best {
-			sum += b
-		}
-		w.runtime = w.c.Base - sum
+		w.runtime = w.c.runtimeOf(w.best)
 	}
 }
 

@@ -12,32 +12,15 @@ package prune
 // and a guaranteed density gap (worst-case density of i above best-case
 // density of j) forces T_i < T_j.
 func (a *analyzer) disjoint(rep *Report) {
-	c := a.c
-	n := c.N
+	n := a.c.N
 	const eps = 1e-12
-
-	// Query-competition closure: indexes serving the same query interact
-	// (their benefits compete even without sharing a plan).
-	inter := make([][]bool, n)
-	for i := range inter {
-		inter[i] = append([]bool(nil), a.interacts[i]...)
-	}
-	for q := range c.PlansOfQuery {
-		idx := indexesOfQuery(c, q)
-		for x := 0; x < len(idx); x++ {
-			for y := x + 1; y < len(idx); y++ {
-				inter[idx[x]][idx[y]] = true
-				inter[idx[y]][idx[x]] = true
-			}
-		}
-	}
 
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if i == j || a.cs.Before(i, j) || a.cs.Before(j, i) {
 				continue
 			}
-			if inter[i][j] {
+			if a.interacts[i][j] {
 				continue
 			}
 			// Worst-case density of i must beat best-case density of j.
@@ -46,7 +29,7 @@ func (a *analyzer) disjoint(rep *Report) {
 			if denLowI <= denHighJ+eps {
 				continue
 			}
-			if !a.backwardDisjoint(i, j, inter) {
+			if !a.backwardDisjoint(i, j) {
 				continue
 			}
 			if a.add(i, j) {
@@ -60,12 +43,12 @@ func (a *analyzer) disjoint(rep *Report) {
 // constrained to come after i or before j — the condition under which i
 // and j behave as disjoint indexes inside any j→X→i subsequence. A pair
 // with no interacting third parties at all is trivially disjoint.
-func (a *analyzer) backwardDisjoint(i, j int, inter [][]bool) bool {
+func (a *analyzer) backwardDisjoint(i, j int) bool {
 	for x := 0; x < a.c.N; x++ {
 		if x == i || x == j {
 			continue
 		}
-		if !inter[i][x] && !inter[j][x] {
+		if !a.interacts[i][x] && !a.interacts[j][x] {
 			continue
 		}
 		if a.cs.Before(i, x) || a.cs.Before(x, j) {

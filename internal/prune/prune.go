@@ -164,7 +164,9 @@ type analyzer struct {
 	minBenefit []float64
 	// minCost/maxCost: build cost extremes across contexts.
 	minCost, maxCost []float64
-	// interacts[i] = indexes sharing a plan or build interaction with i.
+	// interacts[i] = indexes serving a query with i (sharing a plan or
+	// competing for the query's benefit) or linked to i by a build
+	// interaction: the interactions the disjoint analysis respects.
 	interacts [][]bool
 }
 
@@ -197,21 +199,32 @@ func newAnalyzer(c *model.Compiled, cs *constraint.Set) *analyzer {
 		a.minCost[i] = c.CreateCost[i] - best
 		a.maxCost[i] = c.CreateCost[i]
 	}
-	for p := range c.PlanIdx {
-		idx := c.PlanIdx[p]
+	// Per query: the indexes serving it, in order of first appearance
+	// (stamp[i] == q+1 once i is listed for q), all interact pairwise.
+	// Indexes sharing a plan serve the same query, so this covers them.
+	stamp := make([]int, n)
+	idx := make([]int, 0, n)
+	for q := range c.PlansOfQuery {
+		plans := c.PlansOfQuery[q]
+		idx = idx[:0]
+		for _, p := range plans {
+			for _, i := range c.PlanIdx[p] {
+				if stamp[i] != q+1 {
+					stamp[i] = q + 1
+					idx = append(idx, i)
+				}
+			}
+		}
 		for x := 0; x < len(idx); x++ {
 			for y := x + 1; y < len(idx); y++ {
 				a.interacts[idx[x]][idx[y]] = true
 				a.interacts[idx[y]][idx[x]] = true
 			}
 		}
-	}
-	// Benefit bounds per query.
-	for q := range c.PlansOfQuery {
-		plans := c.PlansOfQuery[q]
-		// bestWithout[i] = best plan speedup of q among plans not
-		// containing i; bestWith[i] = best among plans containing i.
-		for _, i := range indexesOfQuery(c, q) {
+		// Benefit bounds: bestWithout[i] = best plan speedup of q among
+		// plans not containing i; bestWith[i] = best among plans
+		// containing i.
+		for _, i := range idx {
 			var bestWith, bestWithout, singleton float64
 			for _, p := range plans {
 				spd := c.PlanSpd[p]
@@ -233,20 +246,6 @@ func newAnalyzer(c *model.Compiled, cs *constraint.Set) *analyzer {
 		}
 	}
 	return a
-}
-
-func indexesOfQuery(c *model.Compiled, q int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, p := range c.PlansOfQuery[q] {
-		for _, i := range c.PlanIdx[p] {
-			if !seen[i] {
-				seen[i] = true
-				out = append(out, i)
-			}
-		}
-	}
-	return out
 }
 
 func contains(sorted []int, x int) bool {

@@ -1,11 +1,12 @@
 package prune
 
 // The tail analysis as it was before the enumerator in tails.go stopped
-// at its first disagreement and was shared by all three callers. These
-// copies differ from the originals only in their names (and permute no
-// longer sorts a copy it throws away); the differential tests and
-// FuzzTailsReference require the production code to match them bit for
-// bit.
+// at its first disagreement and was shared by all three callers, and the
+// disjoint analysis as it was before newAnalyzer built the
+// query-competition closure once. These copies differ from the originals
+// only in their names (and permute no longer sorts a copy it throws
+// away); the differential tests and FuzzTailsReference require the
+// production code to match them bit for bit.
 
 import (
 	"math"
@@ -35,7 +36,7 @@ func analyzeReference(c *model.Compiled, opt Options) (*constraint.Set, Report) 
 	}
 	var rep Report
 
-	a := newAnalyzer(c, cs)
+	a := newAnalyzerReference(c, cs)
 	for round := 0; round < maxRounds; round++ {
 		rep.Rounds = round + 1
 		before := cs.Len()
@@ -49,7 +50,7 @@ func analyzeReference(c *model.Compiled, opt Options) (*constraint.Set, Report) 
 			a.dominated(&rep)
 		}
 		if props&Disjoint != 0 {
-			a.disjoint(&rep)
+			a.disjointReference(&rep)
 		}
 		if props&Tails != 0 {
 			a.tailsReference(&rep, opt)
@@ -60,6 +61,155 @@ func analyzeReference(c *model.Compiled, opt Options) (*constraint.Set, Report) 
 	}
 	rep.Edges = cs.Len()
 	return cs, rep
+}
+
+// newAnalyzerReference builds the shared per-instance tables; interacts
+// holds only plan-sharing and build interactions, and disjointReference
+// adds the query-competition closure on every call.
+func newAnalyzerReference(c *model.Compiled, cs *constraint.Set) *analyzer {
+	n := c.N
+	a := &analyzer{
+		c: c, cs: cs,
+		givesBuildHelp: make([]bool, n),
+		maxBenefit:     make([]float64, n),
+		minBenefit:     make([]float64, n),
+		minCost:        make([]float64, n),
+		maxCost:        make([]float64, n),
+		interacts:      make([][]bool, n),
+	}
+	for i := 0; i < n; i++ {
+		a.interacts[i] = make([]bool, n)
+	}
+	for i := 0; i < n; i++ {
+		for _, t := range c.HelpsFor[i] {
+			a.givesBuildHelp[i] = true
+			a.interacts[i][t] = true
+			a.interacts[t][i] = true
+		}
+		best := 0.0
+		for _, h := range c.Helpers[i] {
+			if h.Speedup > best {
+				best = h.Speedup
+			}
+		}
+		a.minCost[i] = c.CreateCost[i] - best
+		a.maxCost[i] = c.CreateCost[i]
+	}
+	for p := range c.PlanIdx {
+		idx := c.PlanIdx[p]
+		for x := 0; x < len(idx); x++ {
+			for y := x + 1; y < len(idx); y++ {
+				a.interacts[idx[x]][idx[y]] = true
+				a.interacts[idx[y]][idx[x]] = true
+			}
+		}
+	}
+	// Benefit bounds per query.
+	for q := range c.PlansOfQuery {
+		plans := c.PlansOfQuery[q]
+		// bestWithout[i] = best plan speedup of q among plans not
+		// containing i; bestWith[i] = best among plans containing i.
+		for _, i := range indexesOfQueryReference(c, q) {
+			var bestWith, bestWithout, singleton float64
+			for _, p := range plans {
+				spd := c.PlanSpd[p]
+				if contains(c.PlanIdx[p], i) {
+					if spd > bestWith {
+						bestWith = spd
+					}
+					if len(c.PlanIdx[p]) == 1 && spd > singleton {
+						singleton = spd
+					}
+				} else if spd > bestWithout {
+					bestWithout = spd
+				}
+			}
+			a.maxBenefit[i] += bestWith
+			if g := singleton - bestWithout; g > 0 {
+				a.minBenefit[i] += g
+			}
+		}
+	}
+	return a
+}
+
+func indexesOfQueryReference(c *model.Compiled, q int) []int {
+	seen := map[int]bool{}
+	var out []int
+	for _, p := range c.PlansOfQuery[q] {
+		for _, i := range c.PlanIdx[p] {
+			if !seen[i] {
+				seen[i] = true
+				out = append(out, i)
+			}
+		}
+	}
+	return out
+}
+
+// disjointReference orders interaction-free indexes by density (§5.4,
+// Appendix D.5), rebuilding the query-competition closure first.
+func (a *analyzer) disjointReference(rep *Report) {
+	c := a.c
+	n := c.N
+	const eps = 1e-12
+
+	// Query-competition closure: indexes serving the same query interact
+	// (their benefits compete even without sharing a plan).
+	inter := make([][]bool, n)
+	for i := range inter {
+		inter[i] = append([]bool(nil), a.interacts[i]...)
+	}
+	for q := range c.PlansOfQuery {
+		idx := indexesOfQueryReference(c, q)
+		for x := 0; x < len(idx); x++ {
+			for y := x + 1; y < len(idx); y++ {
+				inter[idx[x]][idx[y]] = true
+				inter[idx[y]][idx[x]] = true
+			}
+		}
+	}
+
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i == j || a.cs.Before(i, j) || a.cs.Before(j, i) {
+				continue
+			}
+			if inter[i][j] {
+				continue
+			}
+			// Worst-case density of i must beat best-case density of j.
+			denLowI := a.minBenefit[i] / a.maxCost[i]
+			denHighJ := a.maxBenefit[j] / a.minCost[j]
+			if denLowI <= denHighJ+eps {
+				continue
+			}
+			if !a.backwardDisjointReference(i, j, inter) {
+				continue
+			}
+			if a.add(i, j) {
+				rep.DisjointPairs = append(rep.DisjointPairs, [2]int{i, j})
+			}
+		}
+	}
+}
+
+// backwardDisjointReference reports whether every index interacting with
+// i or j is constrained to come after i or before j.
+func (a *analyzer) backwardDisjointReference(i, j int, inter [][]bool) bool {
+	for x := 0; x < a.c.N; x++ {
+		if x == i || x == j {
+			continue
+		}
+		if !inter[i][x] && !inter[j][x] {
+			continue
+		}
+		if a.cs.Before(i, x) || a.cs.Before(x, j) {
+			continue
+		}
+		return false
+	}
+	return true
 }
 
 // tailsReference runs the tail-index analysis of §5.5 / Appendix D.6: enumerate

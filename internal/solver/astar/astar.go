@@ -6,21 +6,30 @@
 // heuristic h is the same admissible completion bound used by CP and
 // bruteforce, so the first goal expansion is optimal.
 //
-// A proof allocates only a few growable buffers. Generated states live in
-// one arena of fixed-size nodes; a node stores its subset, g, f, the
-// index deployed last and a link to its parent node, and its prefix is
-// rebuilt into one reused scratch slice by walking those links — once
-// per expansion to Sync the walker, and once at the goal for the result.
-// The open list is a binary heap of arena indexes and g lives in an
-// open-addressing table keyed by the subset mask. Each generated child
-// costs a 32-byte node and a 4-byte heap slot, and each distinct subset a
-// 16-byte table entry in a table kept at most half full; all three
-// buffers double when full. A child's g comes from
-// Walker.ObjectiveIfPushed; it is pushed on the walker only when that g
-// improves, to read the runtime h needs.
+// A state's children are scored from its subset mask alone: the build
+// cost of a child, the runtime of the set and g = parent g + runtime ·
+// cost are set-pure, so each expansion loads the mask into a
+// model.SetEval and asks it for every child's cost, and for the child's
+// runtime (which h needs) only when the child improves its g. No prefix
+// is replayed; a node's prefix is rebuilt from parent links once, at the
+// goal, for the result.
+//
+// Generated states live in one arena of fixed-size nodes; a node stores
+// its subset, g, the index deployed last and a link to its parent node.
+// The open list is a binary heap of (f, node) pairs, so comparisons never
+// load from the arena, and g lives in an open-addressing table keyed by
+// the subset mask. Each generated child costs a 24-byte node and a
+// 16-byte heap slot, and each distinct subset a 16-byte table entry in a
+// table kept at most half full. The arena and heap double when full; the
+// table doubles into a buffer of the next size. All three are pooled
+// across proofs: a proof that follows a larger one allocates only its
+// per-instance state and its result, and it clears only the table sizes
+// it grows through (O(min(capacity, 2^(n+1)))), so a small fast-path
+// proof never pays to clear the table of an earlier large one.
 //
 // The search is exactly the textbook one with per-child prefix copies, a
-// container/heap open list and a Go map (solveReference in the tests):
+// walker Push/Pop per child, a container/heap open list and a Go map
+// (solveReference in the tests):
 // the heap repeats container/heap's sift steps, so ties pop in the same
 // order, and g and h are the same floating-point expressions evaluated in
 // the same order. Expanded, States, Proved, the objective bits and Order
@@ -36,6 +45,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
+	"sync"
 
 	"github.com/evolving-olap/idd/internal/constraint"
 	"github.com/evolving-olap/idd/internal/model"
@@ -83,17 +94,62 @@ type Result struct {
 type node struct {
 	mask   uint64
 	g      float64 // exact objective of the prefix this node was generated with
-	f      float64 // g + admissible completion estimate
 	parent int32
 	last   int32
 }
 
-// search holds the buffers of one proof.
+// openEntry is one open-list slot: an arena node with its f = g +
+// admissible completion estimate, kept in the slot so heap comparisons
+// never load from the arena.
+type openEntry struct {
+	f    float64
+	node int32
+}
+
+// search holds the buffers of one proof. Proofs take a search from
+// searches and put it back when they end, so a warm proof reuses the
+// previous proofs' capacity; reset costs O(n) and the g-table clears only
+// the tables it grows into.
 type search struct {
-	nodes  []node
-	open   []int32 // binary min-heap of arena indexes, ordered by f
-	g      gTable
-	prefix []int // scratch for prefixOf
+	nodes []node
+	open  []openEntry // binary min-heap ordered by f
+	g     gTable
+
+	// Per-instance scratch: predecessor masks, and per expansion the
+	// unplaced indexes in ascending order, their best-case build costs
+	// and the running sums of those costs.
+	predMask []uint64
+	restIdx  []int
+	restMC   []float64
+	restPre  []float64
+}
+
+var searches = sync.Pool{New: func() any { return new(search) }}
+
+// reset readies s for a proof of c under cs: the open list holds the
+// root, whose g is 0.
+func (s *search) reset(c *model.Compiled, cs *constraint.Set) {
+	if s.nodes == nil {
+		s.nodes = make([]node, 0, 64)
+		s.open = make([]openEntry, 0, 64)
+	}
+	s.nodes = append(s.nodes[:0], node{parent: -1})
+	s.open = append(s.open[:0], openEntry{})
+	s.g.reset()
+	root, _ := s.g.find(0)
+	s.g.store(root, 0, 0)
+
+	s.predMask = slices.Grow(s.predMask[:0], c.N)[:c.N]
+	for i := range s.predMask {
+		s.predMask[i] = 0
+		cs.Predecessors(i).ForEach(func(p int) bool {
+			s.predMask[i] |= 1 << uint(p)
+			return true
+		})
+	}
+	s.restIdx = slices.Grow(s.restIdx[:0], c.N)
+	s.restMC = slices.Grow(s.restMC[:0], c.N)
+	s.restPre = slices.Grow(s.restPre[:0], c.N+1)
 }
 
 // Solve runs A*. cs may be nil. The error is non-nil only when the
@@ -106,40 +162,18 @@ func Solve(c *model.Compiled, cs *constraint.Set, opt Options) (Result, error) {
 		cs = constraint.NewSet(c.N)
 	}
 	lb := bruteforce.NewLowerBound(c)
-
-	// Precompute predecessor masks for readiness checks.
-	predMask := make([]uint64, c.N)
-	for i := 0; i < c.N; i++ {
-		cs.Predecessors(i).ForEach(func(p int) bool {
-			predMask[i] |= 1 << uint(p)
-			return true
-		})
-	}
-
-	// Per-expansion scratch: the unplaced indexes in ascending order, their
-	// best-case build costs and the running sums of those costs.
-	restIdx := make([]int, 0, c.N)
-	restMC := make([]float64, 0, c.N)
-	restPre := make([]float64, 0, c.N+1)
-
-	w := model.NewWalker(c)
-	s := &search{
-		nodes:  make([]node, 1, 64),
-		open:   make([]int32, 1, 64),
-		g:      newGTable(64),
-		prefix: make([]int, c.N),
-	}
-	s.nodes[0] = node{parent: -1}
-	root, _ := s.g.find(0)
-	s.g.store(root, 0, 0)
+	ev := model.NewSetEval(c)
+	s := searches.Get().(*search)
+	defer searches.Put(s)
+	s.reset(c, cs)
 	goal := uint64(1)<<uint(c.N) - 1
 
 	var res Result
 	res.Objective = math.Inf(1)
 
 	for len(s.open) > 0 {
-		ci := s.pop()
-		cur := s.nodes[ci]
+		top := s.pop()
+		cur := s.nodes[top.node]
 		if at, ok := s.g.find(cur.mask); ok && cur.g > s.g.entries[at].g+1e-12 {
 			continue // stale entry
 		}
@@ -159,32 +193,31 @@ func Solve(c *model.Compiled, cs *constraint.Set, opt Options) (Result, error) {
 		if opt.ExternalBound != nil {
 			// f is admissible and the queue is ordered by f, so once the
 			// head cannot beat the external incumbent, nothing can.
-			if e := opt.ExternalBound(); cur.f > e+1e-9 {
+			if e := opt.ExternalBound(); top.f > e+1e-9 {
 				break
 			}
 		}
-		prefix := s.prefixOf(ci)
 		if cur.mask == goal {
-			res.Order = append([]int(nil), prefix...)
+			res.Order = s.orderOf(top.node)
 			res.Objective = cur.g
 			res.Proved = true
 			res.States = int64(s.g.count)
 			if opt.OnSolution != nil {
-				opt.OnSolution(append([]int(nil), prefix...), cur.g)
+				opt.OnSolution(append([]int(nil), res.Order...), cur.g)
 			}
 			return res, nil
 		}
-		// Reposition the walker onto this node's prefix: only the tail
-		// diverging from the previous expansion is popped/pushed, so
-		// neighboring expansions cost the prefix difference instead of a
-		// full replay.
-		w.Sync(prefix)
+		// Every child's cost and runtime is a function of this node's set
+		// alone, so the set is evaluated from its mask; no prefix is
+		// replayed.
+		ev.Load(cur.mask)
+		runtime := ev.Runtime()
 
 		// h of a child is R·min + MinRuntime·(sum − min) over the costs it
 		// leaves unplaced. Those are this node's unplaced costs minus the
 		// child's own, so one pass here yields every child's min (from the
 		// two smallest) and the head of its left-to-right sum.
-		restIdx, restMC, restPre = restIdx[:0], restMC[:0], append(restPre[:0], 0)
+		restIdx, restMC, restPre := s.restIdx[:0], s.restMC[:0], append(s.restPre[:0], 0)
 		min1, min1At := math.Inf(1), -1
 		for j := 0; j < c.N; j++ {
 			if cur.mask&(1<<uint(j)) == 0 {
@@ -205,10 +238,12 @@ func Solve(c *model.Compiled, cs *constraint.Set, opt Options) (Result, error) {
 		}
 
 		for r, i := range restIdx {
-			if cur.mask&predMask[i] != predMask[i] {
+			if cur.mask&s.predMask[i] != s.predMask[i] {
 				continue
 			}
-			ng := w.ObjectiveIfPushed(i)
+			// Walker.ObjectiveIfPushed's expression on the node's prefix:
+			// cur.g is that prefix's objective, runtime its runtime.
+			ng := cur.g + runtime*ev.Cost(i)
 			nmask := cur.mask | 1<<uint(i)
 			at, seen := s.g.find(nmask)
 			if seen && !(ng < s.g.entries[at].g-1e-12) {
@@ -227,12 +262,10 @@ func Solve(c *model.Compiled, cs *constraint.Set, opt Options) (Result, error) {
 				for _, mc := range restMC[r+1:] {
 					restSum += mc
 				}
-				w.Push(i)
-				h = w.Runtime()*restMin + lb.MinRuntime()*(restSum-restMin)
-				w.Pop()
+				h = ev.RuntimeWith(i)*restMin + lb.MinRuntime()*(restSum-restMin)
 			}
-			s.nodes = append(grow(s.nodes), node{mask: nmask, g: ng, f: ng + h, parent: ci, last: int32(i)})
-			s.push(int32(len(s.nodes) - 1))
+			s.nodes = append(grow(s.nodes), node{mask: nmask, g: ng, parent: top.node, last: int32(i)})
+			s.push(ng+h, int32(len(s.nodes)-1))
 		}
 	}
 	// Exhausted without reaching the goal: with an external bound this is
@@ -243,10 +276,9 @@ func Solve(c *model.Compiled, cs *constraint.Set, opt Options) (Result, error) {
 	return res, nil
 }
 
-// prefixOf rebuilds node k's deployment prefix into the scratch slice,
-// which stays valid until the next call.
-func (s *search) prefixOf(k int32) []int {
-	p := s.prefix[:bits.OnesCount64(s.nodes[k].mask)]
+// orderOf rebuilds node k's deployment prefix into a new slice.
+func (s *search) orderOf(k int32) []int {
+	p := make([]int, bits.OnesCount64(s.nodes[k].mask))
 	for d := len(p) - 1; d >= 0; d-- {
 		p[d] = int(s.nodes[k].last)
 		k = s.nodes[k].parent
@@ -267,20 +299,20 @@ func grow[T any](s []T) []T {
 // The open list's push/pop/up/down are container/heap's Push/Pop/up/down
 // step for step, so equal-f nodes pop in the same order they would there.
 
-func (s *search) less(i, j int) bool { return s.nodes[s.open[i]].f < s.nodes[s.open[j]].f }
+func (s *search) less(i, j int) bool { return s.open[i].f < s.open[j].f }
 
-func (s *search) push(k int32) {
-	s.open = append(grow(s.open), k)
+func (s *search) push(f float64, k int32) {
+	s.open = append(grow(s.open), openEntry{f: f, node: k})
 	s.up(len(s.open) - 1)
 }
 
-func (s *search) pop() int32 {
+func (s *search) pop() openEntry {
 	n := len(s.open) - 1
 	s.open[0], s.open[n] = s.open[n], s.open[0]
 	s.down(0, n)
-	k := s.open[n]
+	top := s.open[n]
 	s.open = s.open[:n]
-	return k
+	return top
 }
 
 func (s *search) up(j int) {
@@ -314,11 +346,15 @@ func (s *search) down(i, n int) {
 
 // gTable maps a subset mask to its best-known g: open addressing with
 // linear probing and Fibonacci hashing. A slot's key is mask+1, so 0
-// marks an empty slot. The table doubles before it is half full.
+// marks an empty slot. The table doubles before it is half full, into a
+// buffer of that size kept from earlier proofs when there is one: a proof
+// clears only the sizes it grows through, never the largest table an
+// earlier proof needed.
 type gTable struct {
 	entries []gEntry
 	shift   uint // 64 - log2(len(entries))
 	count   int
+	tables  [][]gEntry // tables[k] is the buffer for 1<<k entries, or nil
 }
 
 type gEntry struct {
@@ -326,8 +362,23 @@ type gEntry struct {
 	g   float64
 }
 
-func newGTable(size int) gTable {
-	return gTable{entries: make([]gEntry, size), shift: uint(64 - bits.TrailingZeros(uint(size)))}
+// minTableLog is log2 of a fresh table's size.
+const minTableLog = 6
+
+// reset empties the table down to its smallest size.
+func (t *gTable) reset() { t.use(minTableLog) }
+
+// use makes the table an empty one of 1<<k entries.
+func (t *gTable) use(k int) {
+	for len(t.tables) <= k {
+		t.tables = append(t.tables, nil)
+	}
+	if t.tables[k] == nil {
+		t.tables[k] = make([]gEntry, 1<<k)
+	} else {
+		clear(t.tables[k])
+	}
+	t.entries, t.shift, t.count = t.tables[k], uint(64-k), 0
 }
 
 // find returns mask's slot and whether mask is present; when it is not,
@@ -361,7 +412,7 @@ func (t *gTable) store(at int, mask uint64, g float64) {
 
 func (t *gTable) grow() {
 	old := t.entries
-	*t = newGTable(2 * len(old))
+	t.use(bits.Len(uint(len(old))))
 	for _, e := range old {
 		if e.key != 0 {
 			at, _ := t.find(e.key - 1)

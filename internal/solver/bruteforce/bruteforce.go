@@ -20,11 +20,12 @@ const MaxN = 12
 type Result struct {
 	Order     []int
 	Objective float64
-	// Visited is the number of complete permutations evaluated.
-	Visited int64
-	// Aborted is true when SolveContext was cancelled mid-enumeration:
-	// Order is then only the best permutation seen so far, not a proved
-	// optimum.
+	// Visited is the number of complete permutations evaluated; Nodes
+	// the number of search nodes (prefixes) entered.
+	Visited, Nodes int64
+	// Aborted is true when SolveContext was cancelled or SolveLimit hit
+	// its node limit mid-enumeration: Order is then only the best
+	// permutation seen so far, not a proved optimum.
 	Aborted bool
 }
 
@@ -40,20 +41,29 @@ func Solve(c *model.Compiled, cs *constraint.Set, bound bool) (Result, error) {
 // found so far with Aborted set (error only when nothing feasible was
 // reached yet).
 func SolveContext(ctx context.Context, c *model.Compiled, cs *constraint.Set, bound bool) (Result, error) {
+	return SolveLimit(ctx, c, cs, bound, 0)
+}
+
+// SolveLimit is SolveContext that also stops after nodeLimit search nodes
+// (0 = unlimited), with Aborted set and the best order found so far.
+func SolveLimit(ctx context.Context, c *model.Compiled, cs *constraint.Set, bound bool, nodeLimit int64) (Result, error) {
 	if c.N > MaxN {
 		return Result{}, fmt.Errorf("bruteforce: %d indexes exceeds MaxN=%d", c.N, MaxN)
 	}
 	lb := NewLowerBound(c)
 	res := Result{Objective: math.Inf(1)}
 	w := model.NewWalker(c)
-	var nodes int64
 	var rec func()
 	rec = func() {
 		if res.Aborted {
 			return
 		}
-		nodes++
-		if nodes%4096 == 0 {
+		if nodeLimit > 0 && res.Nodes == nodeLimit {
+			res.Aborted = true
+			return
+		}
+		res.Nodes++
+		if res.Nodes%4096 == 0 {
 			select {
 			case <-ctx.Done():
 				res.Aborted = true
@@ -89,7 +99,7 @@ func SolveContext(ctx context.Context, c *model.Compiled, cs *constraint.Set, bo
 	rec()
 	if res.Order == nil {
 		if res.Aborted {
-			return Result{}, fmt.Errorf("bruteforce: cancelled before any feasible order was reached")
+			return Result{}, fmt.Errorf("bruteforce: stopped before any feasible order was reached")
 		}
 		return Result{}, fmt.Errorf("bruteforce: no feasible order (contradictory constraints)")
 	}

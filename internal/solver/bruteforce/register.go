@@ -30,7 +30,7 @@ func (asBackend) Info() backend.Info {
 }
 
 func (asBackend) Solve(ctx context.Context, req backend.Request) backend.Outcome {
-	res, err := SolveContext(ctx, req.Compiled, req.Constraints, true)
+	res, err := SolveLimit(ctx, req.Compiled, req.Constraints, true, req.StepLimit)
 	if err != nil {
 		return backend.Outcome{Objective: math.Inf(1), Err: err}
 	}

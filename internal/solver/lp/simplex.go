@@ -81,8 +81,9 @@ const eps = 1e-9
 func Solve(p *Problem) (Solution, error) { return SolveDeadline(p, time.Time{}) }
 
 // SolveDeadline is Solve with a wall-clock cutoff (zero = none); on
-// overrun it returns ErrDeadline. The deadline is checked every few
-// hundred pivots, so large dense tableaus stay interruptible.
+// overrun it returns ErrDeadline. The deadline is checked before every
+// pivot: one pivot rewrites the whole tableau, which on the MIP's large
+// dense tableaus takes far longer than reading the clock.
 func SolveDeadline(p *Problem, deadline time.Time) (Solution, error) {
 	n := len(p.C)
 	m := len(p.A)
@@ -276,7 +277,7 @@ func iterate(t [][]float64, basis []int, cols int, banned []bool, deadline time.
 	obj := t[m]
 	degenerate := 0
 	for iter := 0; iter < maxIters; iter++ {
-		if !deadline.IsZero() && iter%256 == 0 && time.Now().After(deadline) {
+		if !deadline.IsZero() && time.Now().After(deadline) {
 			return ErrDeadline
 		}
 		enter := -1

@@ -2,6 +2,8 @@ package portfolio
 
 import (
 	"context"
+	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -75,6 +77,30 @@ func TestRouteConformance(t *testing.T) {
 			t.Errorf("n=%d: routed objective %v != raced objective %v (backend %s)",
 				n, routed.Objective, raced.Objective, name)
 		}
+	}
+}
+
+// TestRoutedAstarAfterLargeProof: A* proofs reuse the buffers of earlier
+// proofs, so a small routed proof that follows a large one must return
+// the bit-identical order and objective it returns first in a process.
+func TestRoutedAstarAfterLargeProof(t *testing.T) {
+	solve := func(in *model.Instance) Result {
+		c := model.MustCompile(in)
+		res, err := SolveSingle(context.Background(), c, sched.PrecedenceSet(in), "astar", Options{
+			Budget: 30 * time.Second, Seed: 1,
+		})
+		if err != nil || !res.Proved {
+			t.Fatalf("%s: proved %v, err %v", in.Name, res.Proved, err)
+		}
+		return res
+	}
+	small := datasets.ReducedTPCH(8, datasets.Low)
+	first := solve(small)
+	solve(datasets.ReducedTPCH(20, datasets.Low))
+	again := solve(small)
+	if math.Float64bits(again.Objective) != math.Float64bits(first.Objective) ||
+		!slices.Equal(again.Order, first.Order) {
+		t.Fatalf("after a large proof: %v %v, first %v %v", again.Objective, again.Order, first.Objective, first.Order)
 	}
 }
 
