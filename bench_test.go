@@ -7,7 +7,6 @@ package idd_test
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -220,23 +219,19 @@ func BenchmarkFigure13_VNSDecomposed_TPCDS(b *testing.B) {
 	}
 }
 
-// --- Parallel CP: the work-stealing proof search (speedup benchmark) ---
+// --- CP proofs: the serial proof pipeline at full size ---
 //
-// BenchmarkCPParallel_ProofN20Low_* is the acceptance benchmark for the
-// parallel branch-and-bound: a complete optimality proof of the reduced
+// BenchmarkCPProof_N20Low is a complete optimality proof of the reduced
 // TPC-H n=20 instance (low density, analyzed constraints, greedy
-// incumbent — 21.8M nodes without the subset-dominance memo, about 8k
-// serially with it) at 1, 2 and 8 workers, reporting nodes/op next to
-// the time. The recorded per-worker wall-clock ratio IS the speedup;
-// note that a container pinned to a single CPU (GOMAXPROCS=1) cannot
-// show wall-clock gains — compare runs on multi-core hardware, where
-// the workers split the frontier across real cores.
-// BenchmarkCPParallel_TPCH31Nodes_* measures the same engine on the
-// full n=31 TPC-H instance under a fixed 2M-node budget: the complete
-// proof is beyond any single machine (>4e8 nodes without exhausting),
-// so node throughput at equal budgets is the comparable metric there.
+// incumbent, tail bound — 21.8M nodes without the subset-dominance
+// memo, 8,260 with it), reporting nodes/op next to the time.
+// BenchmarkCPProof_TPCH31Nodes measures the same engine on the full
+// n=31 TPC-H instance under a fixed 2M-node budget: the complete proof
+// is beyond reach (>4e8 nodes without exhausting), so node throughput
+// at an equal budget is the comparable metric there. Their allocation
+// ceilings are pinned in internal/solver/cp/alloc_test.go.
 
-func benchCPParallelProof(b *testing.B, workers int) {
+func BenchmarkCPProof_N20Low(b *testing.B) {
 	in := datasets.ReducedTPCH(20, datasets.Low)
 	c := model.MustCompile(in)
 	cs, _ := prune.Analyze(c, prune.Options{})
@@ -247,9 +242,7 @@ func benchCPParallelProof(b *testing.B, workers int) {
 	var nodes int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := cp.Solve(c, cs, cp.Options{
-			Workers: workers, Incumbent: init, Seed: int64(i), TailBound: tb,
-		})
+		res := cp.Solve(c, cs, cp.Options{Incumbent: init, TailBound: tb})
 		if !res.Proved {
 			b.Fatal("proof did not complete")
 		}
@@ -258,44 +251,7 @@ func benchCPParallelProof(b *testing.B, workers int) {
 	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 }
 
-func BenchmarkCPParallel_ProofN20Low_W1(b *testing.B) { benchCPParallelProof(b, 1) }
-func BenchmarkCPParallel_ProofN20Low_W2(b *testing.B) { benchCPParallelProof(b, 2) }
-func BenchmarkCPParallel_ProofN20Low_W8(b *testing.B) { benchCPParallelProof(b, 8) }
-
-// BenchmarkCPParallel_ProofN20Low_W4Instrumented runs the same complete
-// proof with every observability surface live: the per-worker search
-// Stats (always on), an OnSolution callback, and an ExternalBound poll
-// every node — the portfolio-embedded configuration. Its alloc ceiling
-// (see scripts/check_alloc_ceilings.py) pins the invariant that
-// instrumentation stays out of the allocator: counters are plain ints
-// in per-worker scratch, merged once per solve.
-func BenchmarkCPParallel_ProofN20Low_W4Instrumented(b *testing.B) {
-	in := datasets.ReducedTPCH(20, datasets.Low)
-	c := model.MustCompile(in)
-	cs, _ := prune.Analyze(c, prune.Options{})
-	init := greedy.Solve(c, cs)
-	tb := prune.NewTailBound(c, cs, prune.Options{})
-	var solutions int64
-	onSol := func(_ []int, _ float64) { solutions++ } // serialized by the engine
-	bound := func() float64 { return math.Inf(1) }    // polled per node, never prunes
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := cp.Solve(c, cs, cp.Options{
-			Workers: 4, Incumbent: init, Seed: int64(i), TailBound: tb,
-			OnSolution: onSol, ExternalBound: bound,
-		})
-		if !res.Proved {
-			b.Fatal("proof did not complete")
-		}
-		st := res.Stats
-		if st.PrunedBound+st.PrunedTail+st.PrunedMemo+st.Infeasible != res.Fails {
-			b.Fatalf("prune causes %d+%d+%d+%d do not sum to fails %d",
-				st.PrunedBound, st.PrunedTail, st.PrunedMemo, st.Infeasible, res.Fails)
-		}
-	}
-}
-
-func benchCPParallelTPCH31(b *testing.B, workers int) {
+func BenchmarkCPProof_TPCH31Nodes(b *testing.B) {
 	c := model.MustCompile(datasets.TPCH())
 	cs, _ := prune.Analyze(c, prune.Options{})
 	init := greedy.Solve(c, cs)
@@ -303,17 +259,12 @@ func benchCPParallelTPCH31(b *testing.B, workers int) {
 	const nodeBudget = 2_000_000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := cp.Solve(c, cs, cp.Options{
-			Workers: workers, NodeLimit: nodeBudget, Incumbent: init, Seed: int64(i), TailBound: tb,
-		})
+		res := cp.Solve(c, cs, cp.Options{NodeLimit: nodeBudget, Incumbent: init, TailBound: tb})
 		if res.Nodes < nodeBudget {
 			b.Fatalf("search ended after %d nodes", res.Nodes)
 		}
 	}
 }
-
-func BenchmarkCPParallel_TPCH31Nodes_W1(b *testing.B) { benchCPParallelTPCH31(b, 1) }
-func BenchmarkCPParallel_TPCH31Nodes_W8(b *testing.B) { benchCPParallelTPCH31(b, 8) }
 
 // --- Portfolio: concurrent racing with a shared incumbent ---
 

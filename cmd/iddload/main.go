@@ -165,7 +165,6 @@ type clusterComparison struct {
 	SolvesPerSecCluster              float64 `json:"solves_per_sec_cluster"`
 	ThroughputRatioClusterOverSingle float64 `json:"throughput_ratio_cluster_over_single"`
 	Forwards                         int64   `json:"forwards"`
-	RemoteSteals                     int64   `json:"remote_steals"`
 	ResultsApplied                   int64   `json:"results_applied"`
 	// Note qualifies the ratio: N nodes sharing one CPU measure ~1x by
 	// construction; the ratio is meaningful only when each node has its
@@ -329,7 +328,6 @@ func inprocessCluster(k, workers, queue int, budget time.Duration) ([]string, []
 			Self:           urls[i],
 			Peers:          urls,
 			GossipInterval: 100 * time.Millisecond,
-			StealInterval:  25 * time.Millisecond,
 		}, service.Config{
 			Workers:       workers,
 			QueueCap:      queue,
@@ -470,7 +468,6 @@ func main() {
 		for _, n := range nodes {
 			snap := n.Snapshot()
 			cc.Forwards += snap.Forwards
-			cc.RemoteSteals += snap.RemoteSteals
 			cc.ResultsApplied += snap.ResultsApplied
 		}
 		stopCluster()
@@ -483,8 +480,8 @@ func main() {
 		}
 		rep.Runs = []runReport{single, clus}
 		rep.Cluster = cc
-		log.Printf("iddload: cluster/single throughput = %.2fx (forwards %d, remote steals %d, results replicated %d)",
-			cc.ThroughputRatioClusterOverSingle, cc.Forwards, cc.RemoteSteals, cc.ResultsApplied)
+		log.Printf("iddload: cluster/single throughput = %.2fx (forwards %d, results replicated %d)",
+			cc.ThroughputRatioClusterOverSingle, cc.Forwards, cc.ResultsApplied)
 	} else if *compare {
 		fast := run("fastpath", 0)        // 0 = service default threshold
 		slow := run("portfolio_only", -1) // negative disables routing

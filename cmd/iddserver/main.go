@@ -7,7 +7,7 @@
 // Usage:
 //
 //	iddserver -addr :8080 -workers 8 -queue 128 -budget 2s -max-budget 60s
-//	iddserver -workers 2 -param cp.workers=4   # each solve's CP proof uses 4 goroutines
+//	iddserver -workers 2 -param cp.tail_bound=false   # skip CP's tail tables server-wide
 //
 // Endpoints:
 //
@@ -33,8 +33,6 @@
 //	GET    /cluster/health    peer protocol (cluster mode): health gossip
 //	POST   /cluster/incumbent peer protocol: LWW incumbent exchange
 //	POST   /cluster/result    peer protocol: finished-result replication
-//	POST   /cluster/steal     peer protocol: donate an open CP subtree
-//	POST   /cluster/complete  peer protocol: settle a donated subtree
 //	GET    /metrics           JSON snapshot; Prometheus text format with
 //	                          ?format=prometheus or Accept: text/plain
 //
@@ -65,13 +63,10 @@
 // consistent hash of the canonical instance to their owning node (so
 // the solution cache and single-flight dedup keep their hit rates
 // cluster-wide), job/batch/session ids are node-prefixed and proxied to
-// their home node, finished results and incumbent improvements
-// replicate to every peer, and idle nodes steal open CP-proof subtrees
-// from busy ones — the optimality certificate stays sound across node
-// failures (lost subtrees are re-queued by their owner). /healthz gains
-// a cluster section with per-peer health; /metrics gains idd_cluster_*
-// counters. -gossip-interval, -steal-interval, -max-helpers and
-// -helper-workers tune the peer protocol.
+// their home node, and finished results and incumbent improvements
+// replicate to every peer. /healthz gains a cluster section with
+// per-peer health; /metrics gains idd_cluster_* counters.
+// -gossip-interval tunes the peer protocol.
 //
 // -debug-addr starts a SECOND listener (off by default) exposing only
 // net/http/pprof — profiles never share a port with solve traffic, so
@@ -84,9 +79,9 @@
 //
 // Request bodies are either a JSON envelope
 // {"instance": {...}, "budget": "2s", "backends": ["cp","vns"],
-// "params": {"cp.workers": 4}, ...} or a compact text matrix file with
-// the same knobs as URL query parameters
-// (?budget=2s&backends=cp,vns&priority=5&seed=1&param=cp.workers=4).
+// "params": {"cp.tail_bound": false}, ...} or a compact text matrix
+// file with the same knobs as URL query parameters
+// (?budget=2s&backends=cp,vns&priority=5&seed=1&param=cp.tail_bound=false).
 // GET /solvers lists the valid backends and params; -param sets
 // server-wide defaults that requests may override per job.
 //
@@ -130,9 +125,6 @@ func main() {
 		peers          = flag.String("peers", "", "comma-separated base URLs of every cluster member (empty = single node)")
 		advertise      = flag.String("advertise", "", "this node's reachable base URL (required with -peers)")
 		gossipInterval = flag.Duration("gossip-interval", time.Second, "peer health probe cadence")
-		stealInterval  = flag.Duration("steal-interval", 100*time.Millisecond, "idle-node remote work-steal cadence")
-		maxHelpers     = flag.Int("max-helpers", 1, "concurrently adopted remote subtrees")
-		helperWorkers  = flag.Int("helper-workers", 1, "cp workers per adopted remote subtree")
 
 		tenantRate  = flag.Float64("tenant-rate", 0, "per-tenant sustained submissions/sec (0 = unlimited)")
 		tenantBurst = flag.Int("tenant-burst", 0, "per-tenant submission burst (0 = 2×rate+1)")
@@ -181,9 +173,6 @@ func main() {
 			Self:           *advertise,
 			Peers:          strings.Split(*peers, ","),
 			GossipInterval: *gossipInterval,
-			StealInterval:  *stealInterval,
-			MaxHelpers:     *maxHelpers,
-			HelperWorkers:  *helperWorkers,
 		}, svcCfg)
 		if err != nil {
 			log.Fatalf("iddserver: %v", err)
@@ -237,7 +226,7 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if node != nil {
-		node.Close() // stop gossip/steal loops before draining solves
+		node.Close() // stop gossip/broadcast loops before draining solves
 	}
 	srv.Shutdown(ctx) // reject new work, finish the queue, cancel on timeout
 	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {

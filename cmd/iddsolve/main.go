@@ -7,7 +7,7 @@
 //	iddsolve -list-solvers
 //	iddsolve -method vns -budget 30s tpch.json
 //	iddsolve -method cp -budget 60s -prune tpch13.json
-//	iddsolve -method cp -param cp.workers=8 tpch16.json
+//	iddsolve -method cp -param cp.tail_bound=false tpch16.json
 //	iddsolve -method greedy tpcds.json
 //	iddsolve -method portfolio -workers 8 -budget 30s tpcds.json
 //	iddsolve -method portfolio -json r13.json | jq .objective
@@ -93,9 +93,6 @@ type solveOutcome struct {
 	// otherwise whether an optimality proof landed.
 	proved *bool
 	winner string
-	// workers is the internal parallelism the backend reported (cp's
-	// branch-and-bound goroutines; 0 = not reported).
-	workers int
 	// counters are the engine counters of the solving backend (the
 	// portfolio winner's, or the standalone backend's): cp's node and
 	// prune-cause breakdown, the local searches' steps/accepted/adopted.
@@ -276,7 +273,6 @@ type jsonReport struct {
 	FinalRuntime float64   `json:"final_runtime"`
 	Proved       *bool     `json:"proved,omitempty"`
 	Winner       string    `json:"winner,omitempty"`
-	Workers      int       `json:"workers,omitempty"`
 	Interrupted  bool      `json:"interrupted,omitempty"`
 	ElapsedMS    int64     `json:"elapsed_ms"`
 	Order        []int     `json:"order"`
@@ -311,7 +307,6 @@ func printJSON(in *model.Instance, c *model.Compiled, method string, order []int
 		FinalRuntime: final,
 		Proved:       outcome.proved,
 		Winner:       outcome.winner,
-		Workers:      outcome.workers,
 		Interrupted:  interrupted,
 		ElapsedMS:    elapsed.Milliseconds(),
 		Order:        order,
@@ -519,14 +514,11 @@ func solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, method st
 			// always reports a feasible schedule.
 			order = greedy.Solve(c, cs)
 		}
-		oc := solveOutcome{workers: out.Workers, counters: out.Counters}
+		oc := solveOutcome{counters: out.Counters}
 		if info.Proves {
 			proved := out.Proved
 			oc.proved = &proved
 			oc.note = provedNote(proved)
-		}
-		if out.Workers > 1 {
-			oc.note += fmt.Sprintf(" [%d workers]", out.Workers)
 		}
 		return order, oc
 	}

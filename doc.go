@@ -14,14 +14,11 @@
 // API.
 //
 // Optimality proofs come from the CP engine in internal/solver/cp: a
-// branch-and-prune DFS that, given a worker budget (cp.Options.Workers,
-// CLI -param cp.workers=N), scales out as a work-stealing parallel
-// branch-and-bound — frontier subproblems split at shallow depths into
-// per-worker deques, one pooled Walker per worker repositioned with
-// Sync on steal, a shared atomic incumbent bridged to the portfolio
-// store, and global open-subproblem accounting so a drained frontier
-// still certifies the optimum. See README.md's "Parallel proof search"
-// subsection for the split/steal/proof protocol.
+// serial, deterministic branch-and-prune DFS with precedence
+// propagation, an admissible objective bound, the §5.5 exact tail bound
+// (CLI -param cp.tail_bound) and a subset-dominance memo. Inside a
+// portfolio race it prunes against the incumbent every other backend
+// publishes to the shared store.
 //
 // The solvers plug into everything else through the self-describing
 // registry in internal/solver/backend: each solver package registers a
@@ -37,10 +34,10 @@
 // stdlib-only metrics and tracing core (atomic counters, labeled
 // vectors, fixed-bucket histograms, a sliding-window rate, bounded span
 // traces, and JSON plus Prometheus text-format rendering with its own
-// exposition linter). The CP engine counts its search per worker —
-// nodes, the prune-cause breakdown (incumbent bound / tail bound /
-// infeasible, summing exactly to fails), steal telemetry — merged once
-// per solve so the allocation-free guarantees hold with counters live;
+// exposition linter). The CP engine counts its search — nodes and the
+// prune-cause breakdown (incumbent bound / tail bound / memo /
+// infeasible, summing exactly to fails) — in plain ints on the descent
+// path, so the allocation-free guarantees hold with counters live;
 // results surface the counters through backend.Outcome and
 // portfolio.BackendResult into iddsolve -json and the service API. Each
 // service job additionally records a flight-recorder trace (queued →
@@ -72,10 +69,9 @@
 // finished results and in-flight incumbents replicate through a
 // last-writer-wins merge ordered by (objective, Lamport clock) —
 // commutative, associative, idempotent, property-tested under random
-// delivery orders — and idle nodes steal open CP-proof subtrees from
-// busy peers as deployment-prefix frames, with the donor's
-// open-subproblem ledger keeping the optimality certificate sound
-// across helper failures. See README.md's "Distributed cluster" and
+// delivery orders. Incoming incumbent frames are checked before they
+// merge, and a live solve recomputes a frame's objective before
+// adopting it. See README.md's "Distributed cluster" and
 // the examples/cluster docker-compose walkthrough.
 //
 // The public surface lives in the commands (cmd/iddgen, cmd/iddsolve,

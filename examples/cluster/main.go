@@ -8,10 +8,8 @@
 // being forwarded to its ring owner, resubmits the same problem with
 // its indexes reordered to a third node and hits the owner's cache
 // cluster-wide, inspects the per-peer health in /healthz and the
-// idd_cluster_* counters in /metrics, runs a CP optimality proof big
-// enough for idle peers to steal open subtrees from the owner, and
-// finally stops one node to show gossip marking it down while the
-// survivors keep serving.
+// idd_cluster_* counters in /metrics, and finally stops one node to
+// show gossip marking it down while the survivors keep serving.
 package main
 
 import (
@@ -53,7 +51,6 @@ func main() {
 			Self:           urls[i],
 			Peers:          urls,
 			GossipInterval: 100 * time.Millisecond,
-			StealInterval:  25 * time.Millisecond,
 		}, service.Config{Workers: 1, DefaultBudget: 5 * time.Second, MaxBudget: 60 * time.Second})
 		if err != nil {
 			log.Fatal(err)
@@ -101,38 +98,10 @@ func main() {
 	res = postSolve(urls[0], reverseIndexes(in), "5s")
 	log.Printf("reordered resubmission via %s: cache_hit=%v, same objective %.1f\n",
 		nodes[0].Name(), res["cache_hit"] == true, res["objective"])
-
-	// --- Cross-node work-stealing: a proof large enough to leave open
-	// subtrees lets idle peers adopt some of the search. The owner's
-	// counter keeps the certificate sound; the objective is what a
-	// single node would prove.
-	cfg = randgen.DefaultConfig()
-	cfg.Indexes = 18
-	cfg.Queries = 13
-	cfg.BuildInteractionProb = 0.35
-	big := randgen.New(rand.New(rand.NewSource(33)), cfg)
-	body, _ := json.Marshal(map[string]any{
-		"instance": big,
-		"budget":   "45s",
-		"backends": []string{"cp"},
-		"params":   map[string]any{"cp.workers": 2},
-	})
-	resp, err := http.Post(urls[1]+"/solve", "application/json", bytes.NewReader(body))
-	if err != nil {
-		log.Fatal(err)
-	}
-	var proof map[string]any
-	json.NewDecoder(resp.Body).Decode(&proof)
-	resp.Body.Close()
-	log.Printf("cp proof: objective %.1f, proved %v", proof["objective"], proof["proved"])
 	for i, n := range nodes {
 		s := n.Snapshot()
-		if s.StealsServed > 0 {
-			log.Printf("node %d donated %d subtree(s); peers contributed %d search nodes", i, s.StealsServed, s.RemoteSearchNodes)
-		}
-		if s.RemoteSteals > 0 {
-			log.Printf("node %d stole %d subtree(s) and searched %d nodes for its peers", i, s.RemoteSteals, s.HelperSearchNodes)
-		}
+		log.Printf("node %d (%s): %d result(s) replicated in, %d incumbent(s) applied",
+			i, n.Name(), s.ResultsApplied, s.IncumbentsApplied)
 	}
 	log.Println()
 

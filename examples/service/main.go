@@ -5,10 +5,10 @@
 // acts as a plain HTTP client: it discovers the solver roster and its
 // typed params through GET /solvers, shows the 400-with-valid-set
 // response a typo'd param earns, submits an async solve job whose
-// "params" map sizes the cp proof search, follows the job's
+// "params" map configures the cp proof search, follows the job's
 // server-sent-event stream while the portfolio races, prints every
-// incumbent improvement as it lands, fetches the final result (with the
-// cp.workers telemetry echoed back), and demonstrates the
+// incumbent improvement as it lands, fetches the final result (with
+// cp's prune counters echoed back), and demonstrates the
 // canonical-hash cache by resubmitting the same instance with its
 // indexes relabeled.
 package main
@@ -72,7 +72,7 @@ func main() {
 	// Params are validated against those specs at submission — a typo is
 	// an immediate 400 naming the valid set, not a late job failure.
 	bad, _ := json.Marshal(map[string]any{
-		"instance": in, "params": map[string]any{"cp.wrokers": 4},
+		"instance": in, "params": map[string]any{"cp.tail_bund": true},
 	})
 	respBad, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(bad))
 	if err != nil {
@@ -86,12 +86,13 @@ func main() {
 	fmt.Printf("typo'd param -> %d: %s\n", respBad.StatusCode, badBody.Error)
 
 	// 1. Submit an async job: POST /jobs with the JSON envelope. The
-	// "params" map sizes cp's work-stealing proof search to 2 workers.
+	// "params" map turns on cp's exact tail-completion bound (§5.5) — the
+	// default, spelled out.
 	body, _ := json.Marshal(map[string]any{
 		"instance": in,
 		"budget":   "10s",
 		"backends": []string{"cp"},
-		"params":   map[string]any{"cp.workers": 2},
+		"params":   map[string]any{"cp.tail_bound": true},
 	})
 	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -153,18 +154,19 @@ func main() {
 	fmt.Printf("deployment order (objective %.2f, proved=%t): %s\n",
 		status.Result.Objective, status.Result.Proved, strings.Join(status.Result.Names, " -> "))
 	for _, b := range status.Result.Backends {
-		if b.Name == "cp" && b.Workers > 0 {
-			fmt.Printf("cp proof ran %d branch-and-bound workers (from params cp.workers)\n", b.Workers)
+		if b.Name == "cp" {
+			fmt.Printf("cp proof: %d nodes, %d cut by the tail bound (from params cp.tail_bound)\n",
+				b.Counters["nodes"], b.Counters["pruned_tail"])
 		}
 	}
 
 	// 4. Same problem, different labeling: the canonical hash routes it
 	// to the solution cache — no second solve happens. The knobs must
-	// match too (params are part of the cache key: a cp.workers=4 run is
-	// not a valid answer for a cp.workers=2 request).
+	// match too (params are part of the cache key: a cp.tail_bound=false
+	// run is not the answer to a cp.tail_bound=true request).
 	body, _ = json.Marshal(map[string]any{
 		"instance": reversed(in), "budget": "10s", "backends": []string{"cp"},
-		"params": map[string]any{"cp.workers": 2},
+		"params": map[string]any{"cp.tail_bound": true},
 	})
 	resp, err = http.Post(ts.URL+"/solve", "application/json", bytes.NewReader(body))
 	if err != nil {

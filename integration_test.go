@@ -60,22 +60,28 @@ func TestCLIIntegration(t *testing.T) {
 	}
 
 	// Registry surfaces: the roster listing, -param plumbing down to the
-	// cp engine (visible as workers telemetry in the JSON report), and
-	// the valid set in the unknown-param error.
+	// cp engine (visible as its tail-prune counter in the JSON report),
+	// and the valid set in the unknown-param error.
 	out = run("iddsolve", "-list-solvers")
-	for _, want := range []string{"cp.workers", "cp.tail_bound", "vns", "exact", "anytime"} {
+	for _, want := range []string{"cp.tail_bound", "vns", "exact", "anytime"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("iddsolve -list-solvers missing %q:\n%s", want, out)
 		}
 	}
-	out = run("iddsolve", "-json", "-method", "cp", "-param", "cp.workers=2", "-budget", "10s", inst)
-	if !strings.Contains(out, `"workers": 2`) {
-		t.Errorf("-param cp.workers=2 did not reach the cp engine:\n%s", out)
+	out = run("iddsolve", "-json", "-method", "cp", "-budget", "10s", inst)
+	if strings.Contains(out, `"pruned_tail": 0,`) {
+		t.Errorf("default cp.tail_bound=true made no tail prunes:\n%s", out)
 	}
-	if raw, err := exec.Command(filepath.Join(bin, "iddsolve"), "-param", "nope=1", inst).CombinedOutput(); err == nil {
-		t.Errorf("iddsolve accepted an unknown -param:\n%s", raw)
-	} else if !strings.Contains(string(raw), "cp.workers") {
-		t.Errorf("unknown -param error does not list the valid set:\n%s", raw)
+	out = run("iddsolve", "-json", "-method", "cp", "-param", "cp.tail_bound=false", "-budget", "10s", inst)
+	if !strings.Contains(out, `"pruned_tail": 0,`) {
+		t.Errorf("-param cp.tail_bound=false did not reach the cp engine:\n%s", out)
+	}
+	for _, param := range []string{"nope=1", "cp.workers=2"} {
+		if raw, err := exec.Command(filepath.Join(bin, "iddsolve"), "-param", param, inst).CombinedOutput(); err == nil {
+			t.Errorf("iddsolve accepted the unknown -param %s:\n%s", param, raw)
+		} else if !strings.Contains(string(raw), "cp.tail_bound") {
+			t.Errorf("unknown -param %s error does not list the valid set:\n%s", param, raw)
+		}
 	}
 
 	// Text format round trip through the tools.

@@ -94,18 +94,6 @@ func (s Set) ContainsAll(o Set) bool {
 	return true
 }
 
-// CountAnd returns the number of bits set in both s and o, without
-// materializing the intersection. The CP engine's steal-adoption path
-// uses it to recompute per-index predecessor counts from a subproblem's
-// placed-set in O(n/64) per index.
-func (s Set) CountAnd(o Set) int {
-	c := 0
-	for i := range s.words {
-		c += bits.OnesCount64(s.words[i] & o.words[i])
-	}
-	return c
-}
-
 // Intersects reports whether s and o share any bit.
 func (s Set) Intersects(o Set) bool {
 	for i := range s.words {

@@ -130,23 +130,3 @@ func TestQuickAgainstMap(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestCountAnd(t *testing.T) {
-	a := FromSlice(130, []int{0, 1, 63, 64, 65, 127, 129})
-	b := FromSlice(130, []int{1, 63, 64, 100, 129})
-	if got := a.CountAnd(b); got != 4 {
-		t.Fatalf("CountAnd = %d, want 4", got)
-	}
-	if got := b.CountAnd(a); got != 4 {
-		t.Fatalf("CountAnd not symmetric: %d", got)
-	}
-	if got := a.CountAnd(New(130)); got != 0 {
-		t.Fatalf("CountAnd with empty = %d", got)
-	}
-	// Agrees with materializing the intersection.
-	inter := a.Clone()
-	inter.IntersectWith(b)
-	if a.CountAnd(b) != inter.Count() {
-		t.Fatal("CountAnd disagrees with IntersectWith+Count")
-	}
-}

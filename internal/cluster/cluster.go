@@ -4,15 +4,11 @@
 // on the canonical instance hash (any node accepts any request and
 // forwards it to the owner, so the per-node cache and single-flight
 // machinery keep their hit rates cluster-wide), replicated solution
-// caches and cross-node incumbent exchange via a last-writer-wins CRDT
-// merge (lww.go), and distributed CP work-stealing: an idle node asks
-// busy peers for the shallowest open subtree of a running optimality
-// proof, solves it locally, and reports completion back to the owner's
-// open-subproblem counter so the proof stays sound across nodes
-// (steal.go).
+// caches, and cross-node incumbent exchange via a last-writer-wins CRDT
+// merge (lww.go).
 //
 // A Node wraps a service.Server: it owns the HTTP surface (the service
-// routes plus the /cluster/* peer protocol), the gossip and helper
+// routes plus the /cluster/* peer protocol), the gossip and broadcast
 // loops, and the service.Distributor hooks the job manager announces
 // executing solves through. Single-node deployments never construct a
 // Node and are entirely unaffected.
@@ -24,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httputil"
 	"net/url"
@@ -33,6 +30,7 @@ import (
 	"time"
 
 	"github.com/evolving-olap/idd/internal/codec"
+	"github.com/evolving-olap/idd/internal/constraint"
 	"github.com/evolving-olap/idd/internal/model"
 	"github.com/evolving-olap/idd/internal/obs"
 	"github.com/evolving-olap/idd/internal/service"
@@ -57,14 +55,6 @@ type Config struct {
 	// probe (0 = 3 × GossipInterval).
 	GossipInterval time.Duration
 	PeerTimeout    time.Duration
-	// StealInterval is how often an idle node asks busy peers for
-	// remote subtrees (0 = 100ms).
-	StealInterval time.Duration
-	// MaxHelpers bounds concurrently adopted remote subtrees (0 = 1).
-	MaxHelpers int
-	// HelperWorkers is the cp worker count used to solve an adopted
-	// subtree (0 = 1).
-	HelperWorkers int
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -91,15 +81,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.PeerTimeout <= 0 {
 		c.PeerTimeout = 3 * c.GossipInterval
-	}
-	if c.StealInterval <= 0 {
-		c.StealInterval = 100 * time.Millisecond
-	}
-	if c.MaxHelpers <= 0 {
-		c.MaxHelpers = 1
-	}
-	if c.HelperWorkers <= 0 {
-		c.HelperWorkers = 1
 	}
 	return c, nil
 }
@@ -136,12 +117,11 @@ type peerState struct {
 	name     string
 	lastSeen time.Time
 	up       bool
-	busy     bool // peer advertised exportable proof work last probe
 	proxy    *httputil.ReverseProxy
 }
 
 // Node is one cluster member: the wrapped solve service plus the peer
-// protocol, gossip, and helper machinery.
+// protocol and gossip machinery.
 type Node struct {
 	cfg    Config
 	name   string
@@ -152,13 +132,10 @@ type Node struct {
 	incs   *lwwMap
 	mux    *http.ServeMux
 
-	mu      sync.Mutex
-	peers   map[string]*peerState // by addr; excludes self
-	byName  map[string]*peerState // same peers, by node name
-	active  map[string]*activeSolve
-	exports map[string]*export
-	helpers int
-	nextExp int64
+	mu     sync.Mutex
+	peers  map[string]*peerState // by addr; excludes self
+	byName map[string]*peerState // same peers, by node name
+	active map[string]*activeSolve
 
 	bcast  chan bcastMsg
 	ctx    context.Context
@@ -181,12 +158,6 @@ type clusterMetrics struct {
 	incApplied       *obs.Counter
 	resSent          *obs.Counter
 	resApplied       *obs.Counter
-	stealsServed     *obs.Counter
-	remoteSteals     *obs.Counter
-	completions      *obs.Counter
-	requeues         *obs.Counter
-	remoteNodes      *obs.Counter
-	helperNodes      *obs.Counter
 	bcastDropped     *obs.Counter
 }
 
@@ -200,17 +171,16 @@ func New(cfg Config, svcCfg service.Config) (*Node, error) {
 		return nil, err
 	}
 	n := &Node{
-		cfg:     cfg,
-		name:    NodeName(cfg.Self),
-		ring:    newRing(cfg.Peers),
-		client:  &http.Client{}, // per-call timeouts via request contexts
-		clock:   &Clock{},
-		incs:    newLWWMap(0),
-		peers:   make(map[string]*peerState),
-		byName:  make(map[string]*peerState),
-		active:  make(map[string]*activeSolve),
-		exports: make(map[string]*export),
-		bcast:   make(chan bcastMsg, 512),
+		cfg:    cfg,
+		name:   NodeName(cfg.Self),
+		ring:   newRing(cfg.Peers),
+		client: &http.Client{}, // per-call timeouts via request contexts
+		clock:  &Clock{},
+		incs:   newLWWMap(0),
+		peers:  make(map[string]*peerState),
+		byName: make(map[string]*peerState),
+		active: make(map[string]*activeSolve),
+		bcast:  make(chan bcastMsg, 512),
 	}
 	n.ctx, n.cancel = context.WithCancel(context.Background())
 	for _, addr := range cfg.Peers {
@@ -245,8 +215,6 @@ func New(cfg Config, svcCfg service.Config) (*Node, error) {
 	mux.HandleFunc("GET /cluster/health", n.handleHealth)
 	mux.HandleFunc("POST /cluster/incumbent", n.handleIncumbent)
 	mux.HandleFunc("POST /cluster/result", n.handleResult)
-	mux.HandleFunc("POST /cluster/steal", n.handleSteal)
-	mux.HandleFunc("POST /cluster/complete", n.handleComplete)
 	mux.HandleFunc("GET /healthz", n.handleHealthz)
 	mux.HandleFunc("GET /metrics", n.handleMetrics)
 	mux.HandleFunc("POST /solve", n.routeByInstance)
@@ -259,11 +227,10 @@ func New(cfg Config, svcCfg service.Config) (*Node, error) {
 	return n, nil
 }
 
-// Start launches the gossip, broadcast, helper, and export-watchdog
-// loops. Separate from New so tests can drive the protocol handlers
-// synchronously.
+// Start launches the gossip and broadcast loops. Separate from New so
+// tests can drive the protocol handlers synchronously.
 func (n *Node) Start() {
-	loops := []func(){n.gossipLoop, n.bcastLoop, n.helperLoop, n.exportWatchdog}
+	loops := []func(){n.gossipLoop, n.bcastLoop}
 	n.wg.Add(len(loops))
 	for _, l := range loops {
 		go func(run func()) { defer n.wg.Done(); run() }(l)
@@ -311,12 +278,6 @@ func (n *Node) registerMetrics() {
 	m.incApplied = reg.Counter("idd_cluster_incumbent_applied_total", "peer incumbents that won the local LWW merge")
 	m.resSent = reg.Counter("idd_cluster_result_sent_total", "finished-result replications posted to peers")
 	m.resApplied = reg.Counter("idd_cluster_result_applied_total", "peer results installed into the local cache")
-	m.stealsServed = reg.Counter("idd_cluster_steals_served_total", "subtrees this node donated to peers")
-	m.remoteSteals = reg.Counter("idd_cluster_remote_steals_total", "subtrees this node stole from peers")
-	m.completions = reg.Counter("idd_cluster_subtrees_completed_total", "donated subtrees peers explored to exhaustion")
-	m.requeues = reg.Counter("idd_cluster_subtrees_requeued_total", "donated subtrees requeued locally (helper lost or gave up)")
-	m.remoteNodes = reg.Counter("idd_cluster_remote_search_nodes_total", "search nodes peers contributed to this node's proofs")
-	m.helperNodes = reg.Counter("idd_cluster_helper_search_nodes_total", "search nodes this node contributed to peers' proofs")
 	m.bcastDropped = reg.Counter("idd_cluster_broadcast_dropped_total", "broadcasts dropped on backpressure")
 }
 
@@ -465,7 +426,6 @@ func parseInstanceBody(body []byte) *model.Instance {
 type healthMsg struct {
 	Name   string `json:"name"`
 	Status string `json:"status"`
-	Busy   bool   `json:"busy"`
 }
 
 func (n *Node) handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -473,7 +433,7 @@ func (n *Node) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	if n.srv.Manager().Draining() {
 		status = "draining"
 	}
-	writeJSON(w, http.StatusOK, healthMsg{Name: n.name, Status: status, Busy: n.exportableWork()})
+	writeJSON(w, http.StatusOK, healthMsg{Name: n.name, Status: status})
 }
 
 func (n *Node) gossipLoop() {
@@ -521,10 +481,8 @@ func (n *Node) probePeers() {
 			if ok {
 				ps.lastSeen = now
 				ps.up = true
-				ps.busy = h.Busy
 			} else if now.Sub(ps.lastSeen) > n.cfg.PeerTimeout {
 				ps.up = false
-				ps.busy = false
 			}
 			n.mu.Unlock()
 		}(addr)
@@ -545,18 +503,17 @@ func (n *Node) markDown(addr string) {
 	n.mu.Lock()
 	if ps := n.peers[addr]; ps != nil {
 		ps.up = false
-		ps.busy = false
 	}
 	n.mu.Unlock()
 }
 
-// upPeers snapshots the live peers (optionally only busy ones).
-func (n *Node) upPeers(busyOnly bool) []*peerState {
+// upPeers snapshots the live peers.
+func (n *Node) upPeers() []*peerState {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	var out []*peerState
 	for _, p := range n.peers {
-		if p.up && (!busyOnly || p.busy) {
+		if p.up {
 			out = append(out, p)
 		}
 	}
@@ -588,7 +545,7 @@ func (n *Node) bcastLoop() {
 		case <-n.ctx.Done():
 			return
 		case msg := <-n.bcast:
-			for _, ps := range n.upPeers(false) {
+			for _, ps := range n.upPeers() {
 				ctx, cancel := context.WithTimeout(n.ctx, 2*time.Second)
 				req, _ := http.NewRequestWithContext(ctx, http.MethodPost,
 					ps.addr+msg.path, bytes.NewReader(msg.payload))
@@ -631,24 +588,73 @@ func (n *Node) broadcastIncumbent(key string, order []int, obj float64) {
 	n.enqueueBroadcast("/cluster/incumbent", incumbentMsg{Key: key, Inc: inc})
 }
 
+// handleIncumbent merges a peer's incumbent frame. Nothing on the wire
+// is trusted: the objective must be finite and the order a permutation
+// before the frame may enter the LWW table, and while a solve for the
+// key is live here the order must also fit its instance and
+// constraints and the claimed objective must match the one recomputed
+// locally. A frame that understates its objective would otherwise
+// become the solve's answer under the false value (and let an exact
+// backend report it proved); one with a NaN objective would never lose
+// a merge and block every later incumbent for its key.
 func (n *Node) handleIncumbent(w http.ResponseWriter, r *http.Request) {
 	var msg incumbentMsg
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&msg); err != nil ||
-		msg.Key == "" || msg.Inc.Order == nil {
+		msg.Key == "" || !validIncumbent(msg.Inc) {
 		http.Error(w, `{"error":"bad incumbent"}`, http.StatusBadRequest)
 		return
+	}
+	as := n.activeSolve(msg.Key)
+	var obj float64
+	if as != nil {
+		var ok bool
+		if obj, ok = as.verify(msg.Inc.Order); !ok ||
+			math.Abs(obj-msg.Inc.Objective) > 1e-9*(1+math.Abs(obj)) {
+			http.Error(w, `{"error":"incumbent does not match the live solve"}`, http.StatusBadRequest)
+			return
+		}
 	}
 	n.clock.Witness(msg.Inc.Clock)
 	if n.incs.apply(msg.Key, msg.Inc) {
 		n.m.incApplied.Inc()
-		// A live solve for the same key adopts the remote incumbent
-		// through its shared store (feasibility-validated there); every
-		// backend prunes against it within its next poll stride.
-		if as := n.activeSolve(msg.Key); as != nil {
-			as.start.Store.Offer("cluster", msg.Inc.Order, msg.Inc.Objective)
-		}
+	}
+	// A live solve for the same key adopts the remote incumbent through
+	// its shared store, under the locally recomputed objective; every
+	// backend prunes against it within its next poll stride. The offer
+	// does not wait on the merge: the table may hold a frame that came
+	// in while no solve was live, unchecked and possibly understated,
+	// which would win every merge; the store keeps only true
+	// improvements.
+	if as != nil {
+		as.start.Store.Offer("cluster", msg.Inc.Order, obj)
 	}
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// validIncumbent reports whether a wire incumbent is well formed on its
+// own: a finite objective and an order that is a non-empty permutation
+// of 0..len-1.
+func validIncumbent(inc Incumbent) bool {
+	if math.IsNaN(inc.Objective) || math.IsInf(inc.Objective, 0) || len(inc.Order) == 0 {
+		return false
+	}
+	return validFullOrder(len(inc.Order), nil, inc.Order)
+}
+
+// validFullOrder reports whether order is a permutation of 0..n-1
+// compatible with the constraint set (nil = no constraints).
+func validFullOrder(n int, cs *constraint.Set, order []int) bool {
+	if len(order) != n {
+		return false
+	}
+	seen := make([]bool, n)
+	for _, i := range order {
+		if i < 0 || i >= n || seen[i] {
+			return false
+		}
+		seen[i] = true
+	}
+	return cs == nil || cs.Compatible(order)
 }
 
 type resultMsg struct {
@@ -678,6 +684,72 @@ func (n *Node) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // ---------------------------------------------------------------------------
+// Live solves (the service.Distributor seam)
+
+// distributor adapts the Node to the service.Distributor seam.
+type distributor struct{ n *Node }
+
+func (d distributor) SolveStarted(s service.SolveStart) service.DistributedSolve {
+	n := d.n
+	as := &activeSolve{n: n, start: s}
+	n.mu.Lock()
+	n.active[s.Key] = as
+	n.mu.Unlock()
+	// A peer may already have solved (or be solving) this key: seed the
+	// store with the replicated incumbent so every local backend starts
+	// from the cluster-wide best. Frames that reached the table while no
+	// solve was live were never checked against the instance, so the
+	// objective is recomputed here too.
+	if inc, ok := n.incs.get(s.Key); ok && !inc.zero() {
+		if obj, ok := as.verify(inc.Order); ok {
+			s.Store.Offer("cluster", inc.Order, obj)
+		}
+	}
+	return as
+}
+
+func (d distributor) ResultCached(key string, res *service.SolveResult) {
+	d.n.resultCached(key, res)
+}
+
+// activeSolve is one executing solve announced by the job manager,
+// alive from SolveStarted to Done.
+type activeSolve struct {
+	n     *Node
+	start service.SolveStart
+}
+
+// verify checks a wire order against the live solve's instance and
+// constraints and returns its locally computed objective.
+func (as *activeSolve) verify(order []int) (float64, bool) {
+	c := as.start.Compiled
+	if !validFullOrder(c.N, as.start.Constraints, order) {
+		return 0, false
+	}
+	return c.Objective(order), true
+}
+
+func (as *activeSolve) Improved(order []int, objective float64) {
+	as.n.broadcastIncumbent(as.start.Key, order, objective)
+}
+
+func (as *activeSolve) Done() {
+	n := as.n
+	n.mu.Lock()
+	if n.active[as.start.Key] == as {
+		delete(n.active, as.start.Key)
+	}
+	n.mu.Unlock()
+}
+
+// activeSolve returns the live solve for key, if any.
+func (n *Node) activeSolve(key string) *activeSolve {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.active[key]
+}
+
+// ---------------------------------------------------------------------------
 // Cluster-aware /healthz and /metrics
 
 // PeerHealth is one peer row of the /healthz cluster section.
@@ -685,7 +757,6 @@ type PeerHealth struct {
 	Name     string `json:"name"`
 	Addr     string `json:"addr"`
 	State    string `json:"state"`
-	Busy     bool   `json:"busy,omitempty"`
 	LastSeen string `json:"last_seen,omitempty"`
 }
 
@@ -702,7 +773,7 @@ func (n *Node) clusterHealth() ClusterHealth {
 	defer n.mu.Unlock()
 	ch := ClusterHealth{Name: n.name, Self: n.cfg.Self, Peers: []PeerHealth{}}
 	for _, p := range n.peers {
-		ph := PeerHealth{Name: p.name, Addr: p.addr, State: "down", Busy: p.busy}
+		ph := PeerHealth{Name: p.name, Addr: p.addr, State: "down"}
 		if p.up {
 			ph.State = "up"
 		}
@@ -736,12 +807,6 @@ type ClusterSnapshot struct {
 	IncumbentsApplied int64 `json:"incumbents_applied"`
 	ResultsSent       int64 `json:"results_sent"`
 	ResultsApplied    int64 `json:"results_applied"`
-	StealsServed      int64 `json:"steals_served"`
-	RemoteSteals      int64 `json:"remote_steals"`
-	SubtreesCompleted int64 `json:"subtrees_completed"`
-	SubtreesRequeued  int64 `json:"subtrees_requeued"`
-	RemoteSearchNodes int64 `json:"remote_search_nodes"`
-	HelperSearchNodes int64 `json:"helper_search_nodes"`
 }
 
 // Snapshot returns the cluster counters (also used by tests asserting
@@ -756,12 +821,6 @@ func (n *Node) Snapshot() ClusterSnapshot {
 		IncumbentsApplied: n.m.incApplied.Value(),
 		ResultsSent:       n.m.resSent.Value(),
 		ResultsApplied:    n.m.resApplied.Value(),
-		StealsServed:      n.m.stealsServed.Value(),
-		RemoteSteals:      n.m.remoteSteals.Value(),
-		SubtreesCompleted: n.m.completions.Value(),
-		SubtreesRequeued:  n.m.requeues.Value(),
-		RemoteSearchNodes: n.m.remoteNodes.Value(),
-		HelperSearchNodes: n.m.helperNodes.Value(),
 	}
 }
 

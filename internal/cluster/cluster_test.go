@@ -49,9 +49,6 @@ func newTestCluster(t *testing.T, k int, svcCfg service.Config) *testCluster {
 			Peers:          tc.urls,
 			GossipInterval: 25 * time.Millisecond,
 			PeerTimeout:    100 * time.Millisecond,
-			StealInterval:  10 * time.Millisecond,
-			MaxHelpers:     1,
-			HelperWorkers:  1,
 		}
 		n, err := New(cfg, svcCfg)
 		if err != nil {
@@ -270,175 +267,6 @@ func TestClusterJobProxy(t *testing.T) {
 	if got := tc.nodes[1].Snapshot().Proxied; got < 1 {
 		t.Fatalf("expected node 1 to proxy the id-addressed request, proxied=%d", got)
 	}
-}
-
-// refObjective solves the instance on an isolated single-node service
-// with identical parameters — the baseline the distributed proof must
-// match bit-for-bit.
-func refObjective(t *testing.T, in *model.Instance, body []byte) float64 {
-	t.Helper()
-	s := service.New(service.Config{Workers: 1})
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	}()
-	req, _ := http.NewRequest(http.MethodPost, "/solve", bytes.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	rec := newRecorder()
-	s.Handler().ServeHTTP(rec, req)
-	if rec.code != http.StatusOK {
-		t.Fatalf("reference solve status %d: %s", rec.code, rec.buf.String())
-	}
-	var res service.SolveResult
-	if err := json.Unmarshal(rec.buf.Bytes(), &res); err != nil {
-		t.Fatal(err)
-	}
-	if !res.Proved {
-		t.Fatal("reference solve not proved")
-	}
-	return res.Objective
-}
-
-// recorder is a minimal ResponseWriter (httptest.NewRecorder works too,
-// but this keeps the dependency surface explicit).
-type recorder struct {
-	code int
-	hdr  http.Header
-	buf  bytes.Buffer
-}
-
-func newRecorder() *recorder            { return &recorder{code: http.StatusOK, hdr: http.Header{}} }
-func (r *recorder) Header() http.Header { return r.hdr }
-func (r *recorder) WriteHeader(c int)   { r.code = c }
-func (r *recorder) Write(b []byte) (int, error) {
-	return r.buf.Write(b)
-}
-
-// TestClusterDistributedProof is the tentpole end-to-end: a CP
-// optimality proof on one node exports frontier subtrees to idle peers
-// over HTTP, the proof completes with search nodes contributed by at
-// least two nodes, and the objective is bit-identical to a single-node
-// proof of the same request.
-func TestClusterDistributedProof(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second distributed proof")
-	}
-	// ~1s proof through the service path (pruning, tail bound and the
-	// CP memo included): long enough for helpers to land steals, short
-	// enough for CI.
-	in := genInstance(33, 26, 13, 0.35)
-	body := solveBody(t, in, map[string]any{
-		"backends": []string{"cp"},
-		"budget":   "45s",
-		"params":   map[string]any{"cp.workers": 2},
-	})
-	ref := refObjective(t, in, body)
-
-	tc := newTestCluster(t, 3, service.Config{Workers: 1})
-	ownerI := tc.ownerIdx(in)
-	submitI := (ownerI + 1) % 3
-
-	resp, out := post(t, tc.urls[submitI]+"/solve", body, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("solve status %d: %s", resp.StatusCode, out)
-	}
-	var res service.SolveResult
-	if err := json.Unmarshal(out, &res); err != nil {
-		t.Fatal(err)
-	}
-	if !res.Proved {
-		t.Fatalf("distributed solve not proved: %s", out)
-	}
-	if res.Objective != ref {
-		t.Fatalf("distributed objective %v != single-node %v (must be bit-identical)", res.Objective, ref)
-	}
-
-	donor := tc.nodes[ownerI].Snapshot()
-	if donor.StealsServed < 1 {
-		t.Fatalf("no subtree was stolen — proof was not distributed: %+v", donor)
-	}
-	if donor.SubtreesCompleted < 1 {
-		t.Fatalf("no stolen subtree was completed remotely: %+v", donor)
-	}
-	if donor.RemoteSearchNodes < 1 {
-		t.Fatalf("peers contributed no search nodes: %+v", donor)
-	}
-	helperSteals := int64(0)
-	for i, n := range tc.nodes {
-		if i != ownerI {
-			helperSteals += n.Snapshot().RemoteSteals
-		}
-	}
-	if helperSteals < 1 {
-		t.Fatalf("no peer recorded a remote steal")
-	}
-	t.Logf("donor: steals_served=%d completed=%d remote_nodes=%d; helper steals=%d",
-		donor.StealsServed, donor.SubtreesCompleted, donor.RemoteSearchNodes, helperSteals)
-}
-
-// TestClusterHelperFailureRequeue: a helper node dies mid-solve holding
-// a donated subtree. The donor detects the death via gossip, requeues
-// the subtree locally, and the proof still completes sound with the
-// single-node objective.
-func TestClusterHelperFailureRequeue(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second failure drill")
-	}
-	// ~3s proof through the service path: a wide window to kill the
-	// helper while it holds a subtree.
-	in := genInstance(11, 26, 14, 0.4)
-	body := solveBody(t, in, map[string]any{
-		"backends": []string{"cp"},
-		"budget":   "50s",
-		"params":   map[string]any{"cp.workers": 2},
-	})
-	ref := refObjective(t, in, body)
-
-	tc := newTestCluster(t, 2, service.Config{Workers: 1})
-	// Pin the solve to node 0 whatever the ring says; node 1 is the
-	// helper that will die.
-	resp, out := post(t, tc.urls[0]+"/jobs", body, map[string]string{ForwardedHeader: "test"})
-	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-		t.Fatalf("submit status %d: %s", resp.StatusCode, out)
-	}
-	var job service.JobStatus
-	if err := json.Unmarshal(out, &job); err != nil {
-		t.Fatal(err)
-	}
-
-	waitFor(t, "first steal", 20*time.Second, func() bool {
-		return tc.nodes[0].Snapshot().StealsServed >= 1
-	})
-	tc.stopNode(1) // helper dies holding (at least) one subtree
-
-	var final service.JobStatus
-	waitFor(t, "job completion after helper death", 60*time.Second, func() bool {
-		r, err := http.Get(tc.urls[0] + "/jobs/" + job.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Body.Close()
-		if err := json.NewDecoder(r.Body).Decode(&final); err != nil {
-			t.Fatal(err)
-		}
-		if final.State == service.StateFailed || final.State == service.StateCanceled {
-			t.Fatalf("job reached %q after helper death: %s", final.State, final.Error)
-		}
-		return final.State == service.StateDone
-	})
-	if final.Result == nil || !final.Result.Proved {
-		t.Fatalf("proof lost after helper death: %+v", final.Result)
-	}
-	if final.Result.Objective != ref {
-		t.Fatalf("objective %v != single-node %v after helper death", final.Result.Objective, ref)
-	}
-	snap := tc.nodes[0].Snapshot()
-	if snap.StealsServed >= 1 && snap.SubtreesCompleted == 0 && snap.SubtreesRequeued == 0 {
-		t.Fatalf("stolen subtree neither completed nor requeued: %+v", snap)
-	}
-	t.Logf("donor after helper death: steals=%d completed=%d requeued=%d",
-		snap.StealsServed, snap.SubtreesCompleted, snap.SubtreesRequeued)
 }
 
 // TestClusterHealthzAndMetrics: the wrapped endpoints carry the cluster

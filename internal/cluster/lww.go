@@ -37,8 +37,9 @@ func (c *Clock) Witness(t uint64) {
 // Incumbent is one replicated best-known schedule for a solve key. The
 // order is in canonical index space — every node canonicalizes
 // identically, so a schedule found anywhere is meaningful everywhere.
-// Objectives are finite by construction (they come from feasible
-// orders); NaN is not representable in JSON and never enters the merge.
+// Objectives are finite: local ones come from feasible orders, and
+// handleIncumbent rejects a peer frame with a non-finite objective, so
+// NaN (which would never lose a merge) cannot enter one.
 type Incumbent struct {
 	// Objective is the schedule's objective (lower is better).
 	Objective float64 `json:"objective"`

@@ -7,18 +7,16 @@ import (
 	"time"
 
 	"github.com/evolving-olap/idd/internal/randgen"
-	"github.com/evolving-olap/idd/internal/solver/backend"
 )
 
 // TestCancelInterruptsCPProofPromptly is the regression test for the CP
 // cancellation fix: the engine used to poll the context on a node-count
 // alignment that left deep proof searches running long after their job
-// was deleted. Now every (serial or parallel) worker polls on a strict
-// stride, so a DELETE must release the solve worker within a couple of
-// seconds, not after the 30s budget.
+// was deleted. Now the search polls on a strict stride, so a DELETE must
+// release the solve worker within a couple of seconds, not after the
+// 30s budget.
 func TestCancelInterruptsCPProofPromptly(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1,
-		DefaultParams: backend.Params{"cp.workers": 4}})
+	s, ts := newTestServer(t, Config{Workers: 1})
 	rng := rand.New(rand.NewSource(3))
 	cfg := randgen.DefaultConfig()
 	cfg.Indexes = 22
@@ -43,8 +41,8 @@ func TestCancelInterruptsCPProofPromptly(t *testing.T) {
 		t.Fatalf("cancel status %d", resp.StatusCode)
 	}
 
-	// The DELETE cancels the run context; the cp workers must notice on
-	// their polling stride and free the (only) solve worker promptly.
+	// The DELETE cancels the run context; the cp search must notice on
+	// its polling stride and free the (only) solve worker promptly.
 	released := time.Now()
 	for {
 		if s.Manager().Metrics().Running == 0 {

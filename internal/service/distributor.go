@@ -1,11 +1,8 @@
 package service
 
 import (
-	"time"
-
 	"github.com/evolving-olap/idd/internal/constraint"
 	"github.com/evolving-olap/idd/internal/model"
-	"github.com/evolving-olap/idd/internal/solver/backend"
 	"github.com/evolving-olap/idd/internal/solver/portfolio"
 )
 
@@ -15,8 +12,8 @@ import (
 // nothing below this interface exists and execution is byte-for-byte
 // the pre-cluster behavior. When set, every executing solve is
 // announced through SolveStarted so the cluster can feed remote
-// incumbents into its store, export its CP frontier to idle peers, and
-// replicate its finished result.
+// incumbents into its store, broadcast its improvements, and replicate
+// its finished result.
 type Distributor interface {
 	// SolveStarted registers a solve that is about to execute and
 	// returns the cluster's per-solve hooks. The SolveStart fields are
@@ -35,39 +32,23 @@ type SolveStart struct {
 	// Key is the full solve key (canonical hash + solve-shaping
 	// parameters): identical keys are identical solves cluster-wide.
 	Key string
-	// Hash is the instance's canonical hash (the cluster routing key).
-	Hash string
 	// Compiled and Constraints are the canonical compiled instance and
 	// the constraint set the solve runs under (pruning-derived edges
-	// included) — everything a helper node needs to reproduce the
-	// search space bit-identically.
+	// included): what a remote incumbent is checked against and its
+	// objective recomputed from before it enters Store.
 	Compiled    *model.Compiled
 	Constraints *constraint.Set
-	// Prune reports whether Constraints came from the pruning analysis
-	// (helpers re-derive the identical set from the canonical instance).
-	Prune bool
-	// Canon is the canonical instance itself, for shipping to helpers.
-	Canon *model.Instance
 	// Store is the live shared incumbent store for this solve. Remote
 	// incumbents go in through Store.Offer (feasibility-validated);
 	// every backend on this node prunes against whatever it holds.
 	Store *portfolio.Store
-	// Deadline is when the solve's budget expires.
-	Deadline time.Time
 }
 
 // DistributedSolve is the cluster's handle bundle for one live solve.
 type DistributedSolve interface {
-	// Exporter is passed to the portfolio as Options.Exporter (may
-	// return nil for "don't export this solve"). Backends with
-	// distributable searches attach their backend.WorkSource through
-	// it.
-	Exporter() func(ws backend.WorkSource) (release func())
 	// Improved observes every local incumbent improvement (order in
 	// canonical index space, a private copy) for broadcast to peers.
 	Improved(order []int, objective float64)
-	// Done unregisters the solve; no hook fires after it returns and
-	// the cluster stops touching any WorkSource attached during the
-	// run.
+	// Done unregisters the solve; no hook fires after it returns.
 	Done()
 }

@@ -46,9 +46,7 @@ type Config struct {
 	MaxFinishedJobs int
 	// DefaultParams are server-wide backend params applied to every
 	// solve unless the request sets the same key itself (e.g.
-	// "cp.workers" to size proof parallelism to the machine — it
-	// multiplies the goroutines a single job may run, so size
-	// Workers × cp.workers together).
+	// "cp.tail_bound": false to skip the tail tables server-wide).
 	DefaultParams backend.Params
 	// TenantRate is the sustained per-tenant submission rate
 	// (jobs/second; 0 = unlimited). TenantBurst sizes the token bucket
@@ -302,10 +300,7 @@ func (j *Job) finish(state string, res *SolveResult, err error) bool {
 // run is one underlying portfolio solve, shared by all jobs whose
 // canonical hash and solve parameters coincide (single-flight).
 type run struct {
-	key string
-	// hash is the instance's canonical hash alone (the cluster routing
-	// key; key adds the solve-shaping parameters on top).
-	hash   string
+	key    string
 	canon  *model.Instance
 	params Params
 	// bag is the registry-validated, canonically typed form of
@@ -572,16 +567,6 @@ func (m *Manager) CachedResult(key string) (*SolveResult, bool) {
 // router buffers bodies under the same limit the service enforces).
 func (m *Manager) MaxBodyBytes() int64 { return m.cfg.MaxBodyBytes }
 
-// Load reports the manager's instantaneous occupancy: currently
-// executing solves and the configured worker pool size. The cluster's
-// helper loop uses spare capacity (running < workers) as its "idle
-// enough to steal remote subtrees" signal.
-func (m *Manager) Load() (running, workers int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.running, m.cfg.Workers
-}
-
 // clampBudget applies the default and maximum to a requested budget.
 func (m *Manager) clampBudget(d Duration) time.Duration {
 	b := time.Duration(d)
@@ -801,7 +786,7 @@ func (m *Manager) submitWarm(in *model.Instance, p Params, warmNames []string, p
 	}
 	ctx, cancel := context.WithCancel(m.baseCtx)
 	r := &run{
-		key: key, hash: hash, canon: canon, params: p, bag: bag, budget: budget,
+		key: key, canon: canon, params: p, bag: bag, budget: budget,
 		structHash: structHash, initial: initial,
 		tenant: tenant, priority: p.Priority, seq: m.seq, ctx: ctx, cancel: cancel,
 	}
@@ -1040,27 +1025,19 @@ func (m *Manager) execute(r *run) {
 	}
 
 	// Cluster hookup: hand the distributor a shared store it can inject
-	// remote incumbents into, announce every local improvement for
-	// broadcast, and (for reproducible runs only — no step limit) let
-	// exact engines export frontier subtrees to idle peers. Single-node
-	// mode (nil Distributor) takes none of these branches.
+	// remote incumbents into and announce every local improvement for
+	// broadcast. Single-node mode (nil Distributor) takes neither
+	// branch.
 	if m.cfg.Distributor != nil {
 		store := portfolio.NewStore(c.N, cs)
 		ds := m.cfg.Distributor.SolveStarted(SolveStart{
 			Key:         r.key,
-			Hash:        r.hash,
 			Compiled:    c,
 			Constraints: cs,
-			Prune:       r.params.pruneEnabled(),
-			Canon:       r.canon,
 			Store:       store,
-			Deadline:    time.Now().Add(r.budget),
 		})
 		defer ds.Done()
 		opts.Store = store
-		if r.params.StepLimit == 0 {
-			opts.Exporter = ds.Exporter()
-		}
 		prevImprove := opts.OnImprove
 		opts.OnImprove = func(b string, order []int, obj float64) {
 			if prevImprove != nil {
@@ -1132,8 +1109,7 @@ func (m *Manager) execute(r *run) {
 	for _, b := range res.Backends {
 		bs := BackendSummary{
 			Name: b.Name, Proved: b.Proved, Improvements: b.Improvements,
-			Iterations: b.Iterations, Workers: b.Workers,
-			Wall: Duration(b.Wall), Skipped: b.Skipped,
+			Iterations: b.Iterations, Wall: Duration(b.Wall), Skipped: b.Skipped,
 			Counters: b.Counters,
 		}
 		if !math.IsInf(b.Objective, 1) {

@@ -1,11 +1,12 @@
 // Tests for the registry-backed edges of the service: the GET /solvers
 // catalogue, 400s with valid sets for unknown backends/params, and the
-// end-to-end param plumbing ("params":{"cp.workers":N} must reach the
-// cp engine, observable in the Workers telemetry).
+// end-to-end param plumbing ("params":{"cp.tail_bound":false} must reach
+// the cp engine, observable in its tail-prune counter).
 package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -13,8 +14,44 @@ import (
 	"testing"
 	"time"
 
+	"github.com/evolving-olap/idd/internal/datasets"
+	"github.com/evolving-olap/idd/internal/model"
 	"github.com/evolving-olap/idd/internal/solver/backend"
+	"github.com/evolving-olap/idd/internal/solver/greedy"
 )
+
+func init() { backend.Register(echoBackend{}) }
+
+// echoBackend is a test-only backend with an int param, for the
+// validation paths the built-in roster (whose one param is a bool) no
+// longer exercises: it returns the greedy order and reports its param
+// back as the iteration count. It is never applicable, so it joins no
+// default portfolio.
+type echoBackend struct{}
+
+// echoParam is echoBackend's int knob.
+const echoParam = "echo.iterations"
+
+func (echoBackend) Info() backend.Info {
+	f := func(v float64) *float64 { return &v }
+	return backend.Info{
+		Name:       "echo",
+		Kind:       backend.KindConstructive,
+		Rank:       99,
+		Summary:    "test-only backend: greedy order, param echoed as iterations",
+		Applicable: func(*model.Compiled) bool { return false },
+		Params: []backend.ParamSpec{
+			{Name: echoParam, Type: backend.ParamInt, Default: 0, Min: f(0), Max: f(64),
+				Help: "reported back as the iteration count"},
+		},
+	}
+}
+
+func (echoBackend) Solve(_ context.Context, req backend.Request) backend.Outcome {
+	order := greedy.Solve(req.Compiled, req.Constraints)
+	return backend.Outcome{Order: order, Objective: req.Compiled.Objective(order),
+		Iterations: int64(req.Params.Int(echoParam, 0))}
+}
 
 func TestSolversEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
@@ -43,23 +80,14 @@ func TestSolversEndpoint(t *testing.T) {
 	if cp.Kind != "exact" || !cp.Proves {
 		t.Errorf("cp self-description wrong: %+v", cp)
 	}
-	var workersSpec, tailSpec *SolverParam
+	var tailSpec *SolverParam
 	for i, p := range cp.Params {
-		switch p.Name {
-		case "cp.workers":
-			workersSpec = &cp.Params[i]
-		case "cp.tail_bound":
+		if p.Name == "cp.tail_bound" {
 			tailSpec = &cp.Params[i]
 		}
 	}
-	if workersSpec == nil {
-		t.Fatalf("cp declares no cp.workers param: %+v", cp.Params)
-	}
-	if workersSpec.Type != "int" || workersSpec.Help == "" {
-		t.Errorf("cp.workers spec incomplete: %+v", workersSpec)
-	}
-	if tailSpec == nil {
-		t.Fatalf("cp declares no cp.tail_bound param: %+v", cp.Params)
+	if len(cp.Params) != 1 || tailSpec == nil {
+		t.Fatalf("cp must declare exactly cp.tail_bound: %+v", cp.Params)
 	}
 	if tailSpec.Type != "bool" || tailSpec.Help == "" || tailSpec.Default != true {
 		t.Errorf("cp.tail_bound spec incomplete (want bool, default true): %+v", tailSpec)
@@ -105,11 +133,12 @@ func TestSubmitRejectsBadParams(t *testing.T) {
 		params  map[string]any
 		needles []string
 	}{
-		{"unknown key", map[string]any{"cp.wrokers": 4}, []string{"cp.wrokers", "cp.workers"}},
-		{"ill-typed", map[string]any{"cp.workers": "four"}, []string{"cp.workers", "int"}},
+		{"unknown key", map[string]any{"cp.tail_bund": true}, []string{"cp.tail_bund", "cp.tail_bound"}},
+		{"removed key", map[string]any{"cp.workers": 4}, []string{"cp.workers", "cp.tail_bound"}},
+		{"ill-typed", map[string]any{echoParam: "four"}, []string{echoParam, "int"}},
 		{"ill-typed bool", map[string]any{"cp.tail_bound": "yes"}, []string{"cp.tail_bound", "bool"}},
-		{"fractional", map[string]any{"cp.workers": 2.5}, []string{"cp.workers"}},
-		{"out of range", map[string]any{"cp.workers": -1}, []string{"cp.workers", "minimum"}},
+		{"fractional", map[string]any{echoParam: 2.5}, []string{echoParam}},
+		{"out of range", map[string]any{echoParam: -1}, []string{echoParam, "minimum"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -119,37 +148,52 @@ func TestSubmitRejectsBadParams(t *testing.T) {
 	}
 }
 
-// cpWorkersOf digs the cp backend's reported worker count out of a
-// solve result.
-func cpWorkersOf(t *testing.T, res *SolveResult) int {
+// backendOf digs one backend's telemetry out of a solve result.
+func backendOf(t *testing.T, res *SolveResult, name string) BackendSummary {
 	t.Helper()
 	for _, b := range res.Backends {
-		if b.Name == "cp" {
-			return b.Workers
+		if b.Name == name {
+			return b
 		}
 	}
-	t.Fatalf("no cp telemetry in %+v", res.Backends)
-	return 0
+	t.Fatalf("no %s telemetry in %+v", name, res.Backends)
+	return BackendSummary{}
 }
 
+// TestParamsReachCPEngine: cp.tail_bound travels from the request body
+// to the engine. On the reduced TPC-H n=13 instance the default tail
+// bound prunes, so a request that turns it off must report no tail
+// prunes and the same proved optimum.
 func TestParamsReachCPEngine(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	in := trapInstance(t)
-	resp := postJSON(t, ts.URL+"/solve", solveRequest{Instance: in, Params: Params{
-		Budget:   Duration(10 * time.Second),
-		Backends: []string{"cp"},
-		Params:   map[string]any{"cp.workers": 2},
-	}})
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(resp.Body)
-		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	in := datasets.ReducedTPCH(13, datasets.Low)
+	solve := func(params map[string]any) SolveResult {
+		t.Helper()
+		resp := postJSON(t, ts.URL+"/solve", solveRequest{Instance: in, Params: Params{
+			Budget:   Duration(10 * time.Second),
+			Backends: []string{"cp"},
+			Params:   params,
+		}})
+		if resp.StatusCode != http.StatusOK {
+			raw, _ := io.ReadAll(resp.Body)
+			t.Fatalf("status %d: %s", resp.StatusCode, raw)
+		}
+		res := decode[SolveResult](t, resp)
+		if !res.Proved {
+			t.Fatalf("cp did not prove the instance with params %v", params)
+		}
+		return res
 	}
-	res := decode[SolveResult](t, resp)
-	if got := cpWorkersOf(t, &res); got != 2 {
-		t.Fatalf("cp ran %d workers, want 2 (params did not reach the engine)", got)
+	on := solve(nil)
+	off := solve(map[string]any{"cp.tail_bound": false})
+	if got := backendOf(t, &on, "cp").Counters["pruned_tail"]; got == 0 {
+		t.Fatal("default tail bound made no tail prunes; the instance does not witness the param")
 	}
-	if !res.Proved {
-		t.Error("cp did not prove the trap instance")
+	if got := backendOf(t, &off, "cp").Counters["pruned_tail"]; got != 0 {
+		t.Fatalf("cp.tail_bound=false: %d tail prunes (params did not reach the engine)", got)
+	}
+	if on.Objective != off.Objective {
+		t.Fatalf("tail bound changed the proved optimum: %v on, %v off", on.Objective, off.Objective)
 	}
 }
 
@@ -163,7 +207,7 @@ func TestQueryStringParams(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp, err := http.Post(
-		ts.URL+"/solve?backends=cp&budget=10s&param=cp.workers%3D2",
+		ts.URL+"/solve?backends=echo&budget=10s&param="+echoParam+"%3D7&param=cp.tail_bound%3Dfalse",
 		"application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -173,8 +217,8 @@ func TestQueryStringParams(t *testing.T) {
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
 	}
 	res := decode[SolveResult](t, resp)
-	if got := cpWorkersOf(t, &res); got != 2 {
-		t.Fatalf("query param: cp ran %d workers, want 2", got)
+	if got := backendOf(t, &res, "echo").Iterations; got != 7 {
+		t.Fatalf("query param: echo reported %d, want 7", got)
 	}
 
 	// A bad query param fails fast with the valid set.
@@ -185,7 +229,7 @@ func TestQueryStringParams(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "cp.workers") {
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "cp.tail_bound") {
 		t.Fatalf("bad query param: status %d body %s", resp.StatusCode, raw)
 	}
 }
@@ -193,9 +237,9 @@ func TestQueryStringParams(t *testing.T) {
 func TestParamsEnterCacheKey(t *testing.T) {
 	// Two requests differing only in params must not share a cache
 	// entry; identical params must.
-	k1 := solveKey("h", Params{}, backend.Params{"cp.workers": 2}, time.Second)
-	k2 := solveKey("h", Params{}, backend.Params{"cp.workers": 4}, time.Second)
-	k3 := solveKey("h", Params{}, backend.Params{"cp.workers": 2}, time.Second)
+	k1 := solveKey("h", Params{}, backend.Params{echoParam: 2}, time.Second)
+	k2 := solveKey("h", Params{}, backend.Params{echoParam: 4}, time.Second)
+	k3 := solveKey("h", Params{}, backend.Params{echoParam: 2}, time.Second)
 	if k1 == k2 {
 		t.Fatalf("param bags do not distinguish solve keys: %s", k1)
 	}

@@ -114,7 +114,7 @@ type Params struct {
 	// reproducible tests.
 	StepLimit int64 `json:"step_limit,omitempty"`
 	// Params carries backend-declared typed knobs by fully qualified
-	// name (e.g. {"cp.workers": 4}). Keys and values are validated
+	// name (e.g. {"cp.tail_bound": false}). Keys and values are validated
 	// against the registry's declared specs at submission; unknown or
 	// ill-typed entries are rejected with a 400 naming the valid set
 	// (see GET /solvers for the specs).
@@ -150,13 +150,9 @@ type BackendSummary struct {
 	Proved       bool     `json:"proved,omitempty"`
 	Improvements int      `json:"improvements,omitempty"`
 	Iterations   int64    `json:"iterations,omitempty"`
-	// Workers is the internal parallelism the backend reported running
-	// (cp's branch-and-bound goroutines); the observable proof that a
-	// "cp.workers" param reached the engine.
-	Workers int      `json:"workers,omitempty"`
-	Wall    Duration `json:"wall,omitempty"`
-	Error   string   `json:"error,omitempty"`
-	Skipped bool     `json:"skipped,omitempty"`
+	Wall         Duration `json:"wall,omitempty"`
+	Error        string   `json:"error,omitempty"`
+	Skipped      bool     `json:"skipped,omitempty"`
 	// Counters are the backend's engine counters under stable snake_case
 	// keys — e.g. cp's prune-cause breakdown (pruned_incumbent,
 	// pruned_tail, pruned_memo, infeasible — summing to fails) and the

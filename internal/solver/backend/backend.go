@@ -121,41 +121,6 @@ type Request struct {
 	// Bound polls the best objective known outside this backend, for
 	// pruning (nil = none).
 	Bound func() float64
-	// Exporter, when non-nil, is how a backend with a distributable
-	// search (today: cp's parallel proof) announces that it can donate
-	// open subproblems to an external coordinator — the distributed
-	// solve cluster. The backend calls it once when such a search
-	// starts, handing over a live WorkSource, and calls the returned
-	// release func when the search ends (after which the WorkSource
-	// must not be used). Backends without distributable searches
-	// ignore the field.
-	Exporter func(ws WorkSource) (release func())
-}
-
-// WorkSource is a running search that can donate subtrees of its
-// frontier across process boundaries. All methods are safe for
-// concurrent use from any goroutine while the source is live (between
-// Exporter attach and release).
-type WorkSource interface {
-	// StealSubtree pops the shallowest open subproblem from the
-	// search's frontier and returns its deployment prefix (a
-	// caller-owned copy), or ok=false when nothing is exportable. The
-	// subproblem stays counted as open: per successful steal the
-	// caller owes exactly one CompleteSubtree or RequeueSubtree call,
-	// or the search can never finish its optimality proof.
-	StealSubtree() (prefix []int, ok bool)
-	// CompleteSubtree settles a stolen subtree that was fully explored
-	// elsewhere. best is the best full order found below the prefix
-	// (nil = nothing beat the incumbent the thief was seeded with);
-	// it is offered to the search's incumbent before the
-	// open-subproblem counter is decremented, so a proof that
-	// completes on this call already accounts for the remote solution.
-	CompleteSubtree(best []int, obj float64)
-	// RequeueSubtree returns a stolen subtree to the local frontier —
-	// the remote helper died, timed out, or aborted without exhausting
-	// it. The steal debt transfers back; the search re-explores the
-	// prefix locally, keeping the proof sound.
-	RequeueSubtree(prefix []int)
 }
 
 // Outcome is what a backend run reports back.
@@ -171,15 +136,11 @@ type Outcome struct {
 	// Iterations counts backend-specific effort (steps, nodes,
 	// expansions, permutations).
 	Iterations int64
-	// Workers reports internal parallelism the backend actually ran
-	// (0 = not reported, 1 = serial). Telemetry for param plumbing.
-	Workers int
 	// Counters is the backend's effort breakdown by named cause (nil =
 	// none reported). Keys are backend-specific but snake_case and
 	// stable; the CP engine reports its prune-cause split
 	// (pruned_incumbent / pruned_tail / pruned_memo / infeasible, summing
-	// to fails),
-	// steal traffic, and incumbent offer/accept counts, the local
+	// to fails) and incumbent offer/accept counts, the local
 	// searches report steps/accepted/adopted. Surfaced verbatim through
 	// portfolio.BackendResult, iddsolve -json, and the service's
 	// BackendSummary.

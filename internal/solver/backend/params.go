@@ -45,7 +45,7 @@ func (t ParamType) String() string {
 // all derive from them.
 type ParamSpec struct {
 	// Name is the fully qualified key, prefixed with the owning
-	// backend's name ("cp.workers").
+	// backend's name ("cp.tail_bound").
 	Name string
 	// Type is the declared value type.
 	Type ParamType
@@ -133,8 +133,8 @@ func (s ParamSpec) coerce(v any) (any, error) {
 	return nil, fmt.Errorf("param %s: want %s, got %T", s.Name, s.Type, v)
 }
 
-// parse turns a CLI string ("-param cp.workers=4") into the canonical
-// typed value.
+// parse turns a CLI string ("-param cp.tail_bound=false") into the
+// canonical typed value.
 func (s ParamSpec) parse(raw string) (any, error) {
 	switch s.Type {
 	case ParamInt:

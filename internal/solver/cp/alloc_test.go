@@ -4,15 +4,18 @@
 // per-solve setup (searcher arenas, walker, frame-pool warmup) and are
 // far below what even one allocation per node would produce on the
 // chosen instances, so any per-node slice or closure creeping back into
-// dfs/candidates/spawn/offer fails loudly here — not quietly in a
-// BENCH_eval.json diff months later.
+// dfs/candidates fails loudly here — not quietly in a benchmark diff
+// months later.
 package cp
 
 import (
+	"math"
 	"runtime"
-	"sync"
 	"testing"
 
+	"github.com/evolving-olap/idd/internal/constraint"
+	"github.com/evolving-olap/idd/internal/datasets"
+	"github.com/evolving-olap/idd/internal/model"
 	"github.com/evolving-olap/idd/internal/prune"
 	"github.com/evolving-olap/idd/internal/sched"
 	"github.com/evolving-olap/idd/internal/solver/greedy"
@@ -46,33 +49,6 @@ func TestAllocSerialDescent(t *testing.T) {
 	const serialBudget = 64 // fixed setup; ~0.05/node would already trip it
 	if allocs > serialBudget {
 		t.Fatalf("serial solve allocates %.1f/op (budget %d): per-node allocations are back", allocs, serialBudget)
-	}
-}
-
-// TestAllocParallelSolve pins the parallel engine's per-solve budget:
-// per-worker setup plus the frame-pool warmup (frames are recycled
-// through per-worker free lists, so live frames — not spawns — bound
-// the count). The proof expands tens of thousands of nodes and spawns
-// thousands of subproblems; one allocation per spawn would blow the
-// budget by an order of magnitude.
-func TestAllocParallelSolve(t *testing.T) {
-	in, c := inst(5, 12)
-	cs := sched.PrecedenceSet(in)
-	var res Result
-	allocs := testing.AllocsPerRun(5, func() {
-		res = Solve(c, cs, Options{Workers: 4, Seed: 1})
-	})
-	if !res.Proved {
-		t.Fatal("parallel proof did not exhaust")
-	}
-	if res.Nodes < 1000 {
-		t.Fatalf("instance too easy (%d nodes) to witness allocation-freedom", res.Nodes)
-	}
-	t.Logf("parallel W=4: %.1f allocs/solve over %d nodes", allocs, res.Nodes)
-	const parallelBudget = 600
-	if allocs > parallelBudget {
-		t.Fatalf("parallel solve allocates %.1f/op (budget %d): the spawn/steal path is allocating again",
-			allocs, parallelBudget)
 	}
 }
 
@@ -118,81 +94,83 @@ func TestAllocLNSShapedSolve(t *testing.T) {
 	}
 }
 
-// TestAllocIncumbentOffer pins the steady-state incumbent publish path
-// at exactly zero: after the first offer has grown the internal
-// buffers, improving offers (including the OnSolution callback) must
-// not allocate.
-func TestAllocIncumbentOffer(t *testing.T) {
-	const n = 16
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	var published int
-	inc := newIncumbent(func([]int, float64) { published++ })
-	obj := 1e9
-	inc.offer(order, obj) // warmup: sizes order and callback buffers
-	allocs := testing.AllocsPerRun(200, func() {
-		obj--
-		if !inc.offer(order, obj) {
-			t.Fatal("offer with improving objective rejected")
-		}
+// proofN20Low is the proof pipeline's configuration on reduced TPC-H
+// n=20 at low density: §5 analysis constraints, a greedy incumbent and
+// the tail bound, built once outside the search as the registry does.
+func proofN20Low() (*model.Compiled, *constraint.Set, []int, *prune.TailBound) {
+	c := model.MustCompile(datasets.ReducedTPCH(20, datasets.Low))
+	cs, _ := prune.Analyze(c, prune.Options{})
+	return c, cs, greedy.Solve(c, cs), prune.NewTailBound(c, cs, prune.Options{})
+}
+
+// proofAllocCeiling is the allocation ceiling of one complete search on
+// the instances below: fixed per-solve setup plus a dozen memo table
+// doublings come to well under a hundred, and one allocation per node
+// would be thousands to millions.
+const proofAllocCeiling = 500
+
+// TestAllocProofN20Low pins the allocations of one complete proof of
+// the reduced TPC-H n=20 instance (about 8k nodes).
+func TestAllocProofN20Low(t *testing.T) {
+	c, cs, init, tb := proofN20Low()
+	var res Result
+	allocs := testing.AllocsPerRun(3, func() {
+		res = Solve(c, cs, Options{Incumbent: init, TailBound: tb})
 	})
-	if published == 0 {
-		t.Fatal("OnSolution never invoked")
+	if !res.Proved {
+		t.Fatal("proof did not exhaust")
 	}
-	if allocs != 0 {
-		t.Fatalf("steady-state incumbent offer allocates %.1f/op, want 0", allocs)
+	t.Logf("%.0f allocs per proof over %d nodes", allocs, res.Nodes)
+	if allocs > proofAllocCeiling {
+		t.Fatalf("proof allocates %.0f times (ceiling %d): per-node allocations are back", allocs, proofAllocCeiling)
 	}
 }
 
-// TestIncumbentConcurrentOffers hammers the shared incumbent from many
-// goroutines (run under -race in CI): offers, lock-free objective
-// reads, and best() snapshots interleave freely, yet the callback must
-// observe a strictly decreasing objective sequence and the final state
-// must be the global minimum offered.
-func TestIncumbentConcurrentOffers(t *testing.T) {
-	const goroutines = 8
-	const offersPer = 300
-	const n = 12
-	var published []float64
-	inc := newIncumbent(func(o []int, obj float64) {
-		// Serialized under the incumbent lock per the OnSolution contract.
-		published = append(published, obj)
+// TestAllocInstrumentedProof runs the same proof the way the portfolio
+// embeds it: an OnSolution callback and an ExternalBound polled at
+// every node. Neither may add allocations on the descent path.
+func TestAllocInstrumentedProof(t *testing.T) {
+	c, cs, init, tb := proofN20Low()
+	var res Result
+	var published int
+	onSol := func([]int, float64) { published++ }
+	bound := func() float64 { return math.Inf(1) } // polled per node, never prunes
+	allocs := testing.AllocsPerRun(3, func() {
+		res = Solve(c, cs, Options{Incumbent: init, TailBound: tb, OnSolution: onSol, ExternalBound: bound})
 	})
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			order := make([]int, n)
-			for i := range order {
-				order[i] = (i + g) % n
-			}
-			for k := 0; k < offersPer; k++ {
-				inc.offer(order, float64(10_000_000-g-goroutines*k))
-				_ = inc.objective()
-				if k%17 == 0 {
-					inc.best()
-				}
-			}
-		}(g)
+	if !res.Proved {
+		t.Fatal("proof did not exhaust")
 	}
-	wg.Wait()
+	if published == 0 {
+		t.Fatal("OnSolution path not exercised")
+	}
+	t.Logf("%.0f allocs per instrumented proof over %d nodes", allocs, res.Nodes)
+	if allocs > proofAllocCeiling {
+		t.Fatalf("instrumented proof allocates %.0f times (ceiling %d): instrumentation allocates", allocs, proofAllocCeiling)
+	}
+}
 
-	wantObj := float64(10_000_000 - (goroutines - 1) - goroutines*(offersPer-1))
-	order, obj := inc.best()
-	if obj != wantObj {
-		t.Fatalf("final objective %v, want %v", obj, wantObj)
+// TestAllocTPCH31Nodes pins the allocations of a 2M-node search on the
+// full n=31 TPC-H instance, far from exhausting: a per-node allocation
+// would cost millions here.
+func TestAllocTPCH31Nodes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a 2M-node search is slow under the race detector; the n=20 proofs cover it there")
 	}
-	wantFirst := (goroutines - 1) % n
-	if len(order) != n || order[0] != wantFirst {
-		t.Fatalf("final order %v does not match the minimal offer (want first element %d)", order, wantFirst)
+	c := model.MustCompile(datasets.TPCH())
+	cs, _ := prune.Analyze(c, prune.Options{})
+	init := greedy.Solve(c, cs)
+	tb := prune.NewTailBound(c, cs, prune.Options{})
+	const nodeBudget = 2_000_000
+	var res Result
+	allocs := testing.AllocsPerRun(1, func() {
+		res = Solve(c, cs, Options{NodeLimit: nodeBudget, Incumbent: init, TailBound: tb})
+	})
+	if res.Nodes < nodeBudget {
+		t.Fatalf("search ended after %d nodes", res.Nodes)
 	}
-	for k := 1; k < len(published); k++ {
-		if published[k] >= published[k-1] {
-			t.Fatalf("callback objectives not strictly decreasing: %v then %v at %d",
-				published[k-1], published[k], k)
-		}
+	t.Logf("%.0f allocs over %d nodes", allocs, res.Nodes)
+	if allocs > proofAllocCeiling {
+		t.Fatalf("2M-node search allocates %.0f times (ceiling %d): per-node allocations are back", allocs, proofAllocCeiling)
 	}
 }

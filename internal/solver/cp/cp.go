@@ -26,14 +26,9 @@
 // Fail-limited searches skip it (see newSearcher), which keeps LNS and
 // VNS step-for-step what they were.
 //
-// With Options.Workers > 1 the proof search runs as a work-stealing
-// parallel branch-and-bound (see parallel.go): the tree is split at
-// shallow depths into a frontier of subproblems spread over per-worker
-// deques, every worker owns a model.Walker repositioned with Sync on
-// steal and its own memo (consulted only below the split depth), and all
-// workers share one atomic incumbent that both publishes to and consumes
-// from the portfolio's shared store mid-proof. The result is still an
-// exact optimality proof when the frontier drains.
+// The search is serial and deterministic: identical inputs yield
+// identical node and fail counts and the same improving-solution
+// sequence.
 package cp
 
 import (
@@ -41,7 +36,6 @@ import (
 	"math"
 	"time"
 
-	"github.com/evolving-olap/idd/internal/bitset"
 	"github.com/evolving-olap/idd/internal/constraint"
 	"github.com/evolving-olap/idd/internal/model"
 	"github.com/evolving-olap/idd/internal/prune"
@@ -52,18 +46,15 @@ import (
 type Options struct {
 	// FailLimit aborts the search after this many backtracks (0 = no
 	// limit). LNS uses small limits (the paper uses 500); a fail-limited
-	// search runs without the subset-dominance memo. With Workers > 1
-	// the limit is enforced against the global fail count on a polling
-	// stride, so parallel searches may overshoot it by a few hundred.
+	// search runs without the subset-dominance memo.
 	FailLimit int64
-	// NodeLimit aborts after this many search nodes (0 = no limit); the
-	// same parallel overshoot caveat as FailLimit applies.
+	// NodeLimit aborts after this many search nodes (0 = no limit).
 	NodeLimit int64
 	// Deadline aborts when the wall clock passes it (zero = none). The
 	// deadline is checked every few dozen nodes.
 	Deadline time.Time
-	// Context, when non-nil, aborts the search when cancelled. Every
-	// worker polls it on a node-count stride (pollStride), so service-side
+	// Context, when non-nil, aborts the search when cancelled. The
+	// search polls it on a node-count stride (pollStride), so service-side
 	// cancellation (e.g. a DELETE on a solve job) interrupts even proofs
 	// that are deep in the tree within microseconds.
 	Context context.Context
@@ -72,9 +63,9 @@ type Options struct {
 	// that cannot beat it are pruned in addition to the solver's own
 	// incumbent. When the search then exhausts, Proved means "no order
 	// strictly better than the tightest bound seen exists" — the external
-	// incumbent is optimal even if this search never matched it. In
-	// parallel mode every worker polls it, so CP consumes portfolio
-	// incumbents mid-proof.
+	// incumbent is optimal even if this search never matched it. It is
+	// polled at every node, so CP consumes portfolio incumbents
+	// mid-proof.
 	ExternalBound func() float64
 	// Incumbent, when non-nil, seeds the search with a known feasible
 	// order; only strictly better solutions are reported.
@@ -86,9 +77,8 @@ type Options struct {
 	// OnSolution, when non-nil, is invoked for every improving solution.
 	// The order slice is a reusable buffer valid only for the duration of
 	// the call — copy it to retain it (the portfolio store and the
-	// service both copy internally). With Workers > 1 it may be invoked
-	// from any worker goroutine; calls are serialized under the incumbent
-	// lock, so objectives still arrive strictly decreasing.
+	// service both copy internally). Objectives arrive strictly
+	// decreasing.
 	OnSolution func(order []int, objective float64)
 
 	// TailBound, when non-nil, folds the §5.5 tail analysis into the
@@ -101,33 +91,13 @@ type Options struct {
 	// callers construct it with prune.NewTailBound.
 	TailBound *prune.TailBound
 
-	// Workers sets the number of branch-and-bound worker goroutines
-	// (0 or 1 = single-threaded). The single-threaded search is fully
-	// deterministic — identical instances yield identical node/fail
-	// counts and solution sequences. Parallel searches prove the same
-	// optimum but their effort counters depend on steal timing.
+	// Workers and Seed are ignored: the search always runs on the
+	// calling goroutine and draws no random numbers.
+	//
+	// Deprecated: they configured the work-stealing parallel engine,
+	// which is gone.
 	Workers int
-	// SplitDepth bounds the tree depth below which nodes donate their
-	// sibling branches to the shared frontier instead of exploring them
-	// in-line (0 = auto-sized from N and Workers). Deeper splits make
-	// more, smaller subproblems.
-	SplitDepth int
-	// Seed derives each worker's private steal-victim RNG. Two parallel
-	// runs with the same seed still differ in scheduling; the seed only
-	// makes victim choice reproducible given identical schedules.
-	Seed int64
-
-	// Exporter, when non-nil, is called once as a parallel search starts,
-	// handing the distributed-solve coordinator an ExportHandle that can
-	// donate frontier subproblems to other nodes (see export.go); the
-	// returned release func is called when the search ends. Ignored by
-	// the serial engine — it has no frontier to export.
-	Exporter func(h *ExportHandle) (release func())
-	// RootPrefix, when non-empty, roots the search at the subtree below
-	// this deployment prefix instead of the whole tree. Set via
-	// SolveSubtree (the adoption end of distributed stealing); direct
-	// callers should leave it nil.
-	RootPrefix []int
+	Seed    int64
 
 	// Ablation switches (benchmarks only; keep all false in real use):
 	// NaiveBranching disables the density-guided value ordering, NoBound
@@ -149,23 +119,19 @@ type Result struct {
 	// Proved is true when the search space was exhausted, i.e. Order is
 	// proved optimal (under the frozen positions, if any).
 	Proved bool
-	// Nodes and Fails count search effort, summed over all workers.
+	// Nodes and Fails count search effort.
 	Nodes, Fails int64
 	// Solutions counts improving solutions found during this search.
 	Solutions int
-	// Workers reports how many workers actually ran (1 for the serial
-	// engine).
-	Workers int
 	// Stats breaks the search effort down by cause.
 	Stats Stats
 }
 
-// Stats is the per-solve effort breakdown. Counters are accumulated as
-// plain ints in per-worker scratch (no atomics, no allocations on the
-// descent path) and merged once per solve, so instrumentation is free
-// at node granularity. Invariant: PrunedBound + PrunedTail + PrunedMemo
-// + Infeasible == Result.Fails — every dead end has exactly one recorded
-// cause.
+// Stats is the per-solve effort breakdown. Counters are plain ints
+// bumped on the descent path (no atomics, no allocations), so
+// instrumentation is free at node granularity. Invariant: PrunedBound +
+// PrunedTail + PrunedMemo + Infeasible == Result.Fails — every dead end
+// has exactly one recorded cause.
 type Stats struct {
 	// PrunedBound counts nodes cut because even the most optimistic
 	// completion could not beat the incumbent objective.
@@ -179,16 +145,16 @@ type Stats struct {
 	// Infeasible counts dead ends with no feasible candidate: a missed
 	// position window, a double-booked last slot, or an empty ready set.
 	Infeasible int64
-	// Offers counts improving solutions offered to the (shared)
-	// incumbent; Accepts counts the offers that won. They differ only in
-	// parallel mode, where a concurrent better offer can race ahead.
+	// Offers counts improving solutions offered to the incumbent;
+	// Accepts counts the offers that won. The serial search offers only
+	// what already beats its incumbent, so the two are equal.
 	Offers, Accepts int64
-	// StealAttempts counts probes of victim deques by out-of-work
-	// workers; Steals counts the probes that returned a subproblem.
+	// StealAttempts, Steals and MaxDeque are always zero.
+	//
+	// Deprecated: they counted the work-stealing parallel engine, which
+	// is gone.
 	StealAttempts, Steals int64
-	// MaxDeque is the high-water mark of any single worker deque (0 for
-	// the serial engine): how bushy the donated frontier got.
-	MaxDeque int64
+	MaxDeque              int64
 }
 
 // Counters renders the result's effort breakdown as the flat named map
@@ -205,31 +171,12 @@ func (r Result) Counters() map[string]int64 {
 		"infeasible":       r.Stats.Infeasible,
 		"offers":           r.Stats.Offers,
 		"accepts":          r.Stats.Accepts,
-		"steal_attempts":   r.Stats.StealAttempts,
-		"steals":           r.Stats.Steals,
-		"max_deque_depth":  r.Stats.MaxDeque,
 	}
 }
 
-// add folds o into s (used when merging per-worker scratch).
-func (s *Stats) add(o *Stats) {
-	s.PrunedBound += o.PrunedBound
-	s.PrunedTail += o.PrunedTail
-	s.PrunedMemo += o.PrunedMemo
-	s.Infeasible += o.Infeasible
-	s.Offers += o.Offers
-	s.Accepts += o.Accepts
-	s.StealAttempts += o.StealAttempts
-	s.Steals += o.Steals
-	if o.MaxDeque > s.MaxDeque {
-		s.MaxDeque = o.MaxDeque
-	}
-}
-
-// pollStride is how many nodes a worker expands between checks of the
-// deadline, the context, and (parallel mode) the global abort flag and
-// shared effort counters. At the engine's node rates (µs/node) this
-// bounds cancellation latency to well under a millisecond.
+// pollStride is how many nodes the search expands between checks of
+// the deadline and the context. At the engine's node rates (µs/node)
+// this bounds cancellation latency to well under a millisecond.
 const pollStride = 64
 
 type searcher struct {
@@ -240,8 +187,7 @@ type searcher struct {
 
 	w      *model.Walker
 	placed []bool
-	// order[0:k] is the current prefix (order[j] = index placed j-th);
-	// maintained by dfs so frontier splits can capture prefixes cheaply.
+	// order[0:k] is the current prefix (order[j] = index placed j-th).
 	order []int
 	// predsLeft[i] = number of not-yet-placed predecessors of i.
 	predsLeft []int
@@ -264,12 +210,8 @@ type searcher struct {
 	// near the leaves (at most prune.TailBound.MaxLen() entries).
 	tailScratch []int
 	// memo is the subset-dominance table (nil when disabled), consulted
-	// at depths >= memoFrom. Below depth 2 every prefix places a
-	// distinct set. In parallel mode the table is private to the worker
-	// and memoFrom is at least splitDepth, where nothing is donated, so
-	// every recorded subtree was explored in full by this worker.
-	memo     *memo
-	memoFrom int
+	// at depths >= memoFrom.
+	memo *memo
 
 	// best/cbBuf are reusable solution buffers: best holds the improving
 	// incumbent (monotone, so in-place overwrite is safe), cbBuf is what
@@ -280,34 +222,23 @@ type searcher struct {
 	nodes     int64
 	fails     int64
 	solutions int
-	// st is this worker's private effort breakdown: plain ints bumped on
-	// the descent path (same cost model as nodes/fails) and merged into
-	// the solve-wide Stats exactly once, so the alloc/atomic budget of
-	// the hot loop is untouched by instrumentation.
+	// st is the effort breakdown: plain ints bumped on the descent path
+	// (same cost model as nodes/fails), so the alloc budget of the hot
+	// loop is untouched by instrumentation.
 	st      Stats
 	aborted bool
 	poll    int // countdown to the next deadline/context poll
-
-	// Parallel-mode hookup (nil for the serial engine): the shared run
-	// state, this worker's id, high-water marks of the effort already
-	// flushed into the run's global counters, the worker's subproblem
-	// frame free list, and the scratch bitset adopt() rebuilds
-	// precedence readiness from.
-	par          *parRun
-	wid          int
-	flushedNodes int64
-	flushedFails int64
-	freeFrames   []*subproblem
-	adoptSet     bitset.Set
 }
 
-// newSearcher builds one worker's search state; the memo is consulted no
-// shallower than memoFrom (the split depth in parallel mode, else 0).
-// Fail-limited searches (LNS relaxations) run without the memo: their
-// fail budget, not exhaustion, ends them, so there it would change what
-// the budget buys — and how VNS adapts — instead of only how fast a
-// proof completes.
-func newSearcher(c *model.Compiled, cs *constraint.Set, opt Options, memoFrom int) *searcher {
+// memoFrom is the shallowest depth the memo is consulted at: below
+// depth 2 every prefix places a distinct set.
+const memoFrom = 2
+
+// newSearcher builds the search state. Fail-limited searches (LNS
+// relaxations) run without the memo: their fail budget, not exhaustion,
+// ends them, so there it would change what the budget buys — and how
+// VNS adapts — instead of only how fast a proof completes.
+func newSearcher(c *model.Compiled, cs *constraint.Set, opt Options) *searcher {
 	n := c.N
 	s := &searcher{
 		c:         c,
@@ -324,7 +255,7 @@ func newSearcher(c *model.Compiled, cs *constraint.Set, opt Options, memoFrom in
 		bestObj:   math.Inf(1),
 		poll:      pollStride,
 	}
-	if s.memoFrom = max(2, memoFrom); !opt.NoMemo && !opt.NoBound && opt.FailLimit == 0 && s.memoFrom < n {
+	if !opt.NoMemo && !opt.NoBound && opt.FailLimit == 0 && memoFrom < n {
 		s.memo = newMemo(n)
 	}
 	if ml := opt.TailBound.MaxLen(); ml > 0 {
@@ -364,10 +295,7 @@ func Solve(c *model.Compiled, cs *constraint.Set, opt Options) Result {
 	if cs == nil {
 		cs = constraint.NewSet(c.N)
 	}
-	if opt.Workers > 1 && c.N > 1 {
-		return solveParallel(c, cs, opt)
-	}
-	s := newSearcher(c, cs, opt, 0)
+	s := newSearcher(c, cs, opt)
 	if opt.Incumbent != nil {
 		s.best = append(s.best, opt.Incumbent...)
 		s.bestObj = c.Objective(opt.Incumbent)
@@ -380,7 +308,6 @@ func Solve(c *model.Compiled, cs *constraint.Set, opt Options) Result {
 		Nodes:     s.nodes,
 		Fails:     s.fails,
 		Solutions: s.solutions,
-		Workers:   1,
 		Stats:     s.st,
 	}
 }
@@ -391,9 +318,6 @@ func Solve(c *model.Compiled, cs *constraint.Set, opt Options) Result {
 // longer depends on how the node counter happens to align (the old
 // modulo check) or how deep in the tree the search currently is.
 func (s *searcher) limitHit() bool {
-	if s.par != nil {
-		return s.parLimitHit()
-	}
 	if s.opt.FailLimit > 0 && s.fails >= s.opt.FailLimit {
 		return true
 	}
@@ -431,19 +355,6 @@ func (s *searcher) dfs(k int) bool {
 		if s.opt.ExternalBound != nil && obj >= s.opt.ExternalBound()-1e-12 {
 			return true // ties or trails the portfolio's incumbent
 		}
-		if s.par != nil {
-			// The snapshot check mirrors offer's own fast path, so gating
-			// here changes nothing except that Offers counts only genuine
-			// improvement attempts, not every completed leaf.
-			if obj < s.par.inc.objective()-1e-12 {
-				s.st.Offers++
-				if s.par.inc.offer(s.order, obj) {
-					s.solutions++
-					s.st.Accepts++
-				}
-			}
-			return true
-		}
 		if obj < s.bestObj-1e-12 {
 			s.bestObj = obj
 			s.best = append(s.best[:0], s.order[:n]...)
@@ -460,7 +371,7 @@ func (s *searcher) dfs(k int) bool {
 
 	// Subset dominance: this placed set was already reached at no larger
 	// area, and its subtree explored. Checked before the O(n) bound scan.
-	if s.memo != nil && k >= s.memoFrom && s.memo.dominated(s.w.BuiltSet().Words(), s.w.Objective()) {
+	if s.memo != nil && k >= memoFrom && s.memo.dominated(s.w.BuiltSet().Words(), s.w.Objective()) {
 		s.fails++
 		s.st.PrunedMemo++
 		return true
@@ -470,11 +381,6 @@ func (s *searcher) dfs(k int) bool {
 	// completion cannot beat the incumbent — the solver's own or, in
 	// portfolio mode, the best any backend has published so far.
 	ub := s.bestObj
-	if s.par != nil {
-		if g := s.par.inc.objective(); g < ub {
-			ub = g
-		}
-	}
 	if s.opt.ExternalBound != nil {
 		if e := s.opt.ExternalBound(); e < ub {
 			ub = e
@@ -498,12 +404,6 @@ func (s *searcher) dfs(k int) bool {
 		s.fails++
 		s.st.Infeasible++
 		return true
-	}
-	if s.par != nil && k < s.par.splitDepth && len(cands) > 1 {
-		// Frontier split: keep the most promising branch for this worker
-		// and donate the siblings to the shared deque pool.
-		s.par.spawn(s, k, cands[1:])
-		cands = cands[:1]
 	}
 	for _, i := range cands {
 		s.order[k] = i

@@ -89,29 +89,6 @@ func TestMemoSeededIdenticalToNoMemo(t *testing.T) {
 	}
 }
 
-// TestMemoParallelBitIdenticalToSerial: each worker keeps its own table
-// below the split depth; the proved objective at W=2 and W=4 must equal
-// the serial one bit for bit.
-func TestMemoParallelBitIdenticalToSerial(t *testing.T) {
-	for _, in := range memoCorpus() {
-		c := model.MustCompile(in)
-		cs := sched.PrecedenceSet(in)
-		tb := prune.NewTailBound(c, cs, prune.Options{})
-		ref := Solve(c, cs, Options{TailBound: tb})
-		for _, w := range []int{2, 4} {
-			res := Solve(c, cs, Options{Workers: w, Seed: int64(w), TailBound: tb})
-			if !res.Proved {
-				t.Fatalf("%s w=%d: not proved", in.Name, w)
-			}
-			if math.Float64bits(res.Objective) != math.Float64bits(ref.Objective) {
-				t.Fatalf("%s w=%d: objective %x, serial %x", in.Name, w,
-					math.Float64bits(res.Objective), math.Float64bits(ref.Objective))
-			}
-			checkStats(t, in.Name, res)
-		}
-	}
-}
-
 // TestMemoMultiWordKeys exercises keys wider than one word: an n=72
 // instance with all but eight positions frozen proves quickly, and the
 // memo, keyed on two-word sets, must cut without changing the search.

@@ -1,6 +1,7 @@
 package cp
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -26,36 +27,28 @@ func checkStats(t *testing.T, tag string, res Result) {
 	if st.Accepts != int64(res.Solutions) {
 		t.Errorf("%s: accepts %d != solutions %d", tag, st.Accepts, res.Solutions)
 	}
-	if st.Steals > st.StealAttempts {
-		t.Errorf("%s: steals %d > attempts %d", tag, st.Steals, st.StealAttempts)
-	}
-	if st.MaxDeque < 0 {
-		t.Errorf("%s: negative max deque %d", tag, st.MaxDeque)
-	}
 }
 
 // TestStatsPruneCausesSumToFails is the acceptance-criterion check on a
 // real corpus instance: every recorded dead end has exactly one cause,
-// serial and parallel, tail bound on and off.
+// tail bound on and off.
 func TestStatsPruneCausesSumToFails(t *testing.T) {
 	for ci, in := range solvertest.CorpusInstances()[:6] {
 		c := model.MustCompile(in)
 		cs := sched.PrecedenceSet(in)
 		tb := prune.NewTailBound(c, cs, prune.Options{})
-		for _, workers := range []int{1, 4} {
-			for _, tail := range []*prune.TailBound{nil, tb} {
-				res := Solve(c, cs, Options{Workers: workers, TailBound: tail})
-				if !res.Proved {
-					t.Fatalf("corpus %d w=%d: not proved", ci, workers)
-				}
-				checkStats(t, "corpus", res)
-				if res.Fails > 0 && res.Stats.PrunedBound == 0 && res.Stats.Infeasible == 0 &&
-					res.Stats.PrunedTail == 0 && res.Stats.PrunedMemo == 0 {
-					t.Errorf("corpus %d w=%d: fails %d but no causes recorded", ci, workers, res.Fails)
-				}
-				if tail == nil && res.Stats.PrunedTail != 0 {
-					t.Errorf("corpus %d w=%d: tail prunes %d without a tail bound", ci, workers, res.Stats.PrunedTail)
-				}
+		for _, tail := range []*prune.TailBound{nil, tb} {
+			res := Solve(c, cs, Options{TailBound: tail})
+			if !res.Proved {
+				t.Fatalf("corpus %d: not proved", ci)
+			}
+			checkStats(t, "corpus", res)
+			if res.Fails > 0 && res.Stats.PrunedBound == 0 && res.Stats.Infeasible == 0 &&
+				res.Stats.PrunedTail == 0 && res.Stats.PrunedMemo == 0 {
+				t.Errorf("corpus %d: fails %d but no causes recorded", ci, res.Fails)
+			}
+			if tail == nil && res.Stats.PrunedTail != 0 {
+				t.Errorf("corpus %d: tail prunes %d without a tail bound", ci, res.Stats.PrunedTail)
 			}
 		}
 	}
@@ -83,25 +76,26 @@ func TestStatsSerialDeterministic(t *testing.T) {
 	}
 }
 
-func TestStatsParallelStealsRecorded(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	cfg := randgen.DefaultConfig()
-	cfg.Indexes = 11
-	in := randgen.New(rng, cfg)
-	c := model.MustCompile(in)
-	cs := sched.PrecedenceSet(in)
-	res := Solve(c, cs, Options{Workers: 4})
+// TestSerialProofN20LowPinned pins the serial search's work exactly on
+// the proof pipeline's configuration: reduced TPC-H n=20 at low density,
+// §5 analysis constraints, a greedy incumbent and the tail bound. Node,
+// fail and solution counts, the prune-cause split and the objective bits
+// are all hardware-independent, so any change to how the serial search
+// branches, bounds or memoizes shows up here as an exact mismatch.
+func TestSerialProofN20LowPinned(t *testing.T) {
+	c, cs, init, tb := proofN20Low()
+	res := Solve(c, cs, Options{Incumbent: init, TailBound: tb})
 	if !res.Proved {
-		t.Fatal("not proved")
+		t.Fatal("proof did not exhaust")
 	}
-	checkStats(t, "parallel", res)
-	// Thieves must have probed at least once (the root starts on worker
-	// 0's deque, so workers 1-3 begin by stealing), and the frontier must
-	// have held at least one donated subproblem.
-	if res.Stats.StealAttempts == 0 {
-		t.Error("no steal attempts recorded in a 4-worker solve")
+	checkStats(t, "n20", res)
+	got := [...]int64{res.Nodes, res.Fails, int64(res.Solutions),
+		res.Stats.PrunedBound, res.Stats.PrunedTail, res.Stats.PrunedMemo, res.Stats.Infeasible}
+	want := [...]int64{8260, 6145, 18, 1420, 75, 4650, 0}
+	if got != want {
+		t.Fatalf("nodes/fails/solutions/pruned bound/tail/memo/infeasible = %v, want %v", got, want)
 	}
-	if res.Stats.MaxDeque == 0 {
-		t.Error("zero max deque depth in a solve that split its root")
+	if bits := math.Float64bits(res.Objective); bits != 0x415acb73f40eef4c {
+		t.Fatalf("objective bits %#x, want 0x415acb73f40eef4c", bits)
 	}
 }

@@ -219,7 +219,7 @@ type Options struct {
 	// reproducible for tests regardless of wall-clock speed.
 	StepLimit int64
 	// Params is the typed registry-declared parameter bag handed to
-	// every backend (e.g. "cp.workers"). Build it with
+	// every backend (e.g. "cp.tail_bound"). Build it with
 	// backend.ValidateParams / backend.ParseParams; backends read only
 	// their own declared keys.
 	Params backend.Params
@@ -233,12 +233,6 @@ type Options struct {
 	// cluster injects a store it also feeds remote incumbents into, so
 	// exact provers on this node prune against bests found on another.
 	Store *Store
-	// Exporter, when non-nil, is handed to every raced backend
-	// (via backend.Request.Exporter): backends with distributable
-	// searches attach a live backend.WorkSource through it so the
-	// cluster can donate frontier subtrees to idle peers. Nil outside
-	// multi-node mode.
-	Exporter func(ws backend.WorkSource) (release func())
 	// OnImprove, when non-nil, observes every change of the shared
 	// incumbent (with a copy of the order). It may be invoked from
 	// multiple backend goroutines; each call was an improvement at the
@@ -326,14 +320,10 @@ type BackendResult struct {
 	// Iterations counts backend-specific search effort: local-search
 	// steps, CP/MIP nodes, A* expansions, brute-force permutations.
 	Iterations int64
-	// Workers reports internal parallelism the backend declared it ran
-	// (cp's branch-and-bound goroutines; 0 = not reported). This is the
-	// telemetry that proves a "cp.workers" param reached the engine.
-	Workers int
 	// Counters is the backend's own effort breakdown (nil when the
-	// backend reports none): cp's prune-cause split and steal traffic,
-	// the local searches' accepted/adopted move counts. Passed through
-	// verbatim from backend.Outcome.Counters.
+	// backend reports none): cp's prune-cause split, the local
+	// searches' accepted/adopted move counts. Passed through verbatim
+	// from backend.Outcome.Counters.
 	Counters map[string]int64
 	// Wall is the backend's own wall-clock time.
 	Wall time.Duration
@@ -524,7 +514,6 @@ func Solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, opt Optio
 					Publish:     publish,
 					Incumbent:   sh.BetterThan,
 					Bound:       sh.Objective,
-					Exporter:    opt.Exporter,
 				}
 				emit(ProgressEvent{Kind: ProgressBackendStarted, Backend: name,
 					Objective: sh.Objective()})
@@ -539,7 +528,6 @@ func Solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, opt Optio
 				// telemetry at best.
 				br.Proved = out.Proved && exact
 				br.Iterations = out.Iterations
-				br.Workers = out.Workers
 				br.Counters = out.Counters
 				br.Err = out.Err
 				if out.Order != nil {
@@ -606,7 +594,6 @@ func Solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, opt Optio
 			}
 			fbr.Objective = fout.Objective
 			fbr.Iterations = fout.Iterations
-			fbr.Workers = fout.Workers
 			fbr.Counters = fout.Counters
 			fbr.Wall = time.Since(fstart)
 			results = append(results, fbr)

@@ -426,55 +426,37 @@ func assertFeasible(t *testing.T, n int, cs *constraint.Set, order []int) {
 	solvertest.RequireFeasible(t, n, cs, order)
 }
 
-// TestSolveParamsReachBackend: a "cp.workers" entry in the typed params
-// bag must reach the cp engine, observable through the Workers telemetry
-// it reports back.
+// TestSolveParamsReachBackend: a "cp.tail_bound" entry in the typed
+// params bag must reach the cp engine. On the reduced TPC-H n=13
+// instance the default tail bound prunes; turned off it must not, and
+// both runs prove the same optimum.
 func TestSolveParamsReachBackend(t *testing.T) {
-	cse := solvertest.Cases(t)[1]
-	res, err := Solve(context.Background(), cse.C, cse.CS, Options{
-		Backends: []string{"cp"},
-		Budget:   20 * time.Second,
-		Params:   backend.Params{"cp.workers": 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Backends[0].Workers; got != 2 {
-		t.Errorf("cp ran %d workers, want 2", got)
-	}
-	if !res.Proved {
-		t.Error("parallel cp did not prove optimality")
-	}
-	solvertest.RequireOptimal(t, cse, res.Order)
-}
-
-// TestSolveCPWorkerBudget: with a cp.workers budget the cp backend runs
-// its work-stealing proof search, still proves the conformance optima,
-// and its incumbent publications flow through the shared store without
-// corrupting the per-backend telemetry (the publish callback is invoked
-// concurrently from cp's internal workers).
-func TestSolveCPWorkerBudget(t *testing.T) {
-	for _, cse := range solvertest.Cases(t) {
-		res, err := Solve(context.Background(), cse.C, cse.CS, Options{
+	c := model.MustCompile(datasets.ReducedTPCH(13, datasets.Low))
+	solve := func(params backend.Params) Result {
+		t.Helper()
+		res, err := Solve(context.Background(), c, nil, Options{
 			Backends: []string{"cp"},
 			Budget:   20 * time.Second,
-			Params:   backend.Params{"cp.workers": 4},
-			Seed:     3,
+			Params:   params,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Proved {
-			t.Fatalf("%s: parallel cp did not prove optimality", cse.Name)
+			t.Fatalf("cp did not prove optimality with params %v", params)
 		}
-		solvertest.RequireOptimal(t, cse, res.Order)
-		cpr := res.Backends[0]
-		if cpr.Name != "cp" || !cpr.Proved {
-			t.Fatalf("%s: cp telemetry missing the proof: %+v", cse.Name, cpr)
-		}
-		if cpr.Improvements > 0 && math.IsInf(cpr.BestPublished, 1) {
-			t.Fatalf("%s: improvements without a published objective", cse.Name)
-		}
+		return res
+	}
+	on := solve(nil)
+	off := solve(backend.Params{"cp.tail_bound": false})
+	if got := on.Backends[0].Counters["pruned_tail"]; got == 0 {
+		t.Fatal("default tail bound made no tail prunes; the instance does not witness the param")
+	}
+	if got := off.Backends[0].Counters["pruned_tail"]; got != 0 {
+		t.Errorf("cp.tail_bound=false: %d tail prunes (the param did not reach the engine)", got)
+	}
+	if on.Objective != off.Objective {
+		t.Errorf("tail bound changed the proved optimum: %v on, %v off", on.Objective, off.Objective)
 	}
 }
 

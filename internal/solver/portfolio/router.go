@@ -169,13 +169,11 @@ func SolveSingle(ctx context.Context, c *model.Compiled, cs *constraint.Set, nam
 		Publish:     publish,
 		Incumbent:   sh.BetterThan,
 		Bound:       sh.Objective,
-		Exporter:    opt.Exporter,
 	})
 	br.Wall = time.Since(start)
 	br.Objective = out.Objective
 	br.Proved = out.Proved && info.Kind == backend.KindExact
 	br.Iterations = out.Iterations
-	br.Workers = out.Workers
 	br.Counters = out.Counters
 	br.Err = out.Err
 	if out.Order != nil {

@@ -1,13 +1,9 @@
 // Corpus tests: the generated brute-force-verified instances exercise
-// the parallel CP engine across worker counts, canonical relabelings,
-// and repeat runs. These are the hardening counterpart to the
-// per-feature conformance suite — run them under -race (CI does, with
-// GOMAXPROCS=2 and an oversubscribed -cpworkers override) to shake out
-// steal and incumbent races.
+// the CP engine across canonical relabelings and repeat runs. These are
+// the hardening counterpart to the per-feature conformance suite.
 package solvertest_test
 
 import (
-	"flag"
 	"math"
 	"math/rand"
 	"testing"
@@ -19,50 +15,17 @@ import (
 	"github.com/evolving-olap/idd/internal/solver/solvertest"
 )
 
-// -cpworkers adds one more worker count to the sweep (CI uses it to run
-// the corpus with more CP workers than GOMAXPROCS, forcing steals and
-// preemption interleavings the default sweep might not hit).
-var extraWorkers = flag.Int("cpworkers", 0,
-	"additional CP worker count to sweep in the corpus tests (0 = none)")
-
-func cpWorkerCounts() []int {
-	counts := []int{1, 2, 8}
-	if *extraWorkers > 1 {
-		counts = append(counts, *extraWorkers)
-	}
-	return counts
-}
-
-// TestCorpusParallelCP proves every corpus instance at 1, 2 and 8
-// workers (plus any -cpworkers override): each run must certify
-// optimality, return a feasible optimal order, and report an objective
-// bit-identical to the single-worker proof — the evaluation core is
-// set-pure, so no steal schedule may perturb the returned optimum.
-// Bitwise equality relies on the optimum's objective value being unique
-// within the engine's 1e-12 improvement epsilon; for the corpus's
-// continuous random costs an epsilon-tie between distinct orders is a
-// measure-zero event (and empirically absent across schedules), which
-// is why this is safe to assert exactly where hand-crafted
-// integer-valued instances might legitimately tie.
-func TestCorpusParallelCP(t *testing.T) {
+// TestCorpusCP proves every corpus instance: each run must certify
+// optimality and return a feasible optimal order.
+func TestCorpusCP(t *testing.T) {
 	for _, cse := range solvertest.Corpus(t) {
 		cse := cse
 		t.Run(cse.Name, func(t *testing.T) {
-			var refBits uint64
-			for wi, w := range cpWorkerCounts() {
-				res := cp.Solve(cse.C, cse.CS, cp.Options{Workers: w, Seed: int64(w)})
-				if !res.Proved {
-					t.Fatalf("workers=%d: search not exhausted", w)
-				}
-				solvertest.RequireOptimal(t, cse, res.Order)
-				bits := math.Float64bits(res.Objective)
-				if wi == 0 {
-					refBits = bits
-				} else if bits != refBits {
-					t.Fatalf("workers=%d: objective %x not bit-identical to single-worker %x",
-						w, bits, refBits)
-				}
+			res := cp.Solve(cse.C, cse.CS, cp.Options{})
+			if !res.Proved {
+				t.Fatal("search not exhausted")
 			}
+			solvertest.RequireOptimal(t, cse, res.Order)
 		})
 	}
 }
@@ -111,7 +74,7 @@ func relabel(in *model.Instance, iperm, qperm []int, rng *rand.Rand) *model.Inst
 
 // TestCorpusMetamorphicRelabeling: a relabeled and reordered copy of a
 // corpus instance is the same problem, so (a) it canonicalizes to the
-// same hash and (b) the parallel CP proof on the copy lands on the same
+// same hash and (b) the CP proof on the copy lands on the same
 // optimal objective. The tolerance is relative machine epsilon — the
 // copy sums the same terms in a different query order, which may move
 // the last bits, but nothing beyond.
@@ -132,7 +95,7 @@ func TestCorpusMetamorphicRelabeling(t *testing.T) {
 				}
 				c2 := model.MustCompile(shuffled)
 				cs2 := sched.PrecedenceSet(shuffled)
-				res := cp.Solve(c2, cs2, cp.Options{Workers: 2})
+				res := cp.Solve(c2, cs2, cp.Options{})
 				if !res.Proved {
 					t.Fatal("relabeled proof not exhausted")
 				}

@@ -1,9 +1,9 @@
 // Tight-cost corpus tests: near-uniform costs neutralize the generic
 // completion bound, so these instances are where the §5.5 tail bound
 // has to earn its keep — and where any unsoundness in it would surface
-// as a wrong "optimum". Every instance is proved at 1/2/8 workers with
-// the tail bound on and off (twenty proofs per instance) and all twenty
-// objectives must be bit-identical; n <= 12 instances are additionally
+// as a wrong "optimum". Every instance is proved with the tail bound on
+// and off and both objectives must be bit-identical; n <= 12 instances
+// are additionally
 // anchored to exhaustive enumeration, so the cross-check is not
 // self-referential. The node-count assertions pin the bound's two
 // contracts: it may only remove subtrees (per-instance <=) and it must
@@ -22,9 +22,8 @@ import (
 	"github.com/evolving-olap/idd/internal/solver/solvertest"
 )
 
-// TestTightCorpusProofs: bit-identical proved optima across every
-// worker count × tail-bound setting, brute-force anchored where
-// enumeration reaches.
+// TestTightCorpusProofs: bit-identical proved optima with the tail bound
+// on and off, brute-force anchored where enumeration reaches.
 func TestTightCorpusProofs(t *testing.T) {
 	var nodesOn, nodesOff int64
 	for _, in := range solvertest.TightCorpusInstances() {
@@ -34,58 +33,39 @@ func TestTightCorpusProofs(t *testing.T) {
 			cs := sched.PrecedenceSet(in)
 			tb := prune.NewTailBound(c, cs, prune.Options{})
 
-			var refBits uint64
-			first := true
-			for _, w := range cpWorkerCounts() {
-				for _, withTail := range []bool{false, true} {
-					opt := cp.Options{Workers: w, Seed: int64(w)}
-					if withTail {
-						opt.TailBound = tb
-					}
-					res := cp.Solve(c, cs, opt)
-					if !res.Proved {
-						t.Fatalf("workers=%d tail=%v: proof not exhausted", w, withTail)
-					}
-					solvertest.RequireFeasible(t, c.N, cs, res.Order)
-					if got := c.Objective(res.Order); math.Float64bits(got) != math.Float64bits(res.Objective) {
-						t.Fatalf("workers=%d tail=%v: reported objective %v != replayed %v",
-							w, withTail, res.Objective, got)
-					}
-					bits := math.Float64bits(res.Objective)
-					if first {
-						refBits = bits
-						first = false
-					} else if bits != refBits {
-						t.Fatalf("workers=%d tail=%v: objective %x not bit-identical to reference %x",
-							w, withTail, bits, refBits)
-					}
-					if w == 1 {
-						if withTail {
-							nodesOn += res.Nodes
-						} else {
-							nodesOff += res.Nodes
-						}
-					}
+			var res [2]cp.Result
+			for k, tail := range []*prune.TailBound{nil, tb} {
+				r := cp.Solve(c, cs, cp.Options{TailBound: tail})
+				if !r.Proved {
+					t.Fatalf("tail=%v: proof not exhausted", tail != nil)
 				}
+				solvertest.RequireFeasible(t, c.N, cs, r.Order)
+				if got := c.Objective(r.Order); math.Float64bits(got) != math.Float64bits(r.Objective) {
+					t.Fatalf("tail=%v: reported objective %v != replayed %v", tail != nil, r.Objective, got)
+				}
+				res[k] = r
 			}
-
+			off, on := res[0], res[1]
+			if math.Float64bits(on.Objective) != math.Float64bits(off.Objective) {
+				t.Fatalf("objective %x with the tail bound, %x without: not bit-identical",
+					math.Float64bits(on.Objective), math.Float64bits(off.Objective))
+			}
 			// The tail bound only ever removes provably dominated
-			// subtrees, so the serial tree with it on is a subset of the
-			// tree with it off.
-			onRes := cp.Solve(c, cs, cp.Options{Workers: 1, TailBound: tb})
-			offRes := cp.Solve(c, cs, cp.Options{Workers: 1})
-			if onRes.Nodes > offRes.Nodes {
-				t.Fatalf("tail bound grew the tree: %d nodes with, %d without", onRes.Nodes, offRes.Nodes)
+			// subtrees, so the tree with it on is a subset of the tree
+			// with it off.
+			if on.Nodes > off.Nodes {
+				t.Fatalf("tail bound grew the tree: %d nodes with, %d without", on.Nodes, off.Nodes)
 			}
+			nodesOn += on.Nodes
+			nodesOff += off.Nodes
 
 			if c.N <= bruteforce.MaxN {
 				bf, err := bruteforce.Solve(c, cs, true)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref := math.Float64frombits(refBits)
-				if math.Abs(ref-bf.Objective) > 1e-9*(1+bf.Objective) {
-					t.Fatalf("cp optimum %v != bruteforce %v", ref, bf.Objective)
+				if math.Abs(on.Objective-bf.Objective) > 1e-9*(1+bf.Objective) {
+					t.Fatalf("cp optimum %v != bruteforce %v", on.Objective, bf.Objective)
 				}
 			}
 		})

@@ -1,46 +1,37 @@
 #!/usr/bin/env bash
-# bench.sh — run the move-evaluation, Table-5 and parallel-CP benchmark
+# bench.sh — run the move-evaluation, Table-5 and CP-proof benchmark
 # suites and emit BENCH_eval.json, the checked-in performance baseline
-# for the delta-evaluation core and the work-stealing proof search.
-#
-# The "cp_parallel" summary records the optimality-proof wall clock of
-# the reduced TPC-H n=20 instance at 1/2/8 CP workers and the resulting
-# speedups, with the median CP nodes per proof at each worker count
-# (exact at one worker). Wall-clock speedup is bounded by the cores the
-# runner actually has ("cpus" in the JSON): a single-core container
-# measures ~1x by construction; rerun on multi-core hardware for the
-# real curve.
+# for the delta-evaluation core and the proof search. BenchmarkCPProof_*
+# report the median CP nodes per proof next to the wall clock.
 #
 # Usage:
 #   scripts/bench.sh                 # run + write BENCH_eval.json
 #   COUNT=10 scripts/bench.sh        # more repetitions
-#   scripts/bench.sh --section cp_parallel
+#   scripts/bench.sh --section eval
 #       rerun ONLY that section's benchmarks and merge them into the
-#       existing BENCH_eval.json (other sections untouched). This is how
-#       the cp_parallel numbers get regenerated on multi-core hardware
-#       without redoing the evaluation-core suite; the section records
-#       its own "cpus" and "gomaxprocs" so a mixed file stays honest.
-#       Sections: cp_parallel, eval, serve, cluster, resolve.
+#       existing BENCH_eval.json (other sections untouched); the section
+#       records its own "cpus" and "gomaxprocs" so a mixed file stays
+#       honest. Sections: eval, serve, cluster, resolve.
 #   scripts/bench.sh --section serve
 #       run the iddload serving benchmark (open-loop mixed-size tenant
 #       traffic, fast-path routing on vs disabled over the identical
 #       schedule) and write BENCH_serve.json. Knobs: SERVE_RATE,
 #       SERVE_DURATION, SERVE_SMALL_FRAC, SERVE_BUDGET, SERVE_TENANTS,
-#       SERVE_OUT. The report stamps cpus/gomaxprocs — like cp_parallel,
-#       a 1-CPU runner understates the fast-path win (the portfolio race
-#       and the routed backend contend for the same core either way;
-#       more cores widen the gap for the race's parallel backends).
+#       SERVE_OUT. The report stamps cpus/gomaxprocs — a 1-CPU runner
+#       understates the fast-path win (the portfolio race and the routed
+#       backend contend for the same core either way; more cores widen
+#       the gap for the race's concurrent backends).
 #   scripts/bench.sh --section cluster
 #       run the iddload cluster benchmark (identical schedule against a
 #       single in-process node, then an N-node in-process cluster with
 #       round-robin submission) and merge its report under "cluster" in
 #       BENCH_serve.json (run --section serve first). Knobs:
 #       CLUSTER_NODES, SERVE_RATE, SERVE_DURATION, SERVE_SMALL_FRAC,
-#       SERVE_BUDGET, SERVE_TENANTS, SERVE_OUT. Like cp_parallel, N
-#       nodes sharing one CPU measure ~1x throughput by construction —
-#       the checked-in ratio from a 1-CPU runner records routing
-#       overhead, not scale-out; rerun across real machines (iddload
-#       -target against a deployed cluster) for the throughput curve.
+#       SERVE_BUDGET, SERVE_TENANTS, SERVE_OUT. N nodes sharing one CPU
+#       measure ~1x throughput by construction — the checked-in ratio
+#       from a 1-CPU runner records routing overhead, not scale-out;
+#       rerun across real machines (iddload -target against a deployed
+#       cluster) for the throughput curve.
 #   scripts/bench.sh --section resolve
 #       run the iddresolve drift benchmark (seeded workload drift, warm
 #       re-solve from the repaired prior plan vs cold from greedy) and
@@ -66,7 +57,7 @@ cd "$(dirname "$0")/.."
 
 COUNT="${COUNT:-5}"
 BENCHTIME="${BENCHTIME:-1s}"
-PATTERN="${PATTERN:-BenchmarkMoveEval|BenchmarkTable5|BenchmarkMicro_Objective|BenchmarkMicro_WalkerPushPop|BenchmarkCPParallel}"
+PATTERN="${PATTERN:-BenchmarkMoveEval|BenchmarkTable5|BenchmarkMicro_Objective|BenchmarkMicro_WalkerPushPop|BenchmarkCPProof}"
 OUT="${OUT:-BENCH_eval.json}"
 SEED_REF="${SEED_REF:-}"
 
@@ -178,9 +169,8 @@ EOF
 fi
 if [ -n "$SECTION" ]; then
     case "$SECTION" in
-        cp_parallel) PATTERN='BenchmarkCPParallel' ;;
-        eval) PATTERN='BenchmarkMoveEval|BenchmarkTable5|BenchmarkMicro_Objective|BenchmarkMicro_WalkerPushPop' ;;
-        *) echo "bench.sh: unknown section '$SECTION' (sections: cp_parallel, eval, serve, cluster, resolve)" >&2; exit 2 ;;
+        eval) PATTERN='BenchmarkMoveEval|BenchmarkTable5|BenchmarkMicro_Objective|BenchmarkMicro_WalkerPushPop|BenchmarkCPProof' ;;
+        *) echo "bench.sh: unknown section '$SECTION' (sections: eval, serve, cluster, resolve)" >&2; exit 2 ;;
     esac
     if [ ! -f "$OUT" ]; then
         echo "bench.sh: --section merges into an existing $OUT; run a full pass first" >&2
@@ -334,23 +324,6 @@ END {
         printf "}%s\n", (i < norder ? "," : "")
     }
     printf "  ],\n"
-    w1 = "BenchmarkCPParallel_ProofN20Low_W1"
-    w2 = "BenchmarkCPParallel_ProofN20Low_W2"
-    w8 = "BenchmarkCPParallel_ProofN20Low_W8"
-    if ((w1 in med) && (w8 in med)) {
-        printf "  \"cp_parallel\": {\n"
-        printf "    \"proof_instance\": \"reduced-tpch-n20-low (analyzed constraints, greedy incumbent)\",\n"
-        printf "    \"proof_ns_w1\": %g,\n", med[w1]
-        if (w2 in med) printf "    \"proof_ns_w2\": %g,\n", med[w2]
-        printf "    \"proof_ns_w8\": %g,\n", med[w8]
-        if (w1 in nodes) printf "    \"proof_nodes_w1\": %g,\n", nodes[w1]
-        if (w2 in nodes) printf "    \"proof_nodes_w2\": %g,\n", nodes[w2]
-        if (w8 in nodes) printf "    \"proof_nodes_w8\": %g,\n", nodes[w8]
-        if (w2 in med) printf "    \"speedup_w2\": %.3f,\n", med[w1] / med[w2]
-        printf "    \"speedup_w8\": %.3f,\n", med[w1] / med[w8]
-        printf "    \"note\": \"speedup is bounded by min(cpus, gomaxprocs) recorded above; a 1-cpu runner measures ~1x by construction. proof_nodes_w1 is exact; W>1 node counts depend on steal timing\"\n"
-        printf "  },\n"
-    }
     printf "  \"raw\": [\n"
     for (i = 1; i <= nraw; i++)
         printf "    \"%s\"%s\n", esc(raw[i]), (i < nraw ? "," : "")
@@ -380,14 +353,6 @@ def base(line):
 
 old["raw"] = [l for l in old.get("raw", []) if base(l) not in names]
 old["raw"] += new.get("raw", [])
-
-if "cp_parallel" in new:
-    cp = new["cp_parallel"]
-    # The section regen may run on different hardware than the rest of
-    # the file; pin its own cpu counts next to its speedups.
-    cp["cpus"] = new.get("cpus")
-    cp["gomaxprocs"] = new.get("gomaxprocs")
-    old["cp_parallel"] = cp
 
 old.setdefault("sections", {})[section] = {
     "cpus": new.get("cpus"),
