@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -228,6 +230,94 @@ func TestClusterForwardingAndReplication(t *testing.T) {
 	if res2.Objective != res.Objective {
 		t.Fatalf("replicated objective %v != original %v", res2.Objective, res.Objective)
 	}
+}
+
+// TestClusterProofReplicatesIncumbents: a CP proof forwarded to the ring
+// owner returns the single-node optimum bit for bit, and every
+// improvement the owner finds along the way reaches the other nodes'
+// LWW tables, ending on the proved optimum with an order that really
+// has that objective.
+func TestClusterProofReplicatesIncumbents(t *testing.T) {
+	in := genInstance(33, 14, 10, 0.35)
+	c := model.MustCompile(in)
+	body := solveBody(t, in, map[string]any{"backends": []string{"cp"}, "budget": "30s"})
+	ref := refObjective(t, body)
+
+	tc := newTestCluster(t, 3, service.Config{Workers: 1})
+	ownerI := tc.ownerIdx(in)
+	resp, out := post(t, tc.urls[(ownerI+1)%3]+"/solve", body, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("solve status %d: %s", resp.StatusCode, out)
+	}
+	var res service.SolveResult
+	if err := json.Unmarshal(out, &res); err != nil {
+		t.Fatal(err)
+	}
+	if !res.Proved {
+		t.Fatalf("forwarded solve not proved: %s", out)
+	}
+	if res.Objective != ref {
+		t.Fatalf("cluster objective %v != single-node %v (must be bit-identical)", res.Objective, ref)
+	}
+
+	owner := tc.nodes[ownerI]
+	waitFor(t, "incumbent broadcast", 5*time.Second, func() bool {
+		return owner.Snapshot().IncumbentsSent >= 1
+	})
+	for i, n := range tc.nodes {
+		if i == ownerI {
+			continue
+		}
+		var inc Incumbent
+		waitFor(t, "incumbent replication to "+n.Name(), 5*time.Second, func() bool {
+			n.incs.mu.Lock()
+			defer n.incs.mu.Unlock()
+			for _, v := range n.incs.m {
+				inc = v
+			}
+			return len(n.incs.m) == 1 && inc.Objective == res.Objective
+		})
+		if got := n.Snapshot().IncumbentsApplied; got < 1 {
+			t.Fatalf("%s applied no incumbent frames", n.Name())
+		}
+		if inc.Node != owner.Name() {
+			t.Errorf("%s holds an incumbent from %q, want the owner %q", n.Name(), inc.Node, owner.Name())
+		}
+		if err := in.ValidOrder(inc.Order); err != nil {
+			t.Fatalf("%s holds an invalid order: %v", n.Name(), err)
+		}
+		if got := c.Objective(inc.Order); math.Abs(got-inc.Objective) > 1e-9*(1+math.Abs(got)) {
+			t.Fatalf("%s holds objective %v for an order worth %v", n.Name(), inc.Objective, got)
+		}
+	}
+}
+
+// refObjective solves the request on an isolated single-node service:
+// the baseline a cluster solve of the same request must match bit for
+// bit.
+func refObjective(t *testing.T, body []byte) float64 {
+	t.Helper()
+	s := service.New(service.Config{Workers: 1})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	}()
+	req := httptest.NewRequest(http.MethodPost, "/solve", bytes.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("reference solve status %d: %s", rec.Code, rec.Body.String())
+	}
+	var res service.SolveResult
+	if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+		t.Fatal(err)
+	}
+	if !res.Proved {
+		t.Fatal("reference solve not proved")
+	}
+	return res.Objective
 }
 
 // TestClusterJobProxy: job ids are node-prefixed, so any node can serve

@@ -1,6 +1,7 @@
 package cp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -125,6 +126,83 @@ func TestDeadlineAborts(t *testing.T) {
 	}
 	if time.Since(start) > 2*time.Second {
 		t.Fatal("deadline ignored")
+	}
+}
+
+func TestContextCancelsPromptly(t *testing.T) {
+	in, c := inst(5, 20) // far beyond provable in the test budget
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(30 * time.Millisecond)
+		cancel()
+	}()
+	start := time.Now()
+	res := Solve(c, nil, Options{Context: ctx})
+	if res.Proved {
+		t.Skip("instance unexpectedly proved before cancellation")
+	}
+	if wall := time.Since(start); wall > 2*time.Second {
+		t.Fatalf("cancellation took %v", wall)
+	}
+	if err := in.ValidOrder(res.Order); err != nil {
+		t.Fatalf("cancelled search lost its incumbent: %v", err)
+	}
+}
+
+// TestExternalBoundProof: an external bound at the optimum prunes every
+// subtree; exhausting the tree then proves the external incumbent
+// optimal even though this search never produced an order of its own.
+func TestExternalBoundProof(t *testing.T) {
+	_, c := inst(6, 7)
+	opt := Solve(c, nil, Options{})
+	polls := 0
+	res := Solve(c, nil, Options{ExternalBound: func() float64 {
+		polls++
+		return opt.Objective
+	}})
+	if !res.Proved {
+		t.Fatal("externally bounded search did not exhaust")
+	}
+	if res.Order != nil || res.Solutions != 0 {
+		t.Fatalf("no order should beat the external optimum, got %v (%d solutions)", res.Order, res.Solutions)
+	}
+	if polls == 0 {
+		t.Fatal("external bound never polled")
+	}
+	if res.Nodes >= opt.Nodes {
+		t.Errorf("external optimum did not shrink the tree: %d nodes vs %d unbounded", res.Nodes, opt.Nodes)
+	}
+}
+
+// TestDeprecatedOptionsIgnored: Workers and Seed no longer select or
+// perturb anything, so setting them gives the serial search exactly.
+func TestDeprecatedOptionsIgnored(t *testing.T) {
+	c, cs, init, tb := proofN20Low()
+	ref := Solve(c, cs, Options{Incumbent: init, TailBound: tb})
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{
+		{"workers", Options{Workers: 4}},
+		{"seed", Options{Seed: 9}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := tc.opt
+			opt.Incumbent, opt.TailBound = init, tb
+			res := Solve(c, cs, opt)
+			if res.Nodes != ref.Nodes || res.Fails != ref.Fails ||
+				res.Solutions != ref.Solutions || res.Stats != ref.Stats || res.Proved != ref.Proved {
+				t.Fatalf("search differs from the default options:\n%+v\n%+v", res.Stats, ref.Stats)
+			}
+			if math.Float64bits(res.Objective) != math.Float64bits(ref.Objective) {
+				t.Fatalf("objective %x, want %x", math.Float64bits(res.Objective), math.Float64bits(ref.Objective))
+			}
+			for k := range ref.Order {
+				if res.Order[k] != ref.Order[k] {
+					t.Fatalf("order %v, want %v", res.Order, ref.Order)
+				}
+			}
+		})
 	}
 }
 

@@ -460,6 +460,39 @@ func TestSolveParamsReachBackend(t *testing.T) {
 	}
 }
 
+// TestSolveCPProvesConformanceCases: the cp backend alone proves every
+// conformance optimum through the portfolio, and its telemetry agrees
+// with the store: what it published is never better than the optimum,
+// and improvements imply a published objective.
+func TestSolveCPProvesConformanceCases(t *testing.T) {
+	for _, cse := range solvertest.Cases(t) {
+		t.Run(cse.Name, func(t *testing.T) {
+			res, err := Solve(context.Background(), cse.C, cse.CS, Options{
+				Backends: []string{"cp"},
+				Budget:   20 * time.Second,
+				Seed:     3,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Proved {
+				t.Fatal("cp did not prove optimality")
+			}
+			solvertest.RequireOptimal(t, cse, res.Order)
+			cpr := res.Backends[0]
+			if cpr.Name != "cp" || !cpr.Proved {
+				t.Fatalf("cp telemetry missing the proof: %+v", cpr)
+			}
+			if cpr.Improvements > 0 && math.IsInf(cpr.BestPublished, 1) {
+				t.Fatalf("improvements without a published objective: %+v", cpr)
+			}
+			if cpr.BestPublished < cse.Optimum-1e-9*(1+cse.Optimum) {
+				t.Fatalf("published %v below the optimum %v", cpr.BestPublished, cse.Optimum)
+			}
+		})
+	}
+}
+
 func TestValidateInitial(t *testing.T) {
 	in := datasets.ReducedTPCH(6, datasets.Low)
 	c := model.MustCompile(in)
