@@ -373,15 +373,14 @@ func BenchmarkMicro_SwapDelta(b *testing.B) {
 //
 // BenchmarkMoveEval_Swap/Insert are the acceptance benchmarks for the
 // delta-evaluation core: 0 allocs/op in steady state and ≥3× the
-// throughput of the *seed's* full-replay move scoring on the N=31 full
-// TPC-H instance (BenchmarkSeed_FullReplay_* in BENCH_eval.json, ~4.7×
-// measured; run `SEED_REF=<pr-base> scripts/bench.sh` to reproduce —
-// the seed scored every move by copying the order and replaying it
-// through a freshly allocated pre-CSR Walker, ~5.6µs/70 allocs per
-// move). BenchmarkMoveEval_FullReplay_* below is the same replay
-// pattern against *today's* walker — a conservative same-binary
-// comparator (~2.4-3×), smaller only because this PR also made full
-// replays themselves ~2× faster.
+// throughput of the seed's full-replay move scoring on the N=31 full
+// TPC-H instance (~4.7× measured against the seed commit's own
+// benchmark; the seed scored every move by copying the order and
+// replaying it through a freshly allocated pre-CSR Walker, ~5.6µs/70
+// allocs per move). BenchmarkMoveEval_FullReplay_* below is the same
+// replay pattern against today's walker — a conservative same-binary
+// comparator (~2.4-3×), smaller only because the delta-evaluation
+// rewrite also made full replays themselves ~2× faster.
 
 // moveEvalPairs precomputes a deterministic random move stream so the
 // measured loop does no RNG work and both sides score identical moves.

@@ -41,8 +41,8 @@
 // per-tenant queues, so one tenant's flood cannot starve another's
 // traffic; -tenant-rate/-tenant-burst add per-tenant admission rate
 // limits and -tenant-queue a per-tenant queued-run quota. Small
-// instances (≤ -fastpath-max-n indexes) skip the portfolio race and run
-// A* straight to a proved optimum; one that A* cannot prove within the
+// instances (≤ 12 indexes) skip the portfolio race and run A* straight
+// to a proved optimum; one that A* cannot prove within the
 // request's budget or step limit falls back to the race.
 //
 // Sessions make workload drift first-class: POST /sessions solves the
@@ -130,7 +130,6 @@ func main() {
 		tenantBurst = flag.Int("tenant-burst", 0, "per-tenant submission burst (0 = 2×rate+1)")
 		tenantQueue = flag.Int("tenant-queue", 0, "per-tenant queued-run quota (0 = no per-tenant cap)")
 		maxBatch    = flag.Int("max-batch", 64, "instances accepted per POST /batch")
-		fastpathN   = flag.Int("fastpath-max-n", 0, "route instances with at most this many indexes straight to A* (0 = default 12, negative = disable)")
 	)
 	flag.Var(&rawParams, "param", "server-wide default backend param as key=value (repeatable; see GET /solvers)")
 	flag.Parse()
@@ -156,7 +155,6 @@ func main() {
 		TenantBurst:    *tenantBurst,
 		TenantQueueCap: *tenantQueue,
 		MaxBatchItems:  *maxBatch,
-		FastPathMaxN:   *fastpathN,
 	}
 
 	var (

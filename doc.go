@@ -57,8 +57,8 @@
 // the changed tail of the plan. A structural-hash hint table beside the
 // solution cache warm-seeds cache misses whose structure matches a
 // finished solve; iddsolve -warm-start-from does the same offline, and
-// cmd/iddresolve benchmarks warm versus cold re-solving under drift
-// (scripts/bench.sh --section resolve). See README.md's "Online
+// internal/evolve's TestWarmResolveUnderDrift pins warm versus cold
+// re-solving under drift to exact step counts. See README.md's "Online
 // re-solve sessions".
 //
 // The service scales past one machine through internal/cluster: N
@@ -77,6 +77,6 @@
 // The public surface lives in the commands (cmd/iddgen, cmd/iddsolve,
 // cmd/iddinspect, cmd/iddbench, cmd/iddserver, cmd/iddload) and the
 // internal packages; see README.md for the architecture overview.
-// BENCH_eval.json and BENCH_serve.json are the checked-in performance
-// baselines, regenerated by scripts/bench.sh.
+// perfbench (its own module, described by BENCHMARK.json) is the
+// repository's benchmark.
 package idd

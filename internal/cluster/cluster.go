@@ -632,10 +632,10 @@ func (n *Node) handleIncumbent(w http.ResponseWriter, r *http.Request) {
 }
 
 // validIncumbent reports whether a wire incumbent is well formed on its
-// own: a finite objective and an order that is a non-empty permutation
-// of 0..len-1.
+// own: a stamp below clockCap, a finite objective and an order that is a
+// non-empty permutation of 0..len-1.
 func validIncumbent(inc Incumbent) bool {
-	if math.IsNaN(inc.Objective) || math.IsInf(inc.Objective, 0) || len(inc.Order) == 0 {
+	if inc.Clock >= clockCap || math.IsNaN(inc.Objective) || math.IsInf(inc.Objective, 0) || len(inc.Order) == 0 {
 		return false
 	}
 	return validFullOrder(len(inc.Order), nil, inc.Order)
@@ -673,7 +673,7 @@ func (n *Node) resultCached(key string, res *service.SolveResult) {
 func (n *Node) handleResult(w http.ResponseWriter, r *http.Request) {
 	var msg resultMsg
 	if err := json.NewDecoder(io.LimitReader(r.Body, 8<<20)).Decode(&msg); err != nil ||
-		msg.Key == "" || msg.Result == nil {
+		msg.Key == "" || msg.Result == nil || msg.Clock >= clockCap {
 		http.Error(w, `{"error":"bad result"}`, http.StatusBadRequest)
 		return
 	}

@@ -65,8 +65,12 @@ func (in *incumbentNode) post(body []byte) int {
 }
 
 func frame(t testing.TB, key string, order []int, obj float64) []byte {
+	return stampedFrame(t, key, order, obj, 1)
+}
+
+func stampedFrame(t testing.TB, key string, order []int, obj float64, clock uint64) []byte {
 	t.Helper()
-	b, err := json.Marshal(incumbentMsg{Key: key, Inc: Incumbent{Objective: obj, Order: order, Clock: 1, Node: "peer"}})
+	b, err := json.Marshal(incumbentMsg{Key: key, Inc: Incumbent{Objective: obj, Order: order, Clock: clock, Node: "peer"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,6 +173,56 @@ func TestIncumbentAfterUncheckedFrame(t *testing.T) {
 	}
 }
 
+// TestPeerFrameClockBounded: an incumbent or result frame stamped at or
+// above clockCap is rejected before its stamp reaches the Lamport
+// clock, so a forged 2^64-1 cannot make the next Tick wrap to 0. The
+// same frames stamped below the cap are accepted.
+func TestPeerFrameClockBounded(t *testing.T) {
+	in := newIncumbentNode(t)
+	truth := in.c.Objective(in.seed)
+	result := func(clock uint64) []byte {
+		b, err := json.Marshal(resultMsg{Key: "replicated", Node: "peer", Clock: clock,
+			Result: &service.SolveResult{Order: in.seed, Objective: truth}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	postTo := func(path string, body []byte) int {
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		in.n.Handler().ServeHTTP(rec, req)
+		return rec.Code
+	}
+
+	prior := in.n.clock.Tick()
+	for _, clock := range []uint64{math.MaxUint64, clockCap} {
+		if code := postTo("/cluster/incumbent", stampedFrame(t, liveSolveKey, in.seed, truth, clock)); code != http.StatusBadRequest {
+			t.Errorf("incumbent stamped %d: status %d, want 400", clock, code)
+		}
+		if code := postTo("/cluster/result", result(clock)); code != http.StatusBadRequest {
+			t.Errorf("result stamped %d: status %d, want 400", clock, code)
+		}
+	}
+	if next := in.n.clock.Tick(); next != prior+1 {
+		t.Fatalf("Tick after rejected frames = %d, want %d", next, prior+1)
+	}
+	if order, _, _ := in.store.Best(); order != nil {
+		t.Fatalf("rejected frame reached the live store: %v", order)
+	}
+
+	const stamp = 100
+	if code := postTo("/cluster/incumbent", stampedFrame(t, liveSolveKey, in.seed, truth, stamp)); code != http.StatusNoContent {
+		t.Fatalf("incumbent stamped %d: status %d, want 204", stamp, code)
+	}
+	if code := postTo("/cluster/result", result(stamp+1)); code != http.StatusNoContent {
+		t.Fatalf("result stamped %d: status %d, want 204", stamp+1, code)
+	}
+	if next := in.n.clock.Tick(); next != stamp+2 {
+		t.Fatalf("Tick after witnessing %d = %d, want %d", stamp+1, next, stamp+2)
+	}
+}
+
 // FuzzIncumbentFrame posts arbitrary bodies to /cluster/incumbent while
 // a solve is live: every body gets 204 or 400, none panics, and the
 // live store's objective is always the objective of its order.
@@ -181,6 +235,7 @@ func FuzzIncumbentFrame(f *testing.F) {
 	f.Add(frame(f, "other", in.seed, 1))
 	f.Add(frame(f, liveSolveKey, []int{5, 4, 3, 2, 1, 0}, 1))
 	f.Add([]byte(`{"key":"live","incumbent":{"objective":-1,"order":[0,1,2,3,4,5],"clock":18446744073709551615}}`))
+	f.Add(stampedFrame(f, liveSolveKey, in.seed, truth, math.MaxUint64))
 	f.Add([]byte(`{"key":"live","incumbent":{"objective":1e308,"order":[0,1,2,3,4,5,6]}}`))
 	f.Add([]byte(`{"key":"live","incumbent":null}`))
 	f.Add([]byte(`not json`))

@@ -17,6 +17,13 @@ type Clock struct {
 	now uint64
 }
 
+// clockCap bounds the stamps a node accepts from peers: frames stamped
+// at or above it are rejected before Witness. Honest clocks start at 0
+// and move by one per event, so they never get near it; without the cap
+// one frame stamped 2^64-1 would make the next Tick wrap to 0, and every
+// later local stamp would lose the LWW ties it should win.
+const clockCap = 1 << 62
+
 // Tick advances the clock and returns a fresh stamp.
 func (c *Clock) Tick() uint64 {
 	c.mu.Lock()

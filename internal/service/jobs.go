@@ -60,11 +60,6 @@ type Config struct {
 	TenantQueueCap int
 	// MaxBatchItems bounds instances per POST /batch request (0 = 64).
 	MaxBatchItems int
-	// FastPathMaxN is the routing size threshold: instances with at most
-	// this many indexes (and no explicit backend list) skip the
-	// portfolio race and run A* to a proof (see portfolio.Route;
-	// 0 = portfolio.DefaultFastPathMaxN; negative disables routing).
-	FastPathMaxN int
 	// NodeName, when non-empty, prefixes every generated job/batch/
 	// session id as "<node>-<hex>". In cluster mode each node names
 	// itself, which makes ids self-routing: any peer can tell from the
@@ -1064,7 +1059,7 @@ func (m *Manager) execute(r *run) {
 	// identical to what the race would return; if it doesn't land within
 	// budget, fall back to the full race.
 	if len(r.params.Backends) == 0 {
-		if name, ok := portfolio.Route(c.N, m.cfg.FastPathMaxN); ok {
+		if name, ok := portfolio.Route(c.N); ok {
 			res, err = solveWith(func(ctx context.Context) (portfolio.Result, error) {
 				return portfolio.SolveSingle(ctx, c, cs, name, opts)
 			})

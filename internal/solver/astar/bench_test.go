@@ -16,17 +16,7 @@ import (
 //
 //	go test -run '^$' -bench RaceProof -benchmem ./internal/solver/astar
 func BenchmarkRaceProof(b *testing.B) {
-	type proof struct {
-		c     *model.Compiled
-		cs    *constraint.Set
-		bound float64
-	}
-	var proofs []proof
-	for k := int64(0); k < 12; k++ {
-		c := model.MustCompile(driftShaped(7000+k, 15+int(k%3)))
-		cs, _ := prune.Analyze(c, prune.Options{})
-		proofs = append(proofs, proof{c, cs, c.Objective(greedy.Solve(c, cs))})
-	}
+	proofs := raceProofs()
 	for _, impl := range []struct {
 		name  string
 		solve func(*model.Compiled, *constraint.Set, Options) Result
@@ -42,12 +32,37 @@ func BenchmarkRaceProof(b *testing.B) {
 			for it := 0; it < b.N; it++ {
 				expanded = 0
 				for _, p := range proofs {
-					bound := p.bound
-					res := impl.solve(p.c, p.cs, Options{NodeLimit: 50_000, ExternalBound: func() float64 { return bound }})
+					res := impl.solve(p.c, p.cs, p.options())
 					expanded += res.Expanded
 				}
 			}
 			b.ReportMetric(float64(expanded), "expansions/op")
 		})
 	}
+}
+
+// raceProof is one race-style proof: an instance, its prune.Analyze
+// constraints and the greedy objective as the external bound.
+type raceProof struct {
+	c     *model.Compiled
+	cs    *constraint.Set
+	bound float64
+}
+
+// options is the race's A* configuration: a 50k-expansion limit and
+// the greedy objective as the external bound.
+func (p raceProof) options() Options {
+	return Options{NodeLimit: 50_000, ExternalBound: func() float64 { return p.bound }}
+}
+
+// raceProofs builds BenchmarkRaceProof's twelve session-shaped
+// instances at n = 15–17.
+func raceProofs() []raceProof {
+	var proofs []raceProof
+	for k := int64(0); k < 12; k++ {
+		c := model.MustCompile(driftShaped(7000+k, 15+int(k%3)))
+		cs, _ := prune.Analyze(c, prune.Options{})
+		proofs = append(proofs, raceProof{c, cs, c.Objective(greedy.Solve(c, cs))})
+	}
+	return proofs
 }

@@ -72,21 +72,16 @@ func (f Features) Class() string {
 	return size + "/" + dens
 }
 
-// DefaultFastPathMaxN is the routing size threshold when the caller
-// passes 0: instances this small prove in a few milliseconds, so the
-// portfolio race is pure overhead for them.
+// DefaultFastPathMaxN is the routing size threshold: instances this
+// small prove in a few milliseconds, so the portfolio race is pure
+// overhead for them.
 const DefaultFastPathMaxN = 12
 
 // Route picks the backend to fast-path an n-index instance to, or
-// reports ok=false when it should run the full portfolio race. maxN is
-// the size threshold (0 = DefaultFastPathMaxN; negative disables
-// routing). Every instance with 1 ≤ n ≤ maxN that A* accepts goes to
-// A*.
-func Route(n, maxN int) (string, bool) {
-	if maxN == 0 {
-		maxN = DefaultFastPathMaxN
-	}
-	if n < 1 || n > maxN || n > astar.MaxN {
+// reports ok=false when it should run the full portfolio race. Every
+// instance with 1 ≤ n ≤ DefaultFastPathMaxN goes to A*.
+func Route(n int) (string, bool) {
+	if n < 1 || n > DefaultFastPathMaxN || n > astar.MaxN {
 		return "", false
 	}
 	return "astar", true

@@ -15,25 +15,17 @@ import (
 )
 
 // TestRouteThreshold pins the routing rule: every instance with at
-// most maxN indexes routes to A*, instances above fall through to the
-// race, 0 selects DefaultFastPathMaxN, and a negative maxN disables
-// routing entirely.
+// most DefaultFastPathMaxN indexes routes to A*, instances above fall
+// through to the race.
 func TestRouteThreshold(t *testing.T) {
-	for _, maxN := range []int{12, 0} {
-		for n := 1; n <= 12; n++ {
-			if name, ok := Route(n, maxN); !ok || name != "astar" {
-				t.Errorf("Route(%d, %d) = %q, %v; want astar", n, maxN, name, ok)
-			}
-		}
-		for _, n := range []int{0, 13, 20} {
-			if name, ok := Route(n, maxN); ok {
-				t.Errorf("Route(%d, %d) routed to %q past the threshold", n, maxN, name)
-			}
+	for n := 1; n <= 12; n++ {
+		if name, ok := Route(n); !ok || name != "astar" {
+			t.Errorf("Route(%d) = %q, %v; want astar", n, name, ok)
 		}
 	}
-	for _, n := range []int{1, 4, 12} {
-		if name, ok := Route(n, -1); ok {
-			t.Errorf("Route(%d, -1) routed to %q with routing disabled", n, name)
+	for _, n := range []int{0, 13, 20} {
+		if name, ok := Route(n); ok {
+			t.Errorf("Route(%d) routed to %q past the threshold", n, name)
 		}
 	}
 }
@@ -49,7 +41,7 @@ func TestRouteConformance(t *testing.T) {
 		c := model.MustCompile(in)
 		cs := sched.PrecedenceSet(in)
 
-		name, ok := Route(c.N, 12)
+		name, ok := Route(c.N)
 		if !ok {
 			t.Fatalf("n=%d: not routed", n)
 		}
@@ -112,7 +104,7 @@ func TestRouteConformanceCorpus(t *testing.T) {
 		if cse.C.N > DefaultFastPathMaxN {
 			continue
 		}
-		name, ok := Route(cse.C.N, 0)
+		name, ok := Route(cse.C.N)
 		if !ok {
 			t.Fatalf("%s: corpus case (n=%d) not routed", cse.Name, cse.C.N)
 		}

@@ -5,7 +5,8 @@
 # (zero errors required), and the per-tenant Prometheus series. Ends
 # with a 2-process cluster round-trip: two peered servers, a solve
 # submitted to the non-owning node must be forwarded to its ring owner
-# and the replicated result served from the other node's cache.
+# and the replicated result served from the other node's cache, and a
+# short iddload run through one node must see zero errors.
 # Used by CI and runnable locally: ./scripts/service_smoke.sh
 set -euo pipefail
 
@@ -123,8 +124,9 @@ curl -sf "http://$addr/batch/$batch_id/trace" | grep -q '"kind": "queued"'
 # server must complete with zero errors (-max-error-rate 0 exits 2
 # otherwise).
 go build -o "$workdir/iddload" ./cmd/iddload
-"$workdir/iddload" -addr "http://$addr" -duration 3s -rate 20 -tenants 3 \
-  -small-frac 1 -budget 2s -max-error-rate 0 2> "$workdir/iddload.log"
+"$workdir/iddload" -target "http://$addr" -duration 3s -rate 20 -tenants 3 \
+  -small-frac 1 -budget 2s -max-error-rate 0 2> "$workdir/iddload.log" ||
+  { cat "$workdir/iddload.log" >&2; exit 1; }
 
 # After real multi-tenant traffic the Prometheus scrape must carry
 # non-empty per-tenant series, batch counters, and fast-path routing
@@ -228,6 +230,13 @@ grep -q '^idd_cluster_peers_up 1$' "$workdir/n1.prom"
 grep -q '^idd_cluster_peers_up 1$' "$workdir/n2.prom"
 fwd=$(awk '/^idd_cluster_forwards_total /{s+=$2} END{print s+0}' "$workdir/n1.prom" "$workdir/n2.prom")
 test "$fwd" -ge 1
+
+# Load through the cluster: an open-loop iddload run against one member,
+# which forwards each request to its ring owner, must complete with zero
+# errors.
+"$workdir/iddload" -target "http://$addr1" -duration 3s -rate 20 \
+  -max-error-rate 0 2> "$workdir/iddload_cluster.log" ||
+  { cat "$workdir/iddload_cluster.log" >&2; exit 1; }
 
 kill -TERM "$node1_pid" "$node2_pid"
 wait "$node1_pid" "$node2_pid"
