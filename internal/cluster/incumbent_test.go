@@ -173,6 +173,26 @@ func TestIncumbentAfterUncheckedFrame(t *testing.T) {
 	}
 }
 
+// resultFrame marshals a /cluster/result body for the node's live
+// instance, stamped clock.
+func (in *incumbentNode) resultFrame(t testing.TB, clock uint64) []byte {
+	t.Helper()
+	b, err := json.Marshal(resultMsg{Key: "replicated", Node: "peer", Clock: clock,
+		Result: &service.SolveResult{Order: in.seed, Objective: in.c.Objective(in.seed)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// postTo sends one body to a cluster endpoint and returns the status code.
+func (in *incumbentNode) postTo(path string, body []byte) int {
+	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+	rec := httptest.NewRecorder()
+	in.n.Handler().ServeHTTP(rec, req)
+	return rec.Code
+}
+
 // TestPeerFrameClockBounded: an incumbent or result frame stamped at or
 // above clockCap is rejected before its stamp reaches the Lamport
 // clock, so a forged 2^64-1 cannot make the next Tick wrap to 0. The
@@ -180,20 +200,8 @@ func TestIncumbentAfterUncheckedFrame(t *testing.T) {
 func TestPeerFrameClockBounded(t *testing.T) {
 	in := newIncumbentNode(t)
 	truth := in.c.Objective(in.seed)
-	result := func(clock uint64) []byte {
-		b, err := json.Marshal(resultMsg{Key: "replicated", Node: "peer", Clock: clock,
-			Result: &service.SolveResult{Order: in.seed, Objective: truth}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	postTo := func(path string, body []byte) int {
-		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
-		rec := httptest.NewRecorder()
-		in.n.Handler().ServeHTTP(rec, req)
-		return rec.Code
-	}
+	result := func(clock uint64) []byte { return in.resultFrame(t, clock) }
+	postTo := in.postTo
 
 	prior := in.n.clock.Tick()
 	for _, clock := range []uint64{math.MaxUint64, clockCap} {
@@ -223,6 +231,32 @@ func TestPeerFrameClockBounded(t *testing.T) {
 	}
 }
 
+// TestWitnessedCapLeavesHeadroom: a frame stamped just below clockCap
+// is accepted, yet every incumbent and result frame the node stamps
+// afterwards is still below the cap, so its peers keep accepting its
+// replication instead of answering 400.
+func TestWitnessedCapLeavesHeadroom(t *testing.T) {
+	in, peer := newIncumbentNode(t), newIncumbentNode(t)
+	truth := in.c.Objective(in.seed)
+	if code := in.postTo("/cluster/incumbent", stampedFrame(t, liveSolveKey, in.seed, truth, clockCap-1)); code != http.StatusNoContent {
+		t.Fatalf("incumbent stamped clockCap-1: status %d, want 204", code)
+	}
+	if code := in.postTo("/cluster/result", in.resultFrame(t, clockCap-1)); code != http.StatusNoContent {
+		t.Fatalf("result stamped clockCap-1: status %d, want 204", code)
+	}
+	// broadcastIncumbent and resultCached stamp their frames with Tick.
+	inc, res := in.n.clock.Tick(), in.n.clock.Tick()
+	if res <= inc {
+		t.Fatalf("Tick went %d then %d, want increasing", inc, res)
+	}
+	if code := peer.postTo("/cluster/incumbent", stampedFrame(t, liveSolveKey, peer.seed, peer.c.Objective(peer.seed), inc)); code != http.StatusNoContent {
+		t.Fatalf("peer refused the node's next incumbent (stamp %d): status %d, want 204", inc, code)
+	}
+	if code := peer.postTo("/cluster/result", peer.resultFrame(t, res)); code != http.StatusNoContent {
+		t.Fatalf("peer refused the node's next result (stamp %d): status %d, want 204", res, code)
+	}
+}
+
 // FuzzIncumbentFrame posts arbitrary bodies to /cluster/incumbent while
 // a solve is live: every body gets 204 or 400, none panics, and the
 // live store's objective is always the objective of its order.
@@ -236,6 +270,7 @@ func FuzzIncumbentFrame(f *testing.F) {
 	f.Add(frame(f, liveSolveKey, []int{5, 4, 3, 2, 1, 0}, 1))
 	f.Add([]byte(`{"key":"live","incumbent":{"objective":-1,"order":[0,1,2,3,4,5],"clock":18446744073709551615}}`))
 	f.Add(stampedFrame(f, liveSolveKey, in.seed, truth, math.MaxUint64))
+	f.Add(stampedFrame(f, liveSolveKey, in.seed, truth, clockCap-1))
 	f.Add([]byte(`{"key":"live","incumbent":{"objective":1e308,"order":[0,1,2,3,4,5,6]}}`))
 	f.Add([]byte(`{"key":"live","incumbent":null}`))
 	f.Add([]byte(`not json`))

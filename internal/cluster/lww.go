@@ -32,8 +32,12 @@ func (c *Clock) Tick() uint64 {
 	return c.now
 }
 
-// Witness folds a remotely observed stamp into the clock.
+// Witness folds a remotely observed stamp into the clock. It adopts at
+// most clockCap/2: a peer frame stamped just below clockCap is still
+// accepted, and the 2^61 ticks of headroom this leaves keep every stamp
+// the node later sends below the cap its peers enforce.
 func (c *Clock) Witness(t uint64) {
+	t = min(t, clockCap/2)
 	c.mu.Lock()
 	if t > c.now {
 		c.now = t

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/evolving-olap/idd/internal/evolve"
@@ -26,8 +27,11 @@ import (
 // already is the answer (0 steps).
 //
 // The step counts are pinned exactly: they depend only on the seed and
-// the search, never on the host, so any change to them is a change to
-// the repair, the drift or VNS.
+// the search, never on the host's speed, so any change to them is a
+// change to the repair, the drift or VNS. They were recorded on amd64,
+// where the compiler never fuses x*y+z into one FMA instruction; arm64,
+// ppc64 and s390x do, which rounds differently and can move a step
+// count, so there only the never-worse and warm-fewer checks run.
 func TestWarmResolveUnderDrift(t *testing.T) {
 	const (
 		seed     = 1
@@ -46,6 +50,8 @@ func TestWarmResolveUnderDrift(t *testing.T) {
 		{"weights", 2867, 0},
 		{"structural", 4397, 3433},
 	}
+
+	exactPins := runtime.GOARCH == "amd64"
 
 	rng := rand.New(rand.NewSource(seed))
 	cfg := randgen.DefaultConfig()
@@ -109,7 +115,7 @@ func TestWarmResolveUnderDrift(t *testing.T) {
 			if warmSteps < 0 || warmSteps >= coldSteps {
 				t.Errorf("round %d: warm reached the cold target in %d steps, cold in %d; want warm fewer", r, warmSteps, coldSteps)
 			}
-			if coldSteps != w.cold || warmSteps != w.warm {
+			if exactPins && (coldSteps != w.cold || warmSteps != w.warm) {
 				t.Errorf("round %d: steps to target cold %d warm %d, pinned cold %d warm %d",
 					r, coldSteps, warmSteps, w.cold, w.warm)
 			}

@@ -2,6 +2,7 @@ package astar
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -16,11 +17,18 @@ type pinnedProof struct {
 	objBits          uint64
 }
 
+// exactPins reports whether the pinned values apply. They were recorded
+// on amd64, where the compiler never fuses x*y+z into one FMA
+// instruction; arm64, ppc64 and s390x do, which rounds differently and
+// can move an objective bit or an expansion, so there only the
+// proved-with-an-order checks run.
+const exactPins = runtime.GOARCH == "amd64"
+
 // TestRaceProofsPinned pins the work of BenchmarkRaceProof's twelve
 // race-style proofs exactly: expansions, distinct states and the
 // objective bits of each. Every proof beats the greedy bound, so each
 // also returns an order. The counts depend only on the search, never
-// on the host, so a change to any of them is a change to the expansion
+// on the host's speed, so a change to any of them is a change to the expansion
 // order, the heuristic or the pruning — TestMatchesReference says
 // whether the reference agrees, this test says the work moved.
 func TestRaceProofsPinned(t *testing.T) {
@@ -50,13 +58,13 @@ func TestRaceProofsPinned(t *testing.T) {
 		}
 		total += res.Expanded
 		got := pinnedProof{res.Expanded, res.States, math.Float64bits(res.Objective)}
-		if !res.Proved || res.Order == nil || got != want[k] {
+		if !res.Proved || res.Order == nil || (exactPins && got != want[k]) {
 			t.Errorf("proof %d (n=%d): proved %v, order %v, expanded/states/objective bits %d/%d/%#x; want proved, an order, %d/%d/%#x",
 				k, p.c.N, res.Proved, res.Order != nil, got.expanded, got.states, got.objBits,
 				want[k].expanded, want[k].states, want[k].objBits)
 		}
 	}
-	if total != 48103 {
+	if exactPins && total != 48103 {
 		t.Errorf("%d expansions over the race proofs, want 48103", total)
 	}
 }
@@ -73,6 +81,9 @@ func TestReducedTPCHProofPinned(t *testing.T) {
 	}
 	if !res.Proved {
 		t.Fatal("unbounded proof did not exhaust")
+	}
+	if !exactPins {
+		return
 	}
 	got := pinnedProof{res.Expanded, res.States, math.Float64bits(res.Objective)}
 	if want := (pinnedProof{331, 772, 0x414f64c9d35c7180}); got != want {

@@ -77,11 +77,14 @@ func (f Features) Class() string {
 // overhead for them.
 const DefaultFastPathMaxN = 12
 
+// Every size Route sends to A* must be one A* accepts.
+var _ = [astar.MaxN - DefaultFastPathMaxN]struct{}{}
+
 // Route picks the backend to fast-path an n-index instance to, or
 // reports ok=false when it should run the full portfolio race. Every
 // instance with 1 ≤ n ≤ DefaultFastPathMaxN goes to A*.
 func Route(n int) (string, bool) {
-	if n < 1 || n > DefaultFastPathMaxN || n > astar.MaxN {
+	if n < 1 || n > DefaultFastPathMaxN {
 		return "", false
 	}
 	return "astar", true
