@@ -36,11 +36,16 @@ func MinCut(w [][]float64) (float64, []bool) {
 	bestWeight := -1.0
 	var bestGroup []int
 
+	// Per-phase state, indexed by vertex and reused across phases.
+	inA := make([]bool, n)
+	weights := make([]float64, n)
+	order := make([]int, 0, n)
 	for len(active) > 1 {
 		// Maximum adjacency (minimum cut phase) ordering.
-		inA := make(map[int]bool, len(active))
-		weights := make(map[int]float64, len(active))
-		order := make([]int, 0, len(active))
+		for _, v := range active {
+			inA[v], weights[v] = false, 0
+		}
+		order = order[:0]
 		for len(order) < len(active) {
 			// Pick the most tightly connected remaining vertex.
 			sel, selW := -1, -1.0

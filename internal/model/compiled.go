@@ -211,6 +211,19 @@ func (c *Compiled) BuildCost(i int, built []bool) float64 {
 	return cost - best
 }
 
+// MaskBuildCost is BuildCost for the deployed set given as a subset mask
+// (bit h set = index h deployed; N ≤ 64).
+func (c *Compiled) MaskBuildCost(i int, mask uint64) float64 {
+	cost := c.CreateCost[i]
+	var best float64
+	for _, h := range c.Helpers[i] {
+		if mask&(1<<uint(h.Helper)) != 0 && h.Speedup > best {
+			best = h.Speedup
+		}
+	}
+	return cost - best
+}
+
 // runtimeOf returns the canonical runtime R = Base - sum_q best[q] for
 // per-query best speedups best. The fixed summation order makes the value
 // depend only on the deployed set, not on the walk that reached it; the

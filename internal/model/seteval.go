@@ -7,12 +7,13 @@ import "fmt"
 // a pure function of the set — the build cost of the next index, the
 // per-query best speedups and the runtime — so a search over sets (A*)
 // can score a state's children without replaying any prefix: Load the
-// state's mask, then ask for each child's Cost and, when it needs it,
-// RuntimeWith. Results are bitwise what a Walker that pushed the same set
-// in any order reports: a child's objective is g + Runtime()·Cost(i),
-// the expression Walker.ObjectiveIfPushed evaluates.
+// state's mask, then ask for each child's RuntimeWith. A child's build
+// cost needs no load at all (Compiled.MaskBuildCost). Results are bitwise
+// what a Walker that pushed the same set in any order reports: a child's
+// objective is g + Runtime()·MaskBuildCost(mask, i), the expression
+// Walker.ObjectiveIfPushed evaluates.
 //
-// SetEval needs N ≤ 64. Load, Cost and RuntimeWith do not allocate once
+// SetEval needs N ≤ 64. Load and RuntimeWith do not allocate once
 // RuntimeWith's undo log has grown to its working size.
 type SetEval struct {
 	c       *Compiled
@@ -50,19 +51,6 @@ func (e *SetEval) Load(mask uint64) {
 
 // Runtime returns the weighted workload runtime under the loaded set.
 func (e *SetEval) Runtime() float64 { return e.runtime }
-
-// Cost returns what deploying i after the loaded set costs: its creation
-// cost less the best discount of a deployed helper.
-func (e *SetEval) Cost(i int) float64 {
-	cost := e.c.CreateCost[i]
-	var best float64
-	for _, h := range e.c.Helpers[i] {
-		if e.mask&(1<<uint(h.Helper)) != 0 && h.Speedup > best {
-			best = h.Speedup
-		}
-	}
-	return cost - best
-}
 
 // RuntimeWith returns the runtime after deploying i on top of the loaded
 // set, which must not contain i. The runtime sum is recomputed only when

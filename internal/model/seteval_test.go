@@ -36,7 +36,7 @@ func TestSetEvalTable(t *testing.T) {
 	for _, tc := range []struct {
 		mask    uint64
 		runtime float64
-		cost    [3]float64 // Cost(i)
+		cost    [3]float64 // MaskBuildCost(i, mask)
 		with    [3]float64 // RuntimeWith(i)
 	}{
 		{0b000, 150, [3]float64{10, 20, 30}, [3]float64{140, 150, 130}},
@@ -57,8 +57,8 @@ func TestSetEvalTable(t *testing.T) {
 			if tc.mask&(1<<uint(i)) != 0 {
 				continue
 			}
-			if got := ev.Cost(i); got != tc.cost[i] {
-				t.Errorf("mask %03b: Cost(%d) = %v, want %v", tc.mask, i, got, tc.cost[i])
+			if got := c.MaskBuildCost(i, tc.mask); got != tc.cost[i] {
+				t.Errorf("mask %03b: MaskBuildCost(%d) = %v, want %v", tc.mask, i, got, tc.cost[i])
 			}
 			if got := ev.RuntimeWith(i); got != tc.with[i] {
 				t.Errorf("mask %03b: RuntimeWith(%d) = %v, want %v", tc.mask, i, got, tc.with[i])
@@ -83,8 +83,8 @@ func TestSetEvalRejectsWideInstances(t *testing.T) {
 // checkSetEvalAgainstWalker builds a random instance, set and push order
 // from seed and requires SetEval to report, bit for bit, what a Walker
 // that pushed that set in that order reports: the set's runtime, and per
-// unplaced child its build cost, its objective (g + Runtime·Cost against
-// ObjectiveIfPushed and a real Push) and its runtime. Children are
+// unplaced child its build cost, its objective (g + Runtime·MaskBuildCost
+// against ObjectiveIfPushed and a real Push) and its runtime. Children are
 // scored one after another on one load, so a RuntimeWith that left a
 // raised best behind would fail a later child.
 func checkSetEvalAgainstWalker(seed int64, n, queries int, density uint8) error {
@@ -124,9 +124,9 @@ func checkSetEvalAgainstWalker(seed int64, n, queries int, density uint8) error 
 		if mask&(1<<uint(i)) != 0 {
 			continue
 		}
-		cost := ev.Cost(i)
+		cost := c.MaskBuildCost(i, mask)
 		if !same(cost, w.BuildCost(i)) {
-			return fmt.Errorf("mask %b: Cost(%d) %v, walker %v", mask, i, cost, w.BuildCost(i))
+			return fmt.Errorf("mask %b: MaskBuildCost(%d) %v, walker %v", mask, i, cost, w.BuildCost(i))
 		}
 		g := w.Objective() + ev.Runtime()*cost
 		if !same(g, w.ObjectiveIfPushed(i)) {

@@ -3,6 +3,7 @@ package service
 import (
 	"math/rand"
 	"net/http"
+	"slices"
 	"testing"
 	"time"
 
@@ -14,22 +15,41 @@ import (
 // alignment that left deep proof searches running long after their job
 // was deleted. Now the search polls on a strict stride, so a DELETE must
 // release the solve worker within a couple of seconds, not after the
-// 30s budget.
+// 60s budget.
 func TestCancelInterruptsCPProofPromptly(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	rng := rand.New(rand.NewSource(3))
 	cfg := randgen.DefaultConfig()
-	cfg.Indexes = 22
+	cfg.Indexes = 26 // standalone cp does not prove it within 20s
 	cfg.Queries = 12
 	in := randgen.New(rng, cfg)
 
 	st := decode[JobStatus](t, postJSON(t, ts.URL+"/jobs", solveRequest{
 		Instance: in,
-		Params:   Params{Backends: []string{"cp"}, Budget: Duration(30 * time.Second)},
+		Params:   Params{Backends: []string{"cp"}, Budget: Duration(60 * time.Second)},
 	}))
-	waitState(t, ts.URL, st.ID, StateRunning, 10*time.Second)
-	// Let the proof search descend well into the tree before cancelling.
-	time.Sleep(200 * time.Millisecond)
+	// Cancel once the proof search is under way: cp has published its
+	// first incumbent, its first order better than its greedy start
+	// (~1s into the search, ~15s under the race detector).
+	j, ok := s.Manager().Get(st.ID)
+	if !ok {
+		t.Fatalf("job %s unknown", st.ID)
+	}
+	for seq, deadline := 0, time.After(45*time.Second); ; {
+		evs, terminal, notify := j.eventsSince(seq)
+		if slices.ContainsFunc(evs, func(ev Event) bool { return ev.Type == EventIncumbent && ev.Backend == "cp" }) {
+			break
+		}
+		if terminal {
+			t.Fatalf("job ended before cp published an incumbent: %+v", j.Status())
+		}
+		seq += len(evs)
+		select {
+		case <-notify:
+		case <-deadline:
+			t.Fatal("no cp incumbent within 45s")
+		}
+	}
 
 	req, _ := http.NewRequest("DELETE", ts.URL+"/jobs/"+st.ID, nil)
 	resp, err := http.DefaultClient.Do(req)

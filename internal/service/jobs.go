@@ -549,8 +549,24 @@ func (m *Manager) SeedCache(key string, res *SolveResult) {
 	if res == nil || key == "" {
 		return
 	}
-	m.cache.put(key, res)
+	m.cachePut(key, res)
 }
+
+// cachePut stores a finished result under its full solve key and, when
+// it is proved, under its instance alone (provedKey), where any request
+// for the instance with the default backend selection finds it.
+func (m *Manager) cachePut(key string, res *SolveResult) {
+	m.cache.put(key, res)
+	if res.Proved {
+		hash, _, _ := strings.Cut(key, "|") // solveKey leads with the hash
+		m.cache.put(provedKey(hash), res)
+	}
+}
+
+// provedKey is the cache key of a proved result: the canonical instance
+// hash alone. Seed, budget, step limit, params and a warm order shape how
+// a solve searches, never the optimum it proves.
+func provedKey(hash string) string { return hash + "|proved" }
 
 // CachedResult looks up a finished result by solve key without touching
 // job state (used by the cluster layer to answer peers).
@@ -740,7 +756,13 @@ func (m *Manager) submitWarm(in *model.Instance, p Params, warmNames []string, p
 	m.metrics.jobsSubmitted.Add(1)
 	m.metrics.tenantSubmitted.With(tenant).Inc()
 
-	if res, ok := m.cache.get(key); ok {
+	res, ok := m.cache.get(key)
+	if !ok && len(p.Backends) == 0 {
+		// The instance's optimum is proved already (a session that
+		// reverts a delta comes back to it): no need to prove it again.
+		res, ok = m.cache.get(provedKey(hash))
+	}
+	if ok {
 		m.jobs[j.ID] = j
 		m.mu.Unlock()
 		m.metrics.cacheHits.Add(1)
@@ -1120,7 +1142,7 @@ func (m *Manager) execute(r *run) {
 	// (cancellation or drain timeout) without reaching a proof — a
 	// truncated incumbent under-serves future identical requests.
 	if r.ctx.Err() == nil || res.Proved {
-		m.cache.put(r.key, result)
+		m.cachePut(r.key, result)
 		if m.cfg.Distributor != nil {
 			// Replicate the canonical-space result so the identical
 			// request is a cache hit on every peer.

@@ -1,0 +1,172 @@
+package service
+
+import (
+	"context"
+	"math"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/evolving-olap/idd/internal/evolve"
+	"github.com/evolving-olap/idd/internal/model"
+)
+
+// solveDone submits in (warm-started when warm is non-nil), waits for
+// the job and returns its result.
+func solveDone(t *testing.T, m *Manager, in *model.Instance, p Params, warm []string) *SolveResult {
+	t.Helper()
+	var j *Job
+	var err error
+	if warm != nil {
+		j, err = m.SubmitWarm(in, p, warm)
+	} else {
+		j, err = m.Submit(in, p)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitDone(t, j, 20*time.Second)
+	if st.State != StateDone || st.Result == nil {
+		t.Fatalf("solve ended %+v", st)
+	}
+	return st.Result
+}
+
+// TestSessionRevertHitsProvedResult: a delta that takes a session back
+// to an instance it has proved is served from the cache, with the
+// proved objective, although its warm order differs from the first
+// solve's (which had none).
+func TestSessionRevertHitsProvedResult(t *testing.T) {
+	m := newTestManager(t, Config{Workers: 2})
+	in := sessionInstance()
+	in.Queries[0].Weight = 2
+	sess, err := m.CreateSession(context.Background(), in, Params{Budget: Duration(10 * time.Second)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := sess.Status().Result
+	if !first.Proved {
+		t.Fatalf("initial solve not proved: %+v", first)
+	}
+	hits := m.metrics.cacheHits.Value()
+
+	moved, err := m.SessionDelta(context.Background(), sess.ID, SessionDelta{Weights: map[string]float64{"q1": 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moved.Result.CacheHit {
+		t.Fatal("a weight change hit the cache")
+	}
+	back, err := m.SessionDelta(context.Background(), sess.ID, SessionDelta{Weights: map[string]float64{"q1": 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := back.Result; !r.CacheHit || !r.Proved ||
+		math.Float64bits(r.Objective) != math.Float64bits(first.Objective) {
+		t.Fatalf("revert: cache hit %v, proved %v, objective %v; want a proved hit with %v",
+			r.CacheHit, r.Proved, r.Objective, first.Objective)
+	}
+	if got := m.metrics.cacheHits.Value() - hits; got != 1 {
+		t.Fatalf("%d cache hits over the two deltas, want 1", got)
+	}
+}
+
+// TestNamedBackendsSkipProvedResult: a request that names its backends
+// gets a solve by those backends, not another request's proof; the same
+// request with the default selection takes the proof.
+func TestNamedBackendsSkipProvedResult(t *testing.T) {
+	m := newTestManager(t, Config{Workers: 2})
+	in := trapInstance(t)
+	first := solveDone(t, m, in, Params{Seed: 1, Budget: Duration(10 * time.Second)}, nil)
+	if !first.Proved {
+		t.Fatalf("default solve not proved: %+v", first)
+	}
+	named := solveDone(t, m, in, Params{Seed: 2, Backends: []string{"cp"}, Budget: Duration(10 * time.Second)}, nil)
+	if named.CacheHit {
+		t.Fatalf("named-backend request served from the cache: %+v", named)
+	}
+	def := solveDone(t, m, in, Params{Seed: 2, Budget: Duration(10 * time.Second)}, nil)
+	if !def.CacheHit || !def.Proved || math.Float64bits(def.Objective) != math.Float64bits(first.Objective) {
+		t.Fatalf("default request with a new seed: %+v; want the proved result", def)
+	}
+}
+
+// TestUnprovedResultNotSharedAcrossWarmOrders: only proofs are keyed by
+// instance. A step-limited solve that ends unproved answers its own
+// full key, never a request that warm-starts from another order.
+func TestUnprovedResultNotSharedAcrossWarmOrders(t *testing.T) {
+	m := newTestManager(t, Config{Workers: 1})
+	in := slowInstance(5)
+	p := Params{Budget: Duration(10 * time.Second), StepLimit: 20, Seed: 1}
+	cold := solveDone(t, m, in, p, nil)
+	if cold.Proved {
+		t.Fatal("step-limited solve of an n=26 instance proved; the test needs an unproved one")
+	}
+	reversed := slices.Clone(cold.Names)
+	slices.Reverse(reversed)
+	warmB, err := evolve.RepairOrder(in, reversed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(warmB, cold.Names) {
+		t.Fatal("both warm orders are the same")
+	}
+	a := solveDone(t, m, in, p, cold.Names)
+	b := solveDone(t, m, in, p, warmB)
+	if a.CacheHit || b.CacheHit || a.Proved || b.Proved {
+		t.Fatalf("warm solves: hit %v/%v, proved %v/%v; want two unproved misses",
+			a.CacheHit, b.CacheHit, a.Proved, b.Proved)
+	}
+	if again := solveDone(t, m, in, p, cold.Names); !again.CacheHit {
+		t.Fatal("a repeat of the first warm request missed its own key")
+	}
+}
+
+// cacheRecorder is a Distributor that records what the manager
+// replicates and has no live-solve hooks.
+type cacheRecorder struct {
+	mu     sync.Mutex
+	keys   []string
+	cached []*SolveResult
+}
+
+func (d *cacheRecorder) SolveStarted(SolveStart) DistributedSolve { return noSolveHooks{} }
+
+func (d *cacheRecorder) ResultCached(key string, res *SolveResult) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.keys = append(d.keys, key)
+	d.cached = append(d.cached, res)
+}
+
+type noSolveHooks struct{}
+
+func (noSolveHooks) Improved([]int, float64) {}
+func (noSolveHooks) Done()                   {}
+
+// TestReplicatedProofServesPeer: a proved result replicated to a peer
+// (ResultCached on the solving node, SeedCache on the peer) is keyed by
+// instance there too, so the peer serves it to a request with another
+// seed and budget.
+func TestReplicatedProofServesPeer(t *testing.T) {
+	rec := &cacheRecorder{}
+	owner := newTestManager(t, Config{Workers: 2, Distributor: rec})
+	peer := newTestManager(t, Config{Workers: 2})
+	in := trapInstance(t)
+	first := solveDone(t, owner, in, Params{Seed: 1, Budget: Duration(10 * time.Second)}, nil)
+	if !first.Proved {
+		t.Fatalf("owner's solve not proved: %+v", first)
+	}
+	rec.mu.Lock()
+	if len(rec.keys) != 1 {
+		t.Fatalf("%d results replicated, want 1", len(rec.keys))
+	}
+	peer.SeedCache(rec.keys[0], rec.cached[0])
+	rec.mu.Unlock()
+
+	got := solveDone(t, peer, in, Params{Seed: 7, Budget: Duration(5 * time.Second)}, nil)
+	if !got.CacheHit || !got.Proved || math.Float64bits(got.Objective) != math.Float64bits(first.Objective) {
+		t.Fatalf("peer: %+v; want the replicated proof", got)
+	}
+}

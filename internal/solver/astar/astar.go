@@ -8,32 +8,44 @@
 //
 // A state's children are scored from its subset mask alone: the build
 // cost of a child, the runtime of the set and g = parent g + runtime ·
-// cost are set-pure, so each expansion loads the mask into a
-// model.SetEval and asks it for every child's cost, and for the child's
-// runtime (which h needs) only when the child improves its g. No prefix
-// is replayed; a node's prefix is rebuilt from parent links once, at the
-// goal, for the result.
+// cost are set-pure. A node carries its set's runtime, so a child's cost
+// and g come from the parent's mask and node without any evaluation; only
+// a child that survives the cut below needs its own runtime (for h), and
+// the expansion then loads the mask into a model.SetEval once to get it.
+// No prefix is replayed; a node's prefix is rebuilt from parent links
+// once, at the goal, for the result.
+//
+// With an external bound (the portfolio's incumbent), a child is cut at
+// generation when its f exceeds the bound read at its parent's pop, by
+// the same 1e-9 slack the pop test uses: it is neither stored nor
+// pushed, so it costs no memory (breadth-first heuristic search's
+// upper-bound pruning; Zhou & Hansen, AIJ 2006). Most cut children are
+// cut by an O(1) floor, MinRuntime times the child's unplaced best-case
+// cost sum, scaled down so that it never cuts a child the exact test
+// keeps; they skip the runtime and the exact h. When the bound is the
+// optimum, every stored state is one that A* expands.
 //
 // Generated states live in one arena of fixed-size nodes; a node stores
-// its subset, g, the index deployed last and a link to its parent node.
-// The open list is a binary heap of (f, node) pairs, so comparisons never
-// load from the arena, and g lives in an open-addressing table keyed by
-// the subset mask. Each generated child costs a 24-byte node and a
-// 16-byte heap slot, and each distinct subset a 16-byte table entry in a
-// table kept at most half full. The arena and heap double when full; the
-// table doubles into a buffer of the next size. All three are pooled
-// across proofs: a proof that follows a larger one allocates only its
-// per-instance state and its result, and it clears only the table sizes
-// it grows through (O(min(capacity, 2^(n+1)))), so a small fast-path
-// proof never pays to clear the table of an earlier large one.
+// its subset, g, its runtime, the index deployed last and a link to its
+// parent node. The open list is a binary heap of (f, node) pairs, so
+// comparisons never load from the arena, and g lives in an
+// open-addressing table keyed by the subset mask. Each stored child costs
+// a 32-byte node and a 16-byte heap slot, and each distinct subset a
+// 16-byte table entry in a table kept at most half full. The arena and
+// heap double when full; the table doubles into a buffer of the next
+// size. All three are pooled across proofs: a proof that follows a larger
+// one allocates only its per-instance state and its result, and it clears
+// only the table sizes it grows through (O(min(capacity, 2^(n+1)))), so a
+// small fast-path proof never pays to clear the table of an earlier large
+// one.
 //
 // The search is exactly the textbook one with per-child prefix copies, a
-// walker Push/Pop per child, a container/heap open list and a Go map
-// (solveReference in the tests):
+// walker Push/Pop per child, a container/heap open list, a Go map and
+// the same cut (solveReference in the tests):
 // the heap repeats container/heap's sift steps, so ties pop in the same
 // order, and g and h are the same floating-point expressions evaluated in
-// the same order. Expanded, States, Proved, the objective bits and Order
-// all match.
+// the same order. Expanded, States (the distinct subsets stored, cut
+// children excluded), Proved, the objective bits and Order all match.
 //
 // Memory grows with the number of reachable subsets (up to 2^n), which is
 // precisely why the paper dismisses A* for larger instances; MaxN caps n
@@ -84,18 +96,20 @@ type Result struct {
 	// the proved optimum, or Order is nil and no order beating
 	// Options.ExternalBound exists (the external incumbent is optimal).
 	Proved bool
-	// Expanded counts expanded states; States counts distinct subsets
-	// seen (memory proxy).
+	// Expanded counts expanded states; States counts the distinct subsets
+	// stored (memory proxy), which excludes children cut by the external
+	// bound.
 	Expanded, States int64
 }
 
 // node is one generated state in the search arena. Its prefix is its
 // parent's prefix followed by last; the root has parent -1.
 type node struct {
-	mask   uint64
-	g      float64 // exact objective of the prefix this node was generated with
-	parent int32
-	last   int32
+	mask    uint64
+	g       float64 // exact objective of the prefix this node was generated with
+	runtime float64 // workload runtime under mask (unset on the goal)
+	parent  int32
+	last    int32
 }
 
 // openEntry is one open-list slot: an arena node with its f = g +
@@ -117,23 +131,24 @@ type search struct {
 
 	// Per-instance scratch: predecessor masks, and per expansion the
 	// unplaced indexes in ascending order, their best-case build costs
-	// and the running sums of those costs.
+	// and the prefix and suffix sums of those costs.
 	predMask []uint64
 	restIdx  []int
 	restMC   []float64
 	restPre  []float64
+	restSuf  []float64
 }
 
 var searches = sync.Pool{New: func() any { return new(search) }}
 
 // reset readies s for a proof of c under cs: the open list holds the
-// root, whose g is 0.
-func (s *search) reset(c *model.Compiled, cs *constraint.Set) {
+// root, whose g is 0 and whose runtime is rootRuntime.
+func (s *search) reset(c *model.Compiled, cs *constraint.Set, rootRuntime float64) {
 	if s.nodes == nil {
 		s.nodes = make([]node, 0, 64)
 		s.open = make([]openEntry, 0, 64)
 	}
-	s.nodes = append(s.nodes[:0], node{parent: -1})
+	s.nodes = append(s.nodes[:0], node{runtime: rootRuntime, parent: -1})
 	s.open = append(s.open[:0], openEntry{})
 	s.g.reset()
 	root, _ := s.g.find(0)
@@ -150,6 +165,7 @@ func (s *search) reset(c *model.Compiled, cs *constraint.Set) {
 	s.restIdx = slices.Grow(s.restIdx[:0], c.N)
 	s.restMC = slices.Grow(s.restMC[:0], c.N)
 	s.restPre = slices.Grow(s.restPre[:0], c.N+1)
+	s.restSuf = slices.Grow(s.restSuf[:0], c.N+1)
 }
 
 // Solve runs A*. cs may be nil. The error is non-nil only when the
@@ -165,8 +181,12 @@ func Solve(c *model.Compiled, cs *constraint.Set, opt Options) (Result, error) {
 	ev := model.NewSetEval(c)
 	s := searches.Get().(*search)
 	defer searches.Put(s)
-	s.reset(c, cs)
+	s.reset(c, cs, ev.Runtime())
 	goal := uint64(1)<<uint(c.N) - 1
+	var floor float64
+	if opt.ExternalBound != nil {
+		floor = floorScale(c, lb)
+	}
 
 	var res Result
 	res.Objective = math.Inf(1)
@@ -190,10 +210,12 @@ func Solve(c *model.Compiled, cs *constraint.Set, opt Options) (Result, error) {
 			default:
 			}
 		}
+		cut := math.Inf(1)
 		if opt.ExternalBound != nil {
 			// f is admissible and the queue is ordered by f, so once the
-			// head cannot beat the external incumbent, nothing can.
-			if e := opt.ExternalBound(); top.f > e+1e-9 {
+			// head cannot beat the external incumbent, nothing can; a
+			// child that cannot is never stored.
+			if cut = opt.ExternalBound() + 1e-9; top.f > cut {
 				break
 			}
 		}
@@ -207,16 +229,12 @@ func Solve(c *model.Compiled, cs *constraint.Set, opt Options) (Result, error) {
 			}
 			return res, nil
 		}
-		// Every child's cost and runtime is a function of this node's set
-		// alone, so the set is evaluated from its mask; no prefix is
-		// replayed.
-		ev.Load(cur.mask)
-		runtime := ev.Runtime()
 
 		// h of a child is R·min + MinRuntime·(sum − min) over the costs it
 		// leaves unplaced. Those are this node's unplaced costs minus the
 		// child's own, so one pass here yields every child's min (from the
-		// two smallest) and the head of its left-to-right sum.
+		// two smallest) and the head of its left-to-right sum; the suffix
+		// sums give the floor its tail in O(1).
 		restIdx, restMC, restPre := s.restIdx[:0], s.restMC[:0], append(s.restPre[:0], 0)
 		min1, min1At := math.Inf(1), -1
 		for j := 0; j < c.N; j++ {
@@ -236,35 +254,57 @@ func Solve(c *model.Compiled, cs *constraint.Set, opt Options) (Result, error) {
 				min2 = mc
 			}
 		}
+		restSuf := s.restSuf[:len(restMC)+1]
+		if floor > 0 {
+			restSuf[len(restMC)] = 0
+			for r := len(restMC) - 1; r >= 0; r-- {
+				restSuf[r] = restSuf[r+1] + restMC[r]
+			}
+		}
 
+		// Every child's cost and runtime is a function of this node's set
+		// alone: costs come from the mask, runtimes from the set loaded
+		// into ev, which only a child that survives the cut needs.
+		loaded := false
 		for r, i := range restIdx {
 			if cur.mask&s.predMask[i] != s.predMask[i] {
 				continue
 			}
 			// Walker.ObjectiveIfPushed's expression on the node's prefix:
-			// cur.g is that prefix's objective, runtime its runtime.
-			ng := cur.g + runtime*ev.Cost(i)
+			// cur.g is that prefix's objective, cur.runtime its runtime.
+			ng := cur.g + cur.runtime*c.MaskBuildCost(i, cur.mask)
+			if floor > 0 && ng+floor*(restPre[r]+restSuf[r+1]) > cut {
+				continue // h ≥ the floor: the exact test below cuts it too
+			}
 			nmask := cur.mask | 1<<uint(i)
 			at, seen := s.g.find(nmask)
 			if seen && !(ng < s.g.entries[at].g-1e-12) {
 				continue
 			}
-			s.g.store(at, nmask, ng)
 			// h: cheapest remaining best-case cost at the child's runtime
-			// + the rest at the floor runtime.
+			// + the rest at the floor runtime. The goal needs neither.
 			restMin := min1
 			if r == min1At {
 				restMin = min2
 			}
-			h := 0.0
+			h, runtime := 0.0, 0.0
 			if !math.IsInf(restMin, 1) {
+				if !loaded {
+					ev.Load(cur.mask)
+					loaded = true
+				}
+				runtime = ev.RuntimeWith(i)
 				restSum := restPre[r]
 				for _, mc := range restMC[r+1:] {
 					restSum += mc
 				}
-				h = ev.RuntimeWith(i)*restMin + lb.MinRuntime()*(restSum-restMin)
+				h = runtime*restMin + lb.MinRuntime()*(restSum-restMin)
 			}
-			s.nodes = append(grow(s.nodes), node{mask: nmask, g: ng, parent: top.node, last: int32(i)})
+			if ng+h > cut {
+				continue
+			}
+			s.g.store(at, nmask, ng)
+			s.nodes = append(grow(s.nodes), node{mask: nmask, g: ng, runtime: runtime, parent: top.node, last: int32(i)})
 			s.push(ng+h, int32(len(s.nodes)-1))
 		}
 	}
@@ -274,6 +314,32 @@ func Solve(c *model.Compiled, cs *constraint.Set, opt Options) (Result, error) {
 	res.Proved = opt.ExternalBound != nil
 	res.States = int64(s.g.count)
 	return res, nil
+}
+
+// floorMargin is the relative slack floorScale leaves below MinRuntime.
+const floorMargin = 1e-6
+
+// floorScale returns the factor F of the O(1) floor F·S on a child's h,
+// S being the child's unplaced best-case cost sum, or 0 when the floor
+// must not be used. In exact arithmetic h ≥ MinRuntime·S, because no set
+// runs faster than MinRuntime. In floating point the child's runtime and
+// MinRuntime are sums over the queries in different orders and S is
+// summed in a different order from h's, so F is MinRuntime scaled down
+// by floorMargin. That covers both rounding errors with room to spare
+// when the costs and MinRuntime are non-negative and MinRuntime is not
+// a vanishing remainder of the base runtime (nq·Base ≤ 1e8·MinRuntime);
+// otherwise the floor is off.
+func floorScale(c *model.Compiled, lb *bruteforce.LowerBound) float64 {
+	mr := lb.MinRuntime()
+	if !(mr > 0) || float64(len(c.QryRuntime)+1)*c.Base > 1e8*mr {
+		return 0
+	}
+	for i := 0; i < c.N; i++ {
+		if !(lb.MinCost(i) >= 0) {
+			return 0
+		}
+	}
+	return mr * (1 - floorMargin)
 }
 
 // orderOf rebuilds node k's deployment prefix into a new slice.

@@ -122,14 +122,16 @@ func TestMatchesReference(t *testing.T) {
 }
 
 // FuzzAstarReference compares Solve with the reference on random shapes,
-// node limits, bounds and constraint sets, and checks every proved
+// node limits, bounds (the optimum among them, where the cut stores only
+// what A* expands) and constraint sets, and checks every proved
 // objective against brute force on instances small enough for it.
 func FuzzAstarReference(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint8(3), uint8(10), uint16(0), uint8(0), true)
 	f.Add(int64(7), uint8(9), uint8(9), uint8(30), uint16(500), uint8(1), false)
 	f.Add(int64(42), uint8(13), uint8(4), uint8(0), uint16(40), uint8(2), true)
+	f.Add(int64(3), uint8(12), uint8(11), uint8(5), uint16(0), uint8(3), true)
 	// One query: f ties everywhere, so any drift in h's bits reorders pops.
-	f.Add(int64(-35), uint8(9), uint8(0), uint8(23), uint16(418), uint8(51), false)
+	f.Add(int64(-35), uint8(9), uint8(0), uint8(23), uint16(418), uint8(48), false)
 	f.Fuzz(func(t *testing.T, seed int64, n, queries, precPct uint8, limit uint16, bound uint8, analyze bool) {
 		cfg := randgen.DefaultConfig()
 		cfg.Indexes = 1 + int(n%14) // 1..14
@@ -143,10 +145,17 @@ func FuzzAstarReference(f *testing.F) {
 			cs, _ = prune.Analyze(c, prune.Options{})
 		}
 		opt := Options{NodeLimit: int64(limit)}
-		if bound%3 != 0 { // 0 = no bound; 1 = greedy; 2 = just below greedy
+		if bound%4 != 0 { // 0 = no bound; 1 = greedy; 2 = just below greedy; 3 = the optimum
 			b := c.Objective(greedy.Solve(c, cs))
-			if bound%3 == 2 {
+			switch bound % 4 {
+			case 2:
 				b *= 0.999
+			case 3:
+				best, err := Solve(c, cs, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				b = best.Objective
 			}
 			opt.ExternalBound = func() float64 { return b }
 		}

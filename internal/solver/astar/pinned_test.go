@@ -33,18 +33,18 @@ const exactPins = runtime.GOARCH == "amd64"
 // whether the reference agrees, this test says the work moved.
 func TestRaceProofsPinned(t *testing.T) {
 	want := []pinnedProof{
-		{4966, 14097, 0x4142caa012e6f381},
-		{3470, 11954, 0x41395bd29f07761e},
-		{5437, 18650, 0x4142085630f3274c},
-		{4927, 9977, 0x4140b7d7e01dacc4},
-		{2263, 10844, 0x4146cebce34b493e},
-		{4127, 14646, 0x413c44442b85dea2},
-		{1754, 4236, 0x41446b37c1ef0600},
+		{4966, 5728, 0x4142caa012e6f381},
+		{3470, 11896, 0x41395bd29f07761e},
+		{5437, 17381, 0x4142085630f3274c},
+		{4927, 5952, 0x4140b7d7e01dacc4},
+		{2263, 7040, 0x4146cebce34b493e},
+		{4127, 14645, 0x413c44442b85dea2},
+		{1754, 4225, 0x41446b37c1ef0600},
 		{3054, 11716, 0x4140648644486538},
 		{1408, 8420, 0x413c6f627c4e1da8},
-		{3169, 11456, 0x413f9f62fe6cb419},
+		{3169, 6786, 0x413f9f62fe6cb419},
 		{6171, 16983, 0x4145a1a816b11241},
-		{7357, 29266, 0x4143970bf7384dd9},
+		{7357, 10638, 0x4143970bf7384dd9},
 	}
 	proofs := raceProofs()
 	if len(proofs) != len(want) {
@@ -66,6 +66,31 @@ func TestRaceProofsPinned(t *testing.T) {
 	}
 	if exactPins && total != 48103 {
 		t.Errorf("%d expansions over the race proofs, want 48103", total)
+	}
+}
+
+// TestRaceProofsOptimumBound gives each of TestRaceProofsPinned's proofs
+// its own optimum as the external bound, as a race does when its warm
+// seed is already optimal. Every child whose f exceeds the optimum is cut
+// at generation, so the work is the same 48,103 expansions and the only
+// states ever stored are the expanded ones.
+func TestRaceProofsOptimumBound(t *testing.T) {
+	var expanded, states int64
+	for k, p := range optimumBound(raceProofs()) {
+		res, err := Solve(p.c, p.cs, p.options())
+		if err != nil {
+			t.Fatal(err)
+		}
+		expanded += res.Expanded
+		states += res.States
+		if !res.Proved || res.Order == nil || res.Objective != p.bound {
+			t.Errorf("proof %d (n=%d): proved %v, order %v, objective %v; want proved, an order, %v",
+				k, p.c.N, res.Proved, res.Order != nil, res.Objective, p.bound)
+		}
+	}
+	t.Logf("%d expansions, %d states", expanded, states)
+	if exactPins && (expanded != 48103 || states != 48103) {
+		t.Errorf("%d expansions and %d states over the optimum-bound proofs, want 48103 and 48103", expanded, states)
 	}
 }
 

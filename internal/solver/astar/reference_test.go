@@ -12,9 +12,10 @@ import (
 // solveReference is the straightforward A* that Solve must reproduce
 // expansion for expansion: one heap-allocated node per generated child
 // carrying a full copy of its prefix, a container/heap open list, a Go
-// map for g, and a walker Push/Pop for every child. The equivalence
-// tests require identical Expanded, States, Proved, objective bits and
-// Order from both.
+// map for g, and a walker Push/Pop for every child. A child whose f
+// exceeds the external bound read at its parent's pop is cut: neither
+// stored in the map nor pushed. The equivalence tests require identical
+// Expanded, States, Proved, objective bits and Order from both.
 func solveReference(c *model.Compiled, cs *constraint.Set, opt Options) Result {
 	if cs == nil {
 		cs = constraint.NewSet(c.N)
@@ -56,8 +57,9 @@ func solveReference(c *model.Compiled, cs *constraint.Set, opt Options) Result {
 			default:
 			}
 		}
+		cut := math.Inf(1)
 		if opt.ExternalBound != nil {
-			if e := opt.ExternalBound(); cur.f > e+1e-9 {
+			if cut = opt.ExternalBound() + 1e-9; cur.f > cut {
 				break
 			}
 		}
@@ -81,7 +83,6 @@ func solveReference(c *model.Compiled, cs *constraint.Set, opt Options) Result {
 			ng := w.Objective()
 			nmask := cur.mask | bit
 			if old, ok := gBest[nmask]; !ok || ng < old-1e-12 {
-				gBest[nmask] = ng
 				var restSum, restMin float64
 				restMin = math.Inf(1)
 				for j := 0; j < c.N; j++ {
@@ -97,10 +98,13 @@ func solveReference(c *model.Compiled, cs *constraint.Set, opt Options) Result {
 				if !math.IsInf(restMin, 1) {
 					h = w.Runtime()*restMin + lb.MinRuntime()*(restSum-restMin)
 				}
-				norder := make([]int, len(cur.order)+1)
-				copy(norder, cur.order)
-				norder[len(cur.order)] = i
-				heap.Push(open, &refNode{mask: nmask, g: ng, f: ng + h, order: norder})
+				if ng+h <= cut {
+					gBest[nmask] = ng
+					norder := make([]int, len(cur.order)+1)
+					copy(norder, cur.order)
+					norder[len(cur.order)] = i
+					heap.Push(open, &refNode{mask: nmask, g: ng, f: ng + h, order: norder})
+				}
 			}
 			w.Pop()
 		}
