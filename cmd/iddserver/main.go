@@ -7,7 +7,6 @@
 // Usage:
 //
 //	iddserver -addr :8080 -workers 8 -queue 128 -budget 2s -max-budget 60s
-//	iddserver -workers 2 -param cp.tail_bound=false   # skip CP's tail tables server-wide
 //
 // Endpoints:
 //
@@ -27,7 +26,7 @@
 //	POST   /sessions/{id}/delta  apply a workload delta, re-solve warm-started
 //	GET    /sessions/{id}/events server-sent events: changed plan tails
 //	DELETE /sessions/{id}     close the session
-//	GET    /solvers           registered backends + declared param specs
+//	GET    /solvers           registered backends
 //	GET    /healthz           liveness (503 while draining); cluster mode
 //	                          adds per-peer membership + health
 //	GET    /cluster/health    peer protocol (cluster mode): health gossip
@@ -78,12 +77,10 @@
 //	curl -s 'http://127.0.0.1:6060/debug/pprof/trace?seconds=3' > trace.out && go tool trace trace.out
 //
 // Request bodies are either a JSON envelope
-// {"instance": {...}, "budget": "2s", "backends": ["cp","vns"],
-// "params": {"cp.tail_bound": false}, ...} or a compact text matrix
-// file with the same knobs as URL query parameters
-// (?budget=2s&backends=cp,vns&priority=5&seed=1&param=cp.tail_bound=false).
-// GET /solvers lists the valid backends and params; -param sets
-// server-wide defaults that requests may override per job.
+// {"instance": {...}, "budget": "2s", "backends": ["cp","vns"], ...}
+// or a compact text matrix file with the same knobs as URL query
+// parameters (?budget=2s&backends=cp,vns&priority=5&seed=1).
+// GET /solvers lists the valid backends.
 //
 // On SIGINT/SIGTERM the server stops accepting work and drains queued
 // and running jobs for up to -drain before cancelling what remains.
@@ -104,11 +101,9 @@ import (
 
 	"github.com/evolving-olap/idd/internal/cluster"
 	"github.com/evolving-olap/idd/internal/service"
-	"github.com/evolving-olap/idd/internal/solver/backend"
 )
 
 func main() {
-	var rawParams backend.ParamFlag
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
 		workers   = flag.Int("workers", 0, "concurrent solves (0 = GOMAXPROCS)")
@@ -131,18 +126,10 @@ func main() {
 		tenantQueue = flag.Int("tenant-queue", 0, "per-tenant queued-run quota (0 = no per-tenant cap)")
 		maxBatch    = flag.Int("max-batch", 64, "instances accepted per POST /batch")
 	)
-	flag.Var(&rawParams, "param", "server-wide default backend param as key=value (repeatable; see GET /solvers)")
 	flag.Parse()
 
-	defaults, err := backend.ParseParams(rawParams)
-	if err != nil {
-		log.Fatalf("iddserver: %v", err)
-	}
-
 	svcCfg := service.Config{
-		Workers:       *workers,
-		DefaultParams: defaults,
-
+		Workers:         *workers,
 		QueueCap:        *queueCap,
 		CacheSize:       *cacheSize,
 		DefaultBudget:   *budget,

@@ -7,7 +7,6 @@
 //	iddsolve -list-solvers
 //	iddsolve -method vns -budget 30s tpch.json
 //	iddsolve -method cp -budget 60s -prune tpch13.json
-//	iddsolve -method cp -param cp.tail_bound=false tpch16.json
 //	iddsolve -method greedy tpcds.json
 //	iddsolve -method portfolio -workers 8 -budget 30s tpcds.json
 //	iddsolve -method portfolio -json r13.json | jq .objective
@@ -15,8 +14,8 @@
 //	iddsolve -warm-start-from prior.json r13_evolved.json
 //
 // Methods are the solver backends of the self-describing registry
-// (internal/solver/backend; run -list-solvers for the roster and each
-// backend's -param knobs) plus two pseudo-methods: random, and
+// (internal/solver/backend; run -list-solvers for the roster) plus two
+// pseudo-methods: random, and
 // portfolio — which races a set of backends concurrently with a shared
 // incumbent (see -workers and -solvers).
 //
@@ -100,7 +99,6 @@ type solveOutcome struct {
 }
 
 func main() {
-	var rawParams backend.ParamFlag
 	var (
 		method   = flag.String("method", "vns", "solution method (a registered backend, random, or portfolio; see -list-solvers)")
 		budget   = flag.Duration("budget", 10*time.Second, "time budget for search methods")
@@ -113,11 +111,10 @@ func main() {
 		warmFrom = flag.String("warm-start-from", "", "seed the search from a prior -json report (or a JSON array of index names), repaired against this instance")
 		trace    = flag.Bool("trace", false, "record a flight-recorder trace and print its span timeline after the report")
 		traceJS  = flag.Bool("trace-json", false, "like -trace but print the spans as JSON (inside the report when -json is set)")
-		list     = flag.Bool("list-solvers", false, "list the registered solver backends and their -param knobs, then exit")
+		list     = flag.Bool("list-solvers", false, "list the registered solver backends, then exit")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit (go tool pprof)")
 	)
-	flag.Var(&rawParams, "param", "backend param as key=value (repeatable; see -list-solvers for the valid keys)")
 	flag.Parse()
 	if *list {
 		listSolvers(os.Stdout)
@@ -126,10 +123,6 @@ func main() {
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: iddsolve [flags] <instance file>")
 		exit(exitInvalid)
-	}
-	params, err := backend.ParseParams(rawParams)
-	if err != nil {
-		fail(err)
 	}
 	startProfiles(*cpuProf, *memProf)
 	in, err := codec.LoadFile(flag.Arg(0))
@@ -176,7 +169,7 @@ func main() {
 		tr.Record(obs.SpanStarted)
 	}
 	start := time.Now()
-	order, outcome := solve(ctx, c, cs, *method, *budget, *seed, *workers, *solvers, params, initial, tr)
+	order, outcome := solve(ctx, c, cs, *method, *budget, *seed, *workers, *solvers, initial, tr)
 	elapsed := time.Since(start)
 	interrupted := ctx.Err() != nil
 	stop()
@@ -405,7 +398,7 @@ func warmOrderFrom(path string, in *model.Instance, c *model.Compiled, cs *const
 
 func solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, method string,
 	budget time.Duration, seed int64, workers int, solvers string,
-	params backend.Params, initial []int, tr *obs.Trace) ([]int, solveOutcome) {
+	initial []int, tr *obs.Trace) ([]int, solveOutcome) {
 	switch method {
 	case "random":
 		rng := rand.New(rand.NewSource(seed))
@@ -423,7 +416,6 @@ func solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, method st
 			Backends:   backends,
 			Workers:    workers,
 			Budget:     budget,
-			Params:     params,
 			Seed:       seed,
 			Initial:    initial,
 			OnProgress: func(ev portfolio.ProgressEvent) { recordProgressSpan(tr, ev) },
@@ -482,7 +474,6 @@ func solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, method st
 			Budget:      budget,
 			Seed:        seed,
 			Initial:     greedy.Solve(c, cs),
-			Params:      params,
 		}
 		if initial != nil {
 			req.Initial = initial
@@ -524,8 +515,7 @@ func solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, method st
 	}
 }
 
-// listSolvers prints the registry roster with each backend's declared
-// params (-list-solvers).
+// listSolvers prints the registry roster (-list-solvers).
 func listSolvers(w io.Writer) {
 	fmt.Fprintf(w, "%-11s %-13s %-7s %s\n", "NAME", "KIND", "PROVES", "SUMMARY")
 	for _, b := range backend.All() {
@@ -535,13 +525,6 @@ func listSolvers(w io.Writer) {
 			proves = "yes"
 		}
 		fmt.Fprintf(w, "%-11s %-13s %-7s %s\n", info.Name, info.Kind, proves, info.Summary)
-		for _, p := range info.Params {
-			def := ""
-			if p.Default != nil {
-				def = fmt.Sprintf(" (default %v)", p.Default)
-			}
-			fmt.Fprintf(w, "%-11s   -param %s=<%s>%s — %s\n", "", p.Name, p.Type, def, p.Help)
-		}
 	}
 	fmt.Fprintln(w, "\npseudo-methods: portfolio (races backends, see -solvers/-workers), random")
 }

@@ -16,19 +16,19 @@
 // Optimality proofs come from the CP engine in internal/solver/cp: a
 // serial, deterministic branch-and-prune DFS with precedence
 // propagation, an admissible objective bound, the §5.5 exact tail bound
-// (CLI -param cp.tail_bound) and a subset-dominance memo. Inside a
+// (always on) and a subset-dominance memo. Inside a
 // portfolio race it prunes against the incumbent every other backend
 // publishes to the shared store.
 //
 // The solvers plug into everything else through the self-describing
 // registry in internal/solver/backend: each solver package registers a
 // Backend (uniform Solve(ctx, Request) call plus an Info declaring its
-// kind, applicability, finisher rank and typed param specs), and the
-// portfolio's default selection, the finisher choice, iddsolve's
-// -list-solvers/-param flags and iddserver's GET /solvers catalogue and
-// per-request param validation are all derived from those declarations
-// — adding a solver or a solver knob is a one-file change. See
-// README.md's "Architecture: the backend registry".
+// kind, applicability and finisher rank), and the portfolio's default
+// selection, the finisher choice, iddsolve's -list-solvers flag and
+// iddserver's GET /solvers catalogue are all derived from those
+// declarations — adding a solver is a one-file change. Backends take no
+// per-request knobs. See README.md's "Architecture: the backend
+// registry".
 //
 // Observability is built in, not bolted on: internal/obs is a
 // stdlib-only metrics and tracing core (atomic counters, labeled

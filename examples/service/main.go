@@ -2,15 +2,15 @@
 //
 // The example starts the service in-process on a loopback listener (so
 // it runs standalone, without a separately launched iddserver), then
-// acts as a plain HTTP client: it discovers the solver roster and its
-// typed params through GET /solvers, shows the 400-with-valid-set
-// response a typo'd param earns, submits an async solve job whose
-// "params" map configures the cp proof search, follows the job's
-// server-sent-event stream while the portfolio races, prints every
-// incumbent improvement as it lands, fetches the final result (with
-// cp's prune counters echoed back), and demonstrates the
-// canonical-hash cache by resubmitting the same instance with its
-// indexes relabeled.
+// acts as a plain HTTP client: it discovers the solver roster through
+// GET /solvers, shows the 400-with-valid-set response a typo'd backend
+// name earns, submits an async cp proof job, follows the job's
+// server-sent-event stream, prints every incumbent improvement as it
+// lands, fetches the final result (with cp's prune counters echoed
+// back), demonstrates the canonical-hash cache by resubmitting the same
+// instance with its indexes relabeled, and solves a small batch.
+//
+// Run it with `go run ./examples/service`.
 package main
 
 import (
@@ -47,8 +47,8 @@ func main() {
 	in := randInstance()
 
 	// 0. Discover the solver roster: GET /solvers lists every registered
-	// backend with its kind and the typed params it accepts — the same
-	// registry iddsolve -list-solvers prints.
+	// backend with its kind — the same registry iddsolve -list-solvers
+	// prints.
 	resp0, err := http.Get(ts.URL + "/solvers")
 	if err != nil {
 		log.Fatal(err)
@@ -62,17 +62,14 @@ func main() {
 	resp0.Body.Close()
 	fmt.Printf("server registers %d solver backends:\n", len(catalogue.Solvers))
 	for _, s := range catalogue.Solvers {
-		fmt.Printf("  %-11s %-13s", s.Name, s.Kind)
-		for _, p := range s.Params {
-			fmt.Printf(" %s=<%s>", p.Name, p.Type)
-		}
-		fmt.Println()
+		fmt.Printf("  %-11s %-13s %s\n", s.Name, s.Kind, s.Summary)
 	}
 
-	// Params are validated against those specs at submission — a typo is
-	// an immediate 400 naming the valid set, not a late job failure.
+	// Backend names are checked against that roster at submission — a
+	// typo is an immediate 400 naming the valid set, not a late job
+	// failure.
 	bad, _ := json.Marshal(map[string]any{
-		"instance": in, "params": map[string]any{"cp.tail_bund": true},
+		"instance": in, "backends": []string{"cpp"},
 	})
 	respBad, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(bad))
 	if err != nil {
@@ -83,16 +80,15 @@ func main() {
 	}
 	_ = json.NewDecoder(respBad.Body).Decode(&badBody)
 	respBad.Body.Close()
-	fmt.Printf("typo'd param -> %d: %s\n", respBad.StatusCode, badBody.Error)
+	fmt.Printf("typo'd backend -> %d: %s\n", respBad.StatusCode, badBody.Error)
 
-	// 1. Submit an async job: POST /jobs with the JSON envelope. The
-	// "params" map turns on cp's exact tail-completion bound (§5.5) — the
-	// default, spelled out.
+	// 1. Submit an async job: POST /jobs with the JSON envelope. The cp
+	// proof search always folds the exact tail-completion bound (§5.5)
+	// into its lower bound.
 	body, _ := json.Marshal(map[string]any{
 		"instance": in,
 		"budget":   "10s",
 		"backends": []string{"cp"},
-		"params":   map[string]any{"cp.tail_bound": true},
 	})
 	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -155,18 +151,16 @@ func main() {
 		status.Result.Objective, status.Result.Proved, strings.Join(status.Result.Names, " -> "))
 	for _, b := range status.Result.Backends {
 		if b.Name == "cp" {
-			fmt.Printf("cp proof: %d nodes, %d cut by the tail bound (from params cp.tail_bound)\n",
+			fmt.Printf("cp proof: %d nodes, %d cut by the tail bound\n",
 				b.Counters["nodes"], b.Counters["pruned_tail"])
 		}
 	}
 
 	// 4. Same problem, different labeling: the canonical hash routes it
 	// to the solution cache — no second solve happens. The knobs must
-	// match too (params are part of the cache key: a cp.tail_bound=false
-	// run is not the answer to a cp.tail_bound=true request).
+	// match too: budget and backends are part of the cache key.
 	body, _ = json.Marshal(map[string]any{
 		"instance": reversed(in), "budget": "10s", "backends": []string{"cp"},
-		"params": map[string]any{"cp.tail_bound": true},
 	})
 	resp, err = http.Post(ts.URL+"/solve", "application/json", bytes.NewReader(body))
 	if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -91,10 +92,12 @@ func runMIPCell(name string, c *model.Compiled, cs *constraint.Set, n int, d dat
 	if n > 13 {
 		return ExactCell{Method: name, Size: n, Density: d, Elapsed: cfg.ExactBudget, Proved: false, Objective: math.Inf(1)}
 	}
+	ctx, cancel := context.WithDeadline(context.Background(), start.Add(cfg.ExactBudget))
+	defer cancel()
 	res, err := mip.Solve(c, cs, mip.Options{
 		TimestepsPerIndex: 3,
 		NodeLimit:         1 << 30,
-		Deadline:          start.Add(cfg.ExactBudget),
+		Context:           ctx,
 	})
 	cell := ExactCell{Method: name, Size: n, Density: d, Elapsed: time.Since(start)}
 	if err == nil {

@@ -44,10 +44,6 @@ type Config struct {
 	// histories) stay queryable; the oldest are evicted first and then
 	// answer 404 (0 = 4096). Queued/running jobs are never evicted.
 	MaxFinishedJobs int
-	// DefaultParams are server-wide backend params applied to every
-	// solve unless the request sets the same key itself (e.g.
-	// "cp.tail_bound": false to skip the tail tables server-wide).
-	DefaultParams backend.Params
 	// TenantRate is the sustained per-tenant submission rate
 	// (jobs/second; 0 = unlimited). TenantBurst sizes the token bucket
 	// (0 = 2×rate+1). Excess submissions are rejected with
@@ -298,9 +294,6 @@ type run struct {
 	key    string
 	canon  *model.Instance
 	params Params
-	// bag is the registry-validated, canonically typed form of
-	// params.Params.
-	bag    backend.Params
 	budget time.Duration
 	// structHash fingerprints the instance's structure only (index
 	// names, plan shapes — no float parameters), keying the warm-hint
@@ -590,12 +583,10 @@ func (m *Manager) clampBudget(d Duration) time.Duration {
 	return b
 }
 
-// solveKey fingerprints everything that shapes the solve outcome. The
-// param bag enters in its canonical sorted form so key equality does
-// not depend on JSON map order.
-func solveKey(hash string, p Params, bag backend.Params, budget time.Duration) string {
-	return fmt.Sprintf("%s|b=%s|be=%v|w=%d|s=%d|sl=%d|p=%t|pp=%s",
-		hash, budget, p.Backends, p.Workers, p.Seed, p.StepLimit, p.pruneEnabled(), bag.Canon())
+// solveKey fingerprints everything that shapes the solve outcome.
+func solveKey(hash string, p Params, budget time.Duration) string {
+	return fmt.Sprintf("%s|b=%s|be=%v|w=%d|s=%d|sl=%d|p=%t",
+		hash, budget, p.Backends, p.Workers, p.Seed, p.StepLimit, p.pruneEnabled())
 }
 
 // canonicalOrder maps an index-name order onto canonical positions of
@@ -691,10 +682,6 @@ func (m *Manager) submitWarm(in *model.Instance, p Params, warmNames []string, p
 	if err := backend.CheckNames(p.Backends); err != nil {
 		return nil, &InvalidError{Err: err}
 	}
-	bag, err := backend.ValidateParams(p.Params)
-	if err != nil {
-		return nil, &InvalidError{Err: err}
-	}
 	tenant, err := normalizeTenant(p.Tenant)
 	if err != nil {
 		return nil, err
@@ -708,7 +695,7 @@ func (m *Manager) submitWarm(in *model.Instance, p Params, warmNames []string, p
 		origOf[c] = i
 	}
 	budget := m.clampBudget(p.Budget)
-	key := solveKey(hash, p, bag, budget)
+	key := solveKey(hash, p, budget)
 
 	// An explicit warm order becomes part of the key (two re-solves with
 	// different seeds may legitimately diverge on heuristic instances),
@@ -803,7 +790,7 @@ func (m *Manager) submitWarm(in *model.Instance, p Params, warmNames []string, p
 	}
 	ctx, cancel := context.WithCancel(m.baseCtx)
 	r := &run{
-		key: key, canon: canon, params: p, bag: bag, budget: budget,
+		key: key, canon: canon, params: p, budget: budget,
 		structHash: structHash, initial: initial,
 		tenant: tenant, priority: p.Priority, seq: m.seq, ctx: ctx, cancel: cancel,
 	}
@@ -1012,21 +999,11 @@ func (m *Manager) execute(r *run) {
 		}
 	}
 
-	// Server-wide default params underlay the request's own bag; any key
-	// the request sets wins.
-	bag := r.bag
-	if len(m.cfg.DefaultParams) > 0 {
-		bag = m.cfg.DefaultParams.Clone()
-		for k, v := range r.bag {
-			bag[k] = v
-		}
-	}
 	opts := portfolio.Options{
 		Backends:  r.params.Backends,
 		Workers:   r.params.Workers,
 		Budget:    r.budget,
 		StepLimit: r.params.StepLimit,
-		Params:    bag,
 		Seed:      r.params.Seed,
 		Initial:   initial,
 		OnProgress: func(ev portfolio.ProgressEvent) {

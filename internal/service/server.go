@@ -110,7 +110,7 @@ func writeErr(w http.ResponseWriter, err error) {
 // {"instance": ..., "budget": ...}, a bare JSON instance, and the
 // compact text matrix format. For the latter two the solve knobs come
 // from the URL query (budget, backends, workers, seed, step_limit,
-// priority, prune, and repeated param=key=value entries).
+// priority, prune and tenant).
 func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (*model.Instance, Params, error) {
 	var p Params
 	limited := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
@@ -140,7 +140,13 @@ func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (*model.In
 		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
 		var req solveRequest
-		if envErr := dec.Decode(&req); envErr == nil && req.Instance != nil {
+		envErr := dec.Decode(&req)
+		if req.Instance != nil {
+			// An envelope: a field it does not know is the error to
+			// report, not the bare-instance fallback's.
+			if envErr != nil {
+				return nil, p, invalidf("parse request: %v", envErr)
+			}
 			return req.Instance, req.Params, nil
 		}
 		// Not an envelope — try a bare instance with query-string knobs.
@@ -216,15 +222,10 @@ func queryParams(r *http.Request) (Params, error) {
 	if v := q.Get("tenant"); v != "" {
 		p.Tenant = v
 	}
-	// Repeated ?param=key=value entries mirror the JSON "params" map
-	// (full validation happens in Submit; parsing here only needs the
-	// spec's type to build the typed value).
-	if kvs := q["param"]; len(kvs) > 0 {
-		bag, err := backend.ParseParams(kvs)
-		if err != nil {
-			return p, &InvalidError{Err: err}
-		}
-		p.Params = bag
+	// Refused rather than ignored: a client sending it expects it to
+	// change the solve.
+	if _, ok := q["param"]; ok {
+		return p, invalidf("backend params were removed: the cp tail bound is always on; drop the param= query key")
 	}
 	return p, nil
 }
@@ -602,18 +603,6 @@ type SolverInfo struct {
 	// exploitation tail (higher wins; 0 = never the finisher).
 	FinisherRank int    `json:"finisher_rank,omitempty"`
 	Summary      string `json:"summary,omitempty"`
-	// Params are the typed knobs accepted in a request's "params" map.
-	Params []SolverParam `json:"params,omitempty"`
-}
-
-// SolverParam is one declared backend knob.
-type SolverParam struct {
-	Name    string   `json:"name"`
-	Type    string   `json:"type"`
-	Default any      `json:"default,omitempty"`
-	Min     *float64 `json:"min,omitempty"`
-	Max     *float64 `json:"max,omitempty"`
-	Help    string   `json:"help,omitempty"`
 }
 
 // Solvers snapshots the registry in its listing order (also used by
@@ -622,27 +611,19 @@ func Solvers() []SolverInfo {
 	var out []SolverInfo
 	for _, b := range backend.All() {
 		info := b.Info()
-		si := SolverInfo{
+		out = append(out, SolverInfo{
 			Name:         info.Name,
 			Kind:         info.Kind.String(),
 			Proves:       info.Proves,
 			FinisherRank: info.Finisher,
 			Summary:      info.Summary,
-		}
-		for _, p := range info.Params {
-			si.Params = append(si.Params, SolverParam{
-				Name: p.Name, Type: p.Type.String(), Default: p.Default,
-				Min: p.Min, Max: p.Max, Help: p.Help,
-			})
-		}
-		out = append(out, si)
+		})
 	}
 	return out
 }
 
-// handleSolvers lists every registered backend with its declared param
-// specs, so clients can discover valid "backends" and "params" values
-// instead of learning them from 400 responses.
+// handleSolvers lists every registered backend, so clients can discover
+// valid "backends" values instead of learning them from 400 responses.
 func (s *Server) handleSolvers(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"solvers": Solvers()})
 }

@@ -210,7 +210,17 @@ func TestSolveRejectsInvalid(t *testing.T) {
 
 func TestAsyncJobLifecycle(t *testing.T) {
 	in := trapInstance(t)
-	_, ts := newTestServer(t, Config{Workers: 2})
+	_, ts := newTestServer(t, Config{Workers: 1})
+	// Occupy the only worker so the job under test is provably still
+	// queued when POST /jobs answers: a cp proof this small could
+	// otherwise finish before the handler reads its status (200, not
+	// 202).
+	blocker := decode[JobStatus](t, postJSON(t, ts.URL+"/jobs", solveRequest{
+		Instance: slowInstance(31),
+		Params:   Params{Backends: []string{"vns"}, Budget: Duration(30 * time.Second)},
+	}))
+	waitState(t, ts.URL, blocker.ID, StateRunning, 10*time.Second)
+
 	resp := postJSON(t, ts.URL+"/jobs", solveRequest{
 		Instance: in,
 		Params:   Params{Backends: []string{"cp"}, Budget: Duration(10 * time.Second)},
@@ -224,6 +234,16 @@ func TestAsyncJobLifecycle(t *testing.T) {
 	st := decode[JobStatus](t, resp)
 	if st.ID == "" || st.Hash == "" {
 		t.Fatalf("submit status missing id/hash: %+v", st)
+	}
+
+	cancelReq, _ := http.NewRequest("DELETE", ts.URL+"/jobs/"+blocker.ID, nil)
+	cancelResp, err := http.DefaultClient.Do(cancelReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelResp.Body.Close()
+	if cancelResp.StatusCode != http.StatusOK {
+		t.Fatalf("cancel blocker: status %d", cancelResp.StatusCode)
 	}
 
 	final := waitState(t, ts.URL, st.ID, StateDone, 15*time.Second)

@@ -1,57 +1,26 @@
 // Tests for the registry-backed edges of the service: the GET /solvers
-// catalogue, 400s with valid sets for unknown backends/params, and the
-// end-to-end param plumbing ("params":{"cp.tail_bound":false} must reach
-// the cp engine, observable in its tail-prune counter).
+// catalogue, 400s with valid sets for unknown backends, 400s for the
+// removed backend params on every edge that once accepted them, and the
+// always-on cp tail bound as seen through a served proof.
 package service
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/evolving-olap/idd/internal/codec"
 	"github.com/evolving-olap/idd/internal/datasets"
 	"github.com/evolving-olap/idd/internal/model"
-	"github.com/evolving-olap/idd/internal/solver/backend"
+	"github.com/evolving-olap/idd/internal/prune"
+	"github.com/evolving-olap/idd/internal/solver/cp"
 	"github.com/evolving-olap/idd/internal/solver/greedy"
 )
-
-func init() { backend.Register(echoBackend{}) }
-
-// echoBackend is a test-only backend with an int param, for the
-// validation paths the built-in roster (whose one param is a bool) no
-// longer exercises: it returns the greedy order and reports its param
-// back as the iteration count. It is never applicable, so it joins no
-// default portfolio.
-type echoBackend struct{}
-
-// echoParam is echoBackend's int knob.
-const echoParam = "echo.iterations"
-
-func (echoBackend) Info() backend.Info {
-	f := func(v float64) *float64 { return &v }
-	return backend.Info{
-		Name:       "echo",
-		Kind:       backend.KindConstructive,
-		Rank:       99,
-		Summary:    "test-only backend: greedy order, param echoed as iterations",
-		Applicable: func(*model.Compiled) bool { return false },
-		Params: []backend.ParamSpec{
-			{Name: echoParam, Type: backend.ParamInt, Default: 0, Min: f(0), Max: f(64),
-				Help: "reported back as the iteration count"},
-		},
-	}
-}
-
-func (echoBackend) Solve(_ context.Context, req backend.Request) backend.Outcome {
-	order := greedy.Solve(req.Compiled, req.Constraints)
-	return backend.Outcome{Order: order, Objective: req.Compiled.Objective(order),
-		Iterations: int64(req.Params.Int(echoParam, 0))}
-}
 
 func TestSolversEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
@@ -76,21 +45,8 @@ func TestSolversEndpoint(t *testing.T) {
 			t.Fatalf("/solvers missing %q: %+v", want, body.Solvers)
 		}
 	}
-	cp := byName["cp"]
-	if cp.Kind != "exact" || !cp.Proves {
-		t.Errorf("cp self-description wrong: %+v", cp)
-	}
-	var tailSpec *SolverParam
-	for i, p := range cp.Params {
-		if p.Name == "cp.tail_bound" {
-			tailSpec = &cp.Params[i]
-		}
-	}
-	if len(cp.Params) != 1 || tailSpec == nil {
-		t.Fatalf("cp must declare exactly cp.tail_bound: %+v", cp.Params)
-	}
-	if tailSpec.Type != "bool" || tailSpec.Help == "" || tailSpec.Default != true {
-		t.Errorf("cp.tail_bound spec incomplete (want bool, default true): %+v", tailSpec)
+	if c := byName["cp"]; c.Kind != "exact" || !c.Proves {
+		t.Errorf("cp self-description wrong: %+v", c)
 	}
 	if byName["vns"].FinisherRank <= byName["lns"].FinisherRank {
 		t.Errorf("vns must outrank lns as finisher: %d vs %d",
@@ -125,26 +81,127 @@ func TestSubmitRejectsUnknownBackend(t *testing.T) {
 		"simplex-magic", "cp", "vns", "greedy")
 }
 
-func TestSubmitRejectsBadParams(t *testing.T) {
+// postRaw posts a literal JSON body and returns the status and body.
+func postRaw(t *testing.T, url, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(raw)
+}
+
+// TestSolveBodyParamsRejected: the removed "params" map in a JSON
+// envelope is a 400 naming the field, not a silently ignored knob, on
+// every edge that decodes one: the three instance envelopes share
+// parseRequest, /batch has a decoder of its own.
+func TestSolveBodyParamsRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	inst, err := json.Marshal(trapInstance(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	envelope := `{"instance": ` + string(inst) + `, "budget": "5s", "params": {"cp.tail_bound": false}}`
+	for _, c := range []struct{ path, body string }{
+		{"/solve", envelope},
+		{"/jobs", envelope},
+		{"/sessions", envelope},
+		{"/batch", `{"instances": [` + string(inst) + `], "budget": "5s", "params": {"cp.tail_bound": false}}`},
+	} {
+		t.Run(strings.TrimPrefix(c.path, "/"), func(t *testing.T) {
+			code, raw := postRaw(t, ts.URL+c.path, c.body)
+			if code != http.StatusBadRequest || !strings.Contains(raw, `unknown field \"params\"`) {
+				t.Fatalf("status %d body %s, want 400 naming the params field", code, raw)
+			}
+		})
+	}
+}
+
+// TestSessionDeltaParamsRejected: a session delta's solve knobs reject
+// the removed "params" map too.
+func TestSessionDeltaParamsRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	resp := postJSON(t, ts.URL+"/sessions", solveRequest{
+		Instance: sessionInstance(),
+		Params:   Params{Budget: Duration(10 * time.Second)},
+	})
+	if resp.StatusCode != http.StatusCreated {
+		raw, _ := io.ReadAll(resp.Body)
+		t.Fatalf("create status %d: %s", resp.StatusCode, raw)
+	}
+	st := decode[SessionStatus](t, resp)
+	code, raw := postRaw(t, ts.URL+"/sessions/"+st.ID+"/delta",
+		`{"weights": {"q1": 2}, "params": {"params": {"cp.tail_bound": false}}}`)
+	if code != http.StatusBadRequest || !strings.Contains(raw, `unknown field \"params\"`) {
+		t.Fatalf("status %d body %s, want 400 naming the params field", code, raw)
+	}
+}
+
+// TestQueryParamRejected: ?param= is a 400 that says backend params
+// are gone, on every edge that reads solve knobs from the query, for
+// bare JSON instances and text-format bodies alike, and whatever its
+// value.
+func TestQueryParamRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	in := trapInstance(t)
-	cases := []struct {
-		name    string
-		params  map[string]any
-		needles []string
-	}{
-		{"unknown key", map[string]any{"cp.tail_bund": true}, []string{"cp.tail_bund", "cp.tail_bound"}},
-		{"removed key", map[string]any{"cp.workers": 4}, []string{"cp.workers", "cp.tail_bound"}},
-		{"ill-typed", map[string]any{echoParam: "four"}, []string{echoParam, "int"}},
-		{"ill-typed bool", map[string]any{"cp.tail_bound": "yes"}, []string{"cp.tail_bound", "bool"}},
-		{"fractional", map[string]any{echoParam: 2.5}, []string{echoParam}},
-		{"out of range", map[string]any{echoParam: -1}, []string{echoParam, "minimum"}},
+	bare, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
+	var text bytes.Buffer
+	if err := codec.WriteText(&text, in); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, path, query, ctype string
+		body                     []byte
+	}{
+		{"solve", "/solve", "param=cp.tail_bound%3Dfalse", "application/json", bare},
+		{"jobs", "/jobs", "param=cp.tail_bound%3Dfalse", "application/json", bare},
+		{"sessions", "/sessions", "param=cp.tail_bound%3Dfalse", "application/json", bare},
+		{"text body", "/solve", "param=cp.tail_bound%3Dfalse", "text/plain", text.Bytes()},
+		{"empty value", "/solve", "param=", "application/json", bare},
+	} {
 		t.Run(c.name, func(t *testing.T) {
-			submitExpect400(t, ts.URL, solveRequest{Instance: in,
-				Params: Params{Params: c.params}}, c.needles...)
+			resp, err := http.Post(ts.URL+c.path+"?budget=5s&"+c.query, c.ctype, bytes.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			raw, _ := io.ReadAll(resp.Body)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "removed") {
+				t.Fatalf("status %d body %s, want 400 saying params were removed", resp.StatusCode, raw)
+			}
 		})
+	}
+}
+
+// TestQueryStringParams: bare JSON instance bodies carry their knobs in
+// the URL query, and they reach the solve: the backend selection and
+// budget below make a cp-only proof.
+func TestQueryStringParams(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	body, err := json.Marshal(trapInstance(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/solve?backends=cp&budget=10s&seed=3",
+		"application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		raw, _ := io.ReadAll(resp.Body)
+		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	}
+	res := decode[SolveResult](t, resp)
+	if !res.Proved {
+		t.Fatal("cp did not prove the trap instance")
+	}
+	if len(res.Backends) != 1 || res.Backends[0].Name != "cp" {
+		t.Fatalf("?backends=cp ran %+v", res.Backends)
 	}
 }
 
@@ -160,90 +217,38 @@ func backendOf(t *testing.T, res *SolveResult, name string) BackendSummary {
 	return BackendSummary{}
 }
 
-// TestParamsReachCPEngine: cp.tail_bound travels from the request body
-// to the engine. On the reduced TPC-H n=13 instance the default tail
-// bound prunes, so a request that turns it off must report no tail
-// prunes and the same proved optimum.
-func TestParamsReachCPEngine(t *testing.T) {
+// TestServedCPProofUsesTailBound: every served cp solve folds the §5.5
+// tail bound into its search. On the reduced TPC-H n=13 instance that
+// shows as tail prunes, and the proved objective is bit-identical to a
+// direct proof of the same canonical instance without the tail bound.
+func TestServedCPProofUsesTailBound(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	in := datasets.ReducedTPCH(13, datasets.Low)
-	solve := func(params map[string]any) SolveResult {
-		t.Helper()
-		resp := postJSON(t, ts.URL+"/solve", solveRequest{Instance: in, Params: Params{
-			Budget:   Duration(10 * time.Second),
-			Backends: []string{"cp"},
-			Params:   params,
-		}})
-		if resp.StatusCode != http.StatusOK {
-			raw, _ := io.ReadAll(resp.Body)
-			t.Fatalf("status %d: %s", resp.StatusCode, raw)
-		}
-		res := decode[SolveResult](t, resp)
-		if !res.Proved {
-			t.Fatalf("cp did not prove the instance with params %v", params)
-		}
-		return res
-	}
-	on := solve(nil)
-	off := solve(map[string]any{"cp.tail_bound": false})
-	if got := backendOf(t, &on, "cp").Counters["pruned_tail"]; got == 0 {
-		t.Fatal("default tail bound made no tail prunes; the instance does not witness the param")
-	}
-	if got := backendOf(t, &off, "cp").Counters["pruned_tail"]; got != 0 {
-		t.Fatalf("cp.tail_bound=false: %d tail prunes (params did not reach the engine)", got)
-	}
-	if on.Objective != off.Objective {
-		t.Fatalf("tail bound changed the proved optimum: %v on, %v off", on.Objective, off.Objective)
-	}
-}
-
-func TestQueryStringParams(t *testing.T) {
-	// Bare-instance bodies carry their knobs in the URL query; repeated
-	// param=k=v entries must round-trip into the typed bag.
-	_, ts := newTestServer(t, Config{Workers: 1})
-	in := trapInstance(t)
-	body, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(
-		ts.URL+"/solve?backends=echo&budget=10s&param="+echoParam+"%3D7&param=cp.tail_bound%3Dfalse",
-		"application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := postJSON(t, ts.URL+"/solve", solveRequest{Instance: in, Params: Params{
+		Budget:   Duration(10 * time.Second),
+		Backends: []string{"cp"},
+	}})
 	if resp.StatusCode != http.StatusOK {
 		raw, _ := io.ReadAll(resp.Body)
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
 	}
 	res := decode[SolveResult](t, resp)
-	if got := backendOf(t, &res, "echo").Iterations; got != 7 {
-		t.Fatalf("query param: echo reported %d, want 7", got)
+	if !res.Proved {
+		t.Fatal("cp did not prove the instance")
+	}
+	if got := backendOf(t, &res, "cp").Counters["pruned_tail"]; got == 0 {
+		t.Fatal("served cp proof made no tail prunes")
 	}
 
-	// A bad query param fails fast with the valid set.
-	resp, err = http.Post(ts.URL+"/solve?param=cp.nope%3D1", "application/json",
-		bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	canon, _ := codec.Canonicalize(in)
+	c := model.MustCompile(canon)
+	cs, _ := prune.Analyze(c, prune.Options{})
+	ref := cp.Solve(c, cs, cp.Options{Incumbent: greedy.Solve(c, cs)})
+	if !ref.Proved || ref.Stats.PrunedTail != 0 {
+		t.Fatalf("reference proof: proved=%v pruned_tail=%d", ref.Proved, ref.Stats.PrunedTail)
 	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "cp.tail_bound") {
-		t.Fatalf("bad query param: status %d body %s", resp.StatusCode, raw)
-	}
-}
-
-func TestParamsEnterCacheKey(t *testing.T) {
-	// Two requests differing only in params must not share a cache
-	// entry; identical params must.
-	k1 := solveKey("h", Params{}, backend.Params{echoParam: 2}, time.Second)
-	k2 := solveKey("h", Params{}, backend.Params{echoParam: 4}, time.Second)
-	k3 := solveKey("h", Params{}, backend.Params{echoParam: 2}, time.Second)
-	if k1 == k2 {
-		t.Fatalf("param bags do not distinguish solve keys: %s", k1)
-	}
-	if k1 != k3 {
-		t.Fatalf("identical bags produced distinct keys: %s vs %s", k1, k3)
+	if math.Float64bits(res.Objective) != math.Float64bits(ref.Objective) {
+		t.Fatalf("served objective %x, tail-free proof %x",
+			math.Float64bits(res.Objective), math.Float64bits(ref.Objective))
 	}
 }

@@ -48,7 +48,7 @@
 //	POST   /sessions/{id}/delta  apply a workload delta, re-solve warm
 //	GET    /sessions/{id}/events server-sent events: changed plan tails
 //	DELETE /sessions/{id}     close the session
-//	GET    /solvers           registered backends + declared param specs
+//	GET    /solvers           registered backends
 //	GET    /healthz           liveness (503 while draining)
 //	GET    /metrics           JSON snapshot, or Prometheus text with
 //	                          ?format=prometheus / Accept: text/plain
@@ -113,12 +113,6 @@ type Params struct {
 	// StepLimit bounds per-backend search steps (0 = none); useful for
 	// reproducible tests.
 	StepLimit int64 `json:"step_limit,omitempty"`
-	// Params carries backend-declared typed knobs by fully qualified
-	// name (e.g. {"cp.tail_bound": false}). Keys and values are validated
-	// against the registry's declared specs at submission; unknown or
-	// ill-typed entries are rejected with a 400 naming the valid set
-	// (see GET /solvers for the specs).
-	Params map[string]any `json:"params,omitempty"`
 	// Priority orders the job queue: higher runs earlier (FIFO within a
 	// priority). Not part of the dedup key.
 	Priority int `json:"priority,omitempty"`

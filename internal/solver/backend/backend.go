@@ -4,13 +4,12 @@
 // A backend is one deployment-ordering algorithm (greedy, cp, vns, ...)
 // wrapped behind a uniform Solve(ctx, Request) Outcome call and
 // described by an Info record: its kind (exact / anytime /
-// constructive), an applicability predicate, a finisher rank, and the
-// typed parameters it accepts. Everything downstream — the portfolio's
-// default selection, the finisher choice, `iddsolve -list-solvers`,
-// the service's GET /solvers endpoint and per-request param validation
-// — is derived from these declarations, so adding a solver (or a
-// solver knob) is a one-file change: write the backend, register it in
-// an init(), and every layer picks it up.
+// constructive), an applicability predicate and a finisher rank.
+// Everything downstream — the portfolio's default selection, the
+// finisher choice, `iddsolve -list-solvers` and the service's GET
+// /solvers endpoint — is derived from these declarations, so adding a
+// solver is a one-file change: write the backend, register it in an
+// init(), and every layer picks it up.
 package backend
 
 import (
@@ -53,8 +52,7 @@ func (k Kind) String() string {
 
 // Info is a backend's self-description. Every field feeds a concrete
 // derivation: Rank orders listings, Applicable derives the portfolio's
-// default set, Finisher derives the exploitation-tail choice, Params
-// drives request validation at every edge.
+// default set, Finisher derives the exploitation-tail choice.
 type Info struct {
 	// Name is the unique registry key ("cp", "vns", ...).
 	Name string
@@ -79,9 +77,6 @@ type Info struct {
 	// portfolio set for an instance (nil = always). Enumerative solvers
 	// use it to bow out beyond their tractable size.
 	Applicable func(c *model.Compiled) bool
-	// Params declares the typed knobs this backend reads from
-	// Request.Params. Names must be prefixed "<backend-name>.".
-	Params []ParamSpec
 }
 
 // applicable is the nil-tolerant form of Info.Applicable.
@@ -108,9 +103,6 @@ type Request struct {
 	// Initial is a known feasible order to start from (the portfolio
 	// seeds it with greedy). Anytime backends require it.
 	Initial []int
-	// Params is the validated typed parameter bag (see ValidateParams);
-	// backends read only their own declared keys.
-	Params Params
 	// Publish offers an improving feasible order to the caller (the
 	// portfolio's shared store). May be nil; backends must tolerate
 	// that.

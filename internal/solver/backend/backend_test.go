@@ -28,22 +28,12 @@ func (f fake) Solve(_ context.Context, req Request) Outcome {
 	return Outcome{Order: order, Objective: req.Compiled.Objective(order)}
 }
 
-func fptr(f float64) *float64 { return &f }
-
 func fakeInfo(name string, rank int) Info {
 	return Info{
 		Name:    name,
 		Kind:    KindConstructive,
 		Summary: "registry test fixture",
 		Rank:    rank,
-		Params: []ParamSpec{
-			{Name: name + ".knob", Type: ParamInt, Default: 2, Min: fptr(0), Max: fptr(16),
-				Help: "test knob"},
-			{Name: name + ".ratio", Type: ParamFloat, Default: 0.5, Min: fptr(0), Max: fptr(1),
-				Help: "test ratio"},
-			{Name: name + ".flip", Type: ParamBool, Default: false, Help: "test flip"},
-			{Name: name + ".tag", Type: ParamString, Default: "", Help: "test tag"},
-		},
 	}
 }
 
@@ -88,18 +78,6 @@ func TestRegisterRejectsMalformed(t *testing.T) {
 	mustPanic("nil", nil)
 	mustPanic("empty name", fake{info: Info{}})
 	mustPanic("duplicate", fake{fakeInfo("zfake-b", 1)})
-	mustPanic("unqualified param", fake{info: Info{
-		Name: "zfake-bad", Summary: "x",
-		Params: []ParamSpec{{Name: "workers", Type: ParamInt}},
-	}})
-	mustPanic("ill-typed default", fake{info: Info{
-		Name: "zfake-bad2", Summary: "x",
-		Params: []ParamSpec{{Name: "zfake-bad2.k", Type: ParamInt, Default: "four"}},
-	}})
-	mustPanic("out-of-range default", fake{info: Info{
-		Name: "zfake-bad3", Summary: "x",
-		Params: []ParamSpec{{Name: "zfake-bad3.k", Type: ParamInt, Default: 99, Max: fptr(8)}},
-	}})
 }
 
 func TestRankOrderAndLookup(t *testing.T) {
@@ -172,123 +150,10 @@ func TestCheckNames(t *testing.T) {
 	}
 }
 
-func TestValidateParams(t *testing.T) {
-	// JSON-shaped input: numbers arrive as float64.
-	p, err := ValidateParams(map[string]any{
-		"zfake-b.knob":  float64(4),
-		"zfake-b.ratio": 0.25,
-		"zfake-b.flip":  true,
-		"zfake-b.tag":   "x",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Int("zfake-b.knob", -1); got != 4 {
-		t.Fatalf("knob = %d (%T in bag)", got, p["zfake-b.knob"])
-	}
-	if got := p.Float("zfake-b.ratio", -1); got != 0.25 {
-		t.Fatalf("ratio = %v", got)
-	}
-	if !p.Bool("zfake-b.flip", false) || p.Str("zfake-b.tag", "") != "x" {
-		t.Fatalf("bool/string params lost: %v", p)
-	}
-
-	for name, raw := range map[string]map[string]any{
-		"unknown key":   {"zfake-b.nope": 1},
-		"fractional":    {"zfake-b.knob": 2.5},
-		"out of range":  {"zfake-b.knob": float64(99)},
-		"wrong type":    {"zfake-b.flip": "yes"},
-		"string number": {"zfake-b.knob": "4"},
-	} {
-		if _, err := ValidateParams(raw); err == nil {
-			t.Errorf("%s accepted: %v", name, raw)
-		}
-	}
-	if _, err := ValidateParams(map[string]any{"zfake-b.nope": 1}); err == nil ||
-		!strings.Contains(err.Error(), "zfake-b.knob") {
-		t.Fatalf("unknown-param error does not list the valid set: %v", err)
-	}
-	if p, err := ValidateParams(nil); err != nil || p != nil {
-		t.Fatalf("empty input: %v %v", p, err)
-	}
-}
-
-func TestParseParams(t *testing.T) {
-	p, err := ParseParams([]string{"zfake-b.knob=8", "zfake-b.flip=true", "zfake-b.ratio=0.75"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Int("zfake-b.knob", -1) != 8 || !p.Bool("zfake-b.flip", false) ||
-		p.Float("zfake-b.ratio", -1) != 0.75 {
-		t.Fatalf("parsed bag wrong: %v", p)
-	}
-	for _, bad := range []string{"noequals", "zfake-b.nope=1", "zfake-b.knob=x", "zfake-b.knob=99"} {
-		if _, err := ParseParams([]string{bad}); err == nil {
-			t.Errorf("ParseParams accepted %q", bad)
-		}
-	}
-}
-
-func TestParamsCanonAndClone(t *testing.T) {
-	p := Params{"b.z": 1, "a.a": true, "m.m": "v"}
-	if got, want := p.Canon(), `a.a=true,b.z=1,m.m="v"`; got != want {
-		t.Fatalf("Canon() = %q, want %q", got, want)
-	}
-	if Params(nil).Canon() != "" {
-		t.Fatal("nil Canon not empty")
-	}
-	// String values are quoted so embedded separators cannot make two
-	// distinct bags collide (cache-key soundness).
-	tricky := Params{"a.x": `1",a.y="2`}
-	flat := Params{"a.x": "1", "a.y": "2"}
-	if tricky.Canon() == flat.Canon() {
-		t.Fatalf("distinct bags share a canonical form: %q", flat.Canon())
-	}
-	c := p.Clone()
-	c["a.a"] = false
-	if p.Bool("a.a", false) != true {
-		t.Fatal("Clone aliases the original")
-	}
-	var nilBag Params
-	if nb := nilBag.Clone(); nb == nil {
-		t.Fatal("Clone(nil) must return a writable map")
-	}
-}
-
-func TestParamsTypedGetterDefaults(t *testing.T) {
-	var p Params
-	if p.Int("x", 7) != 7 || p.Float("x", 1.5) != 1.5 || !p.Bool("x", true) || p.Str("x", "d") != "d" {
-		t.Fatal("getters on nil bag must fall back to defaults")
-	}
-	p = Params{"x": "wrong-type"}
-	if p.Int("x", 7) != 7 {
-		t.Fatal("ill-typed value must fall back to default")
-	}
-}
-
-func TestKindAndTypeStrings(t *testing.T) {
+func TestKindStrings(t *testing.T) {
 	if KindExact.String() != "exact" || KindAnytime.String() != "anytime" ||
 		KindConstructive.String() != "constructive" || Kind(99).String() != "unknown" {
 		t.Fatal("Kind strings wrong")
-	}
-	if ParamInt.String() != "int" || ParamFloat.String() != "float" ||
-		ParamBool.String() != "bool" || ParamString.String() != "string" {
-		t.Fatal("ParamType strings wrong")
-	}
-}
-
-func TestSpecsUnionSorted(t *testing.T) {
-	specs := Specs()
-	for i := 1; i < len(specs); i++ {
-		if specs[i-1].Name >= specs[i].Name {
-			t.Fatalf("Specs() not strictly sorted at %d: %q >= %q", i, specs[i-1].Name, specs[i].Name)
-		}
-	}
-	if _, ok := SpecFor("zfake-b.knob"); !ok {
-		t.Fatal("SpecFor missed a declared spec")
-	}
-	if _, ok := SpecFor("zfake-b.absent"); ok {
-		t.Fatal("SpecFor invented a spec")
 	}
 }
 

@@ -20,9 +20,9 @@ var reg = struct {
 }{backends: make(map[string]Backend)}
 
 // Register adds a backend to the process-wide registry. It panics on a
-// nil backend, an empty or duplicate name, or malformed param specs —
-// registration happens in init(), where a panic is an immediate,
-// attributable build-time failure rather than a latent runtime one.
+// nil backend or an empty or duplicate name — registration happens in
+// init(), where a panic is an immediate, attributable build-time
+// failure rather than a latent runtime one.
 func Register(b Backend) {
 	if b == nil {
 		panic("backend: Register(nil)")
@@ -31,37 +31,12 @@ func Register(b Backend) {
 	if info.Name == "" {
 		panic("backend: Register with empty Info.Name")
 	}
-	if err := checkSpecs(info); err != nil {
-		panic(fmt.Sprintf("backend: Register(%q): %v", info.Name, err))
-	}
 	reg.Lock()
 	defer reg.Unlock()
 	if _, dup := reg.backends[info.Name]; dup {
 		panic(fmt.Sprintf("backend: Register(%q): duplicate name", info.Name))
 	}
 	reg.backends[info.Name] = b
-}
-
-// checkSpecs validates a backend's declared params at registration
-// time: qualified names, no duplicates, defaults that pass their own
-// spec.
-func checkSpecs(info Info) error {
-	seen := make(map[string]bool, len(info.Params))
-	for _, s := range info.Params {
-		if !strings.HasPrefix(s.Name, info.Name+".") || len(s.Name) <= len(info.Name)+1 {
-			return fmt.Errorf("param %q not namespaced %q", s.Name, info.Name+".<key>")
-		}
-		if seen[s.Name] {
-			return fmt.Errorf("param %q declared twice", s.Name)
-		}
-		seen[s.Name] = true
-		if s.Default != nil {
-			if err := s.check(s.Default); err != nil {
-				return fmt.Errorf("default: %w", err)
-			}
-		}
-	}
-	return nil
 }
 
 // Lookup returns the backend registered under name.
@@ -142,27 +117,4 @@ func CheckNames(names []string) error {
 		}
 	}
 	return nil
-}
-
-// Specs returns the union of every registered backend's declared param
-// specs, sorted by name.
-func Specs() []ParamSpec {
-	var out []ParamSpec
-	for _, b := range All() {
-		out = append(out, b.Info().Params...)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
-	return out
-}
-
-// SpecFor returns the declared spec for a fully qualified param name.
-func SpecFor(name string) (ParamSpec, bool) {
-	for _, b := range All() {
-		for _, s := range b.Info().Params {
-			if s.Name == name {
-				return s, true
-			}
-		}
-	}
-	return ParamSpec{}, false
 }

@@ -20,9 +20,9 @@
 // costs are functions of the deployed set, so the remaining subproblem
 // is the same and the cheaper prefix dominates. The cut is exact — proved
 // optima, improving-solution sequences and objective bits are identical
-// with it on or off — so it is always on and has no registry param
-// (Options.NoMemo exists for ablation only). On the reduced TPC-H n=20
-// proof it takes the serial search from 21.8M nodes to about 8k.
+// with it on or off — so it is always on (Options.NoMemo exists for
+// ablation only). On the reduced TPC-H n=20 proof it takes the serial
+// search from 21.8M nodes to about 8k.
 // Fail-limited searches skip it (see newSearcher), which keeps LNS and
 // VNS step-for-step what they were.
 //
@@ -87,17 +87,17 @@ type Options struct {
 	// is looked up and the node is pruned when even that cannot beat the
 	// incumbent. Sound for any search (lookup misses never prune); the
 	// proved optimum is unchanged, only the tree shrinks. The registry
-	// param "cp.tail_bound" builds one per request (default on); direct
-	// callers construct it with prune.NewTailBound.
+	// backend always builds one; direct callers construct it with
+	// prune.NewTailBound, or leave it nil to search without it.
 	TailBound *prune.TailBound
 
-	// Workers and Seed are ignored: the search always runs on the
-	// calling goroutine and draws no random numbers.
+	// Workers is ignored: the search always runs on the calling
+	// goroutine.
 	//
-	// Deprecated: they configured the work-stealing parallel engine,
-	// which is gone.
+	// Deprecated: it configured the work-stealing parallel engine,
+	// which is gone. It stays only because the benchmark module
+	// (perfbench) still sets it.
 	Workers int
-	Seed    int64
 
 	// Ablation switches (benchmarks only; keep all false in real use):
 	// NaiveBranching disables the density-guided value ordering, NoBound
@@ -149,12 +149,6 @@ type Stats struct {
 	// Accepts counts the offers that won. The serial search offers only
 	// what already beats its incumbent, so the two are equal.
 	Offers, Accepts int64
-	// StealAttempts, Steals and MaxDeque are always zero.
-	//
-	// Deprecated: they counted the work-stealing parallel engine, which
-	// is gone.
-	StealAttempts, Steals int64
-	MaxDeque              int64
 }
 
 // Counters renders the result's effort breakdown as the flat named map

@@ -174,8 +174,8 @@ func TestExternalBoundProof(t *testing.T) {
 	}
 }
 
-// TestDeprecatedOptionsIgnored: Workers and Seed no longer select or
-// perturb anything, so setting them gives the serial search exactly.
+// TestDeprecatedOptionsIgnored: Workers no longer selects or perturbs
+// anything, so setting it gives the serial search exactly.
 func TestDeprecatedOptionsIgnored(t *testing.T) {
 	c, cs, init, tb := proofN20Low()
 	ref := Solve(c, cs, Options{Incumbent: init, TailBound: tb})
@@ -184,7 +184,6 @@ func TestDeprecatedOptionsIgnored(t *testing.T) {
 		opt  Options
 	}{
 		{"workers", Options{Workers: 4}},
-		{"seed", Options{Seed: 9}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := tc.opt

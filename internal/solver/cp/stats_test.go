@@ -68,9 +68,6 @@ func TestStatsSerialDeterministic(t *testing.T) {
 		t.Fatalf("serial stats differ across identical runs:\n%+v\n%+v", a.Stats, b.Stats)
 	}
 	checkStats(t, "serial", a)
-	if a.Stats.StealAttempts != 0 || a.Stats.Steals != 0 || a.Stats.MaxDeque != 0 {
-		t.Fatalf("serial run recorded parallel stats: %+v", a.Stats)
-	}
 	if a.Solutions > 0 && a.Stats.Offers != a.Stats.Accepts {
 		t.Fatalf("serial offers %d != accepts %d", a.Stats.Offers, a.Stats.Accepts)
 	}

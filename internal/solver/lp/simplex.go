@@ -12,10 +12,10 @@
 package lp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
-	"time"
 )
 
 // Rel is a constraint relation.
@@ -69,22 +69,19 @@ type Solution struct {
 // ErrBadProblem reports malformed input dimensions.
 var ErrBadProblem = errors.New("lp: malformed problem")
 
-// ErrDeadline reports that the pivot loop ran past the caller's
-// deadline; the problem was neither solved nor classified.
-var ErrDeadline = errors.New("lp: deadline exceeded")
-
 const eps = 1e-9
 
 // Solve runs two-phase simplex. The returned error is non-nil only for
 // malformed input or an iteration-limit blowup (not for infeasible or
 // unbounded problems, which are reported via Status).
-func Solve(p *Problem) (Solution, error) { return SolveDeadline(p, time.Time{}) }
+func Solve(p *Problem) (Solution, error) { return SolveContext(context.Background(), p) }
 
-// SolveDeadline is Solve with a wall-clock cutoff (zero = none); on
-// overrun it returns ErrDeadline. The deadline is checked before every
-// pivot: one pivot rewrites the whole tableau, which on the MIP's large
-// dense tableaus takes far longer than reading the clock.
-func SolveDeadline(p *Problem, deadline time.Time) (Solution, error) {
+// SolveContext is Solve under a context: once ctx is done it returns
+// ctx.Err(), and the problem is neither solved nor classified. ctx.Err()
+// is checked before every pivot: one pivot rewrites the whole tableau,
+// which on the MIP's large dense tableaus takes far longer than the
+// check.
+func SolveContext(ctx context.Context, p *Problem) (Solution, error) {
 	n := len(p.C)
 	m := len(p.A)
 	if len(p.B) != m || len(p.Op) != m {
@@ -189,7 +186,7 @@ func SolveDeadline(p *Problem, deadline time.Time) (Solution, error) {
 			t[m][artCol[i]] = 0
 		}
 	}
-	if err := iterate(t, basis, cols, nil, deadline); err != nil {
+	if err := iterate(ctx, t, basis, cols, nil); err != nil {
 		if errors.Is(err, errUnbounded) {
 			// Phase 1 is bounded below by 0; cannot happen.
 			return Solution{}, errors.New("lp: internal: unbounded phase 1")
@@ -243,7 +240,7 @@ func SolveDeadline(p *Problem, deadline time.Time) (Solution, error) {
 			t[m][basis[i]] = 0
 		}
 	}
-	if err := iterate(t, basis, cols, banned, deadline); err != nil {
+	if err := iterate(ctx, t, basis, cols, banned); err != nil {
 		if errors.Is(err, errUnbounded) {
 			return Solution{Status: Unbounded}, nil
 		}
@@ -272,13 +269,13 @@ const maxIters = 200000
 // (optimal), a column proves unboundedness, or the iteration cap hits.
 // banned columns (phase-2 artificials) never enter the basis. Dantzig
 // pricing with a Bland fallback under sustained degeneracy.
-func iterate(t [][]float64, basis []int, cols int, banned []bool, deadline time.Time) error {
+func iterate(ctx context.Context, t [][]float64, basis []int, cols int, banned []bool) error {
 	m := len(t) - 1
 	obj := t[m]
 	degenerate := 0
 	for iter := 0; iter < maxIters; iter++ {
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return ErrDeadline
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		enter := -1
 		if degenerate < 64 {

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -228,14 +229,32 @@ func TestQuickSimplexBeatsSampling(t *testing.T) {
 	}
 }
 
-func TestSolveDeadlineExpires(t *testing.T) {
-	// A moderately large LP with an already-expired deadline must abort
-	// with ErrDeadline instead of solving.
-	rng := rand.New(rand.NewSource(8))
-	n, m := 60, 80
+// cancelAfter is a context whose Err turns context.Canceled on its k-th
+// call (k = 0: never) and stays so; calls counts every Err call.
+type cancelAfter struct {
+	context.Context
+	k, calls int
+}
+
+func (c *cancelAfter) Err() error {
+	c.calls++
+	if c.k > 0 && c.calls >= c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
+// randomLP is a feasible, bounded n×m LP: LE rows with RHS 10 over
+// uniform [0,1) coefficients, plus (when ge) one GE row of the same
+// shape with RHS 1 per five rows, whose artificials make phase 1 pivot.
+func randomLP(seed int64, n, m int, ge bool) *Problem {
+	rng := rand.New(rand.NewSource(seed))
 	p := &Problem{C: make([]float64, n)}
 	for j := range p.C {
 		p.C[j] = rng.NormFloat64()
+		if ge {
+			p.C[j] = math.Abs(p.C[j])
+		}
 	}
 	for i := 0; i < m; i++ {
 		row := make([]float64, n)
@@ -243,17 +262,66 @@ func TestSolveDeadlineExpires(t *testing.T) {
 			row[j] = rng.Float64()
 		}
 		p.A = append(p.A, row)
-		p.Op = append(p.Op, LE)
-		p.B = append(p.B, 10)
+		if ge && i%5 == 0 {
+			p.Op = append(p.Op, GE)
+			p.B = append(p.B, 1)
+		} else {
+			p.Op = append(p.Op, LE)
+			p.B = append(p.B, 10)
+		}
 	}
-	_, err := SolveDeadline(p, time.Now().Add(-time.Second))
-	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("err = %v, want ErrDeadline", err)
+	return p
+}
+
+func TestSolveDeadlineExpires(t *testing.T) {
+	// A moderately large LP under an already-expired deadline must abort
+	// with the context's error instead of solving.
+	p := randomLP(8, 60, 80, false)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	if _, err := SolveContext(ctx, p); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 	// And with no deadline it solves fine.
 	s, err := Solve(p)
 	if err != nil || s.Status != Optimal {
 		t.Fatalf("unbounded deadline solve failed: %v %v", err, s.Status)
+	}
+}
+
+func TestSolveContextStopsAtPivot(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		p    *Problem
+	}{
+		{"phase 2 only", randomLP(8, 60, 80, false)},
+		{"two phases", randomLP(9, 40, 50, true)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := c.p
+			// A context that never cancels changes nothing, and counts
+			// one check per pivot (plus the final check of each phase).
+			live := &cancelAfter{Context: context.Background()}
+			got, err := SolveContext(live, p)
+			want, werr := Solve(p)
+			if err != nil || werr != nil || got.Status != Optimal || math.Float64bits(got.Obj) != math.Float64bits(want.Obj) {
+				t.Fatalf("live context: %v %v obj %v, plain solve: %v obj %v", err, got.Status, got.Obj, werr, want.Obj)
+			}
+			if live.calls < 4 {
+				t.Fatalf("only %d context checks; the LP does not exercise the pivot loop", live.calls)
+			}
+			// Cancelling at the k-th check stops the solve right there:
+			// no further check, so no further pivot.
+			for k := 1; k <= live.calls; k++ {
+				ctx := &cancelAfter{Context: context.Background(), k: k}
+				if _, err := SolveContext(ctx, p); !errors.Is(err, context.Canceled) {
+					t.Fatalf("cancel at check %d: err = %v, want context.Canceled", k, err)
+				}
+				if ctx.calls != k {
+					t.Fatalf("cancel at check %d: solve went on to check %d", k, ctx.calls)
+				}
+			}
+		})
 	}
 }
 

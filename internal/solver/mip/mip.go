@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"github.com/evolving-olap/idd/internal/constraint"
 	"github.com/evolving-olap/idd/internal/model"
@@ -29,10 +28,9 @@ type Options struct {
 	TimestepsPerIndex int
 	// NodeLimit caps branch-and-bound nodes (0 = 1000).
 	NodeLimit int
-	// Deadline aborts the search (zero = none).
-	Deadline time.Time
-	// Context, when non-nil, aborts branch-and-bound when cancelled
-	// (checked per node).
+	// Context, when non-nil, aborts the search when done: it is checked
+	// per branch-and-bound node and before every LP pivot. A deadline
+	// rides on it (context.WithDeadline).
 	Context context.Context
 	// Incumbent, when non-nil, is polled per node with the current exact
 	// incumbent objective; a strictly better externally-known order (the
@@ -352,6 +350,10 @@ func Solve(c *model.Compiled, cs *constraint.Set, opt Options) (Result, error) {
 		nodeLimit = 1000
 	}
 	res := Result{Vars: f.Vars, Rows: f.Rows, Objective: math.Inf(1), Bound: math.Inf(-1)}
+	ctx := opt.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
 
 	base := f.Problem
 	type fixing struct {
@@ -377,7 +379,7 @@ func Solve(c *model.Compiled, cs *constraint.Set, opt Options) (Result, error) {
 			p.Op = append(p.Op, lp.EQ)
 			p.B = append(p.B, fx.val)
 		}
-		return lp.SolveDeadline(p, opt.Deadline)
+		return lp.SolveContext(ctx, p)
 	}
 
 	// accept records an order as the incumbent in both objective spaces:
@@ -401,17 +403,9 @@ func Solve(c *model.Compiled, cs *constraint.Set, opt Options) (Result, error) {
 	}
 
 	rec = func(fixings []fixing) error {
-		if res.Nodes >= nodeLimit || (!opt.Deadline.IsZero() && time.Now().After(opt.Deadline)) {
+		if res.Nodes >= nodeLimit || ctx.Err() != nil {
 			aborted = true
 			return nil
-		}
-		if opt.Context != nil {
-			select {
-			case <-opt.Context.Done():
-				aborted = true
-				return nil
-			default:
-			}
 		}
 		if opt.Incumbent != nil {
 			if ext, _ := opt.Incumbent(res.Objective); ext != nil {
@@ -421,7 +415,7 @@ func Solve(c *model.Compiled, cs *constraint.Set, opt Options) (Result, error) {
 		res.Nodes++
 		sol, err := solveWith(fixings)
 		if err != nil {
-			if errors.Is(err, lp.ErrDeadline) {
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				aborted = true
 				return nil
 			}

@@ -1,13 +1,16 @@
 package mip
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"github.com/evolving-olap/idd/internal/constraint"
 	"github.com/evolving-olap/idd/internal/model"
 	"github.com/evolving-olap/idd/internal/randgen"
+	"github.com/evolving-olap/idd/internal/solver/backend"
 	"github.com/evolving-olap/idd/internal/solver/bruteforce"
 )
 
@@ -127,5 +130,93 @@ func TestRefusesOversizedFormulation(t *testing.T) {
 	f := Build(c, nil, Options{TimestepsPerIndex: 4})
 	if f.Vars > 2*v || v > 2*f.Vars || f.Rows > 2*r || r > 2*f.Rows {
 		t.Errorf("estimate %d/%d far from actual %d/%d", v, r, f.Vars, f.Rows)
+	}
+}
+
+// cancelAfter is a context whose Err turns context.Canceled on its k-th
+// call (k = 0: never) and stays so; calls counts every Err call.
+type cancelAfter struct {
+	context.Context
+	k, calls int
+}
+
+func (c *cancelAfter) Err() error {
+	c.calls++
+	if c.k > 0 && c.calls >= c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
+func TestContextAbortsSearch(t *testing.T) {
+	in, c := tiny(2, 4, 3)
+	t.Run("done before the root", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		res, err := Solve(c, nil, Options{TimestepsPerIndex: 4, Context: ctx})
+		if err == nil || res.Nodes != 0 || res.Proved {
+			t.Fatalf("cancelled search: nodes %d proved %v err %v, want no node and an error", res.Nodes, res.Proved, err)
+		}
+	})
+	t.Run("done inside the root LP", func(t *testing.T) {
+		// Check 1 is the root node's; the root LP stops at check 3, and
+		// the search makes no further check.
+		ctx := &cancelAfter{Context: context.Background(), k: 3}
+		res, err := Solve(c, nil, Options{TimestepsPerIndex: 4, Context: ctx})
+		if err == nil || res.Nodes != 1 || res.Proved || ctx.calls != 3 {
+			t.Fatalf("nodes %d proved %v err %v after %d checks, want 1 node, an error, 3 checks",
+				res.Nodes, res.Proved, err, ctx.calls)
+		}
+	})
+	t.Run("keeps an adopted incumbent", func(t *testing.T) {
+		// The root polls the external incumbent before its LP is cut, so
+		// the aborted search still answers with that order, unproved.
+		ext := inputOrder(in)
+		ctx := &cancelAfter{Context: context.Background(), k: 3}
+		res, err := Solve(c, nil, Options{TimestepsPerIndex: 4, Context: ctx,
+			Incumbent: func(than float64) ([]int, float64) {
+				if obj := c.Objective(ext); obj < than {
+					return ext, obj
+				}
+				return nil, 0
+			}})
+		if err != nil || res.Proved {
+			t.Fatalf("proved %v err %v, want an unproved order", res.Proved, err)
+		}
+		if got, want := res.Objective, c.Objective(ext); got != want {
+			t.Fatalf("objective %v, want the adopted incumbent's %v", got, want)
+		}
+	})
+}
+
+// inputOrder is the instance's indexes in input order, a feasible order
+// on the precedence-free instances tiny builds.
+func inputOrder(in *model.Instance) []int {
+	order := make([]int, len(in.Indexes))
+	for i := range order {
+		order[i] = i
+	}
+	return order
+}
+
+// TestBackendBudgetBoundsSolve: the registry adapter derives the search
+// context from Request.Budget, so an elapsed budget stops the MIP before
+// its first node while an ample one runs it.
+func TestBackendBudgetBoundsSolve(t *testing.T) {
+	in, c := tiny(2, 4, 3)
+	b, ok := backend.Lookup("mip")
+	if !ok {
+		t.Fatal("mip is not registered")
+	}
+	out := b.Solve(context.Background(), backend.Request{Compiled: c, Budget: time.Nanosecond})
+	if out.Iterations != 0 || out.Proved {
+		t.Fatalf("1ns budget: %d nodes, proved %v", out.Iterations, out.Proved)
+	}
+	out = b.Solve(context.Background(), backend.Request{Compiled: c, Budget: 10 * time.Second, StepLimit: 200})
+	if out.Err != nil || out.Iterations == 0 {
+		t.Fatalf("10s budget: %d nodes, err %v", out.Iterations, out.Err)
+	}
+	if err := in.ValidOrder(out.Order); err != nil {
+		t.Fatal(err)
 	}
 }

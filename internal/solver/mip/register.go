@@ -3,7 +3,6 @@ package mip
 import (
 	"context"
 	"math"
-	"time"
 
 	"github.com/evolving-olap/idd/internal/model"
 	"github.com/evolving-olap/idd/internal/solver/backend"
@@ -37,13 +36,15 @@ func (asBackend) Info() backend.Info {
 }
 
 func (asBackend) Solve(ctx context.Context, req backend.Request) backend.Outcome {
+	if req.Budget > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, req.Budget)
+		defer cancel()
+	}
 	opt := Options{
 		Context:     ctx,
 		Incumbent:   req.Incumbent,
 		OnIncumbent: req.Publish,
-	}
-	if req.Budget > 0 {
-		opt.Deadline = time.Now().Add(req.Budget)
 	}
 	if req.StepLimit > 0 {
 		opt.NodeLimit = int(req.StepLimit)

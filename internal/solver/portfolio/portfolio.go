@@ -218,11 +218,6 @@ type Options struct {
 	// search steps (local-search steps / CP, A*, MIP nodes), making runs
 	// reproducible for tests regardless of wall-clock speed.
 	StepLimit int64
-	// Params is the typed registry-declared parameter bag handed to
-	// every backend (e.g. "cp.tail_bound"). Build it with
-	// backend.ValidateParams / backend.ParseParams; backends read only
-	// their own declared keys.
-	Params backend.Params
 	// Seed derives each randomized backend's private RNG.
 	Seed int64
 	// Initial seeds the incumbent store (nil = greedy.Solve).
@@ -484,14 +479,12 @@ func Solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, opt Optio
 					slice = time.Millisecond
 				}
 				bctx, bcancel := context.WithTimeout(parent, slice)
-				// A backend may invoke its publish callback from internal
-				// worker goroutines (the parallel cp does; it happens to
-				// serialize them under its incumbent lock, but that is
-				// cp's implementation detail); the orchestrator guards
+				// The backend contract does not promise that publish is
+				// called from one goroutine, so the orchestrator guards
 				// br's contribution counters with its own mutex instead
-				// of relying on any backend's internal locking. Backends
-				// join their goroutines before returning, so br is
-				// settled when it is read below.
+				// of relying on any backend's internals. Backends join
+				// their goroutines before returning, so br is settled
+				// when it is read below.
 				var pubMu sync.Mutex
 				publish := func(order []int, obj float64) {
 					if !sh.Offer(name, order, obj) {
@@ -510,7 +503,6 @@ func Solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, opt Optio
 					StepLimit:   opt.StepLimit,
 					Seed:        opt.Seed + int64(j)*0x9E3779B9,
 					Initial:     initial,
-					Params:      opt.Params,
 					Publish:     publish,
 					Incumbent:   sh.BetterThan,
 					Bound:       sh.Objective,
@@ -586,7 +578,6 @@ func Solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, opt Optio
 				StepLimit:   opt.StepLimit,
 				Seed:        opt.Seed,
 				Initial:     initial,
-				Params:      opt.Params,
 				Publish:     publish,
 			})
 			if fout.Order != nil {

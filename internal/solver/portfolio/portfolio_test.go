@@ -426,40 +426,6 @@ func assertFeasible(t *testing.T, n int, cs *constraint.Set, order []int) {
 	solvertest.RequireFeasible(t, n, cs, order)
 }
 
-// TestSolveParamsReachBackend: a "cp.tail_bound" entry in the typed
-// params bag must reach the cp engine. On the reduced TPC-H n=13
-// instance the default tail bound prunes; turned off it must not, and
-// both runs prove the same optimum.
-func TestSolveParamsReachBackend(t *testing.T) {
-	c := model.MustCompile(datasets.ReducedTPCH(13, datasets.Low))
-	solve := func(params backend.Params) Result {
-		t.Helper()
-		res, err := Solve(context.Background(), c, nil, Options{
-			Backends: []string{"cp"},
-			Budget:   20 * time.Second,
-			Params:   params,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Proved {
-			t.Fatalf("cp did not prove optimality with params %v", params)
-		}
-		return res
-	}
-	on := solve(nil)
-	off := solve(backend.Params{"cp.tail_bound": false})
-	if got := on.Backends[0].Counters["pruned_tail"]; got == 0 {
-		t.Fatal("default tail bound made no tail prunes; the instance does not witness the param")
-	}
-	if got := off.Backends[0].Counters["pruned_tail"]; got != 0 {
-		t.Errorf("cp.tail_bound=false: %d tail prunes (the param did not reach the engine)", got)
-	}
-	if on.Objective != off.Objective {
-		t.Errorf("tail bound changed the proved optimum: %v on, %v off", on.Objective, off.Objective)
-	}
-}
-
 // TestSolveCPProvesConformanceCases: the cp backend alone proves every
 // conformance optimum through the portfolio, and its telemetry agrees
 // with the store: what it published is never better than the optimum,

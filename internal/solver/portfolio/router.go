@@ -163,7 +163,6 @@ func SolveSingle(ctx context.Context, c *model.Compiled, cs *constraint.Set, nam
 		StepLimit:   opt.StepLimit,
 		Seed:        opt.Seed,
 		Initial:     initial,
-		Params:      opt.Params,
 		Publish:     publish,
 		Incumbent:   sh.BetterThan,
 		Bound:       sh.Objective,

@@ -101,10 +101,9 @@ func TestConformanceMIP(t *testing.T) {
 			continue
 		}
 		t.Run(cse.Name, func(t *testing.T) {
-			res, err := mip.Solve(cse.C, cse.CS, mip.Options{
-				NodeLimit: 2000,
-				Deadline:  time.Now().Add(10 * time.Second),
-			})
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			res, err := mip.Solve(cse.C, cse.CS, mip.Options{NodeLimit: 2000, Context: ctx})
 			if err != nil {
 				t.Fatalf("mip: %v", err)
 			}

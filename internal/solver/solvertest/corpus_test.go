@@ -122,7 +122,6 @@ func TestCorpusSingleWorkerDeterminism(t *testing.T) {
 	run := func(cse *solvertest.Case) trace {
 		var tr trace
 		tr.result = cp.Solve(cse.C, cse.CS, cp.Options{
-			Workers: 1, Seed: 7,
 			OnSolution: func(_ []int, obj float64) { tr.objs = append(tr.objs, obj) },
 		})
 		return tr

@@ -16,11 +16,12 @@ import (
 // degenerates and the proof search leans on combinatorial pruning and
 // on the §5.5 tail tables, which stay exact regardless of cost spread.
 // This is the regime the paper's deployment-window instances live in,
-// and the corpus where cp.tail_bound must visibly shrink the tree.
+// and the corpus where the tail bound (cp.Options.TailBound) must
+// visibly shrink the tree.
 //
 // Kept separate from CorpusInstances: sizes 13–14 are beyond
 // bruteforce.MaxN, so their optima are established by cross-checking
-// independent CP configurations (worker counts × tail bound on/off)
+// independent CP configurations (tail bound on/off)
 // against each other in the tight corpus tests, with brute force
 // anchoring every n <= 12 instance.
 func TightCorpusInstances() []*model.Instance {

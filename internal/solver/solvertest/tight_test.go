@@ -90,7 +90,7 @@ func TestTightCorpusSingleWorkerDeterminism(t *testing.T) {
 			run := func() ([]float64, cp.Result) {
 				var objs []float64
 				res := cp.Solve(c, cs, cp.Options{
-					Workers: 1, TailBound: tb,
+					TailBound:  tb,
 					OnSolution: func(_ []int, obj float64) { objs = append(objs, obj) },
 				})
 				return objs, res

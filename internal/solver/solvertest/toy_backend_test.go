@@ -4,9 +4,7 @@
 //
 //   - the portfolio's Default selection and its race telemetry,
 //   - the registry conformance sweep over the corpus
-//     (registry_conformance_test.go runs in this same test binary),
-//   - param validation (its declared knob becomes a valid -param /
-//     "params" key), and
+//     (registry_conformance_test.go runs in this same test binary), and
 //   - the service's GET /solvers catalogue.
 //
 // The CLI's -list-solvers prints the same backend.All() listing that is
@@ -19,7 +17,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -37,16 +34,11 @@ func init() { backend.Register(toyBackend{}) }
 type toyBackend struct{}
 
 func (toyBackend) Info() backend.Info {
-	f := func(v float64) *float64 { return &v }
 	return backend.Info{
 		Name:    "toy-reverse",
 		Kind:    backend.KindConstructive,
 		Rank:    95,
 		Summary: "test-only backend: reversed seed order, precedence-repaired",
-		Params: []backend.ParamSpec{
-			{Name: "toy-reverse.rotate", Type: backend.ParamInt, Default: 0,
-				Min: f(0), Max: f(64), Help: "rotate the reversed order by this many positions"},
-		},
 	}
 }
 
@@ -61,9 +53,6 @@ func (toyBackend) Solve(_ context.Context, req backend.Request) backend.Outcome 
 	}
 	for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
 		order[i], order[j] = order[j], order[i]
-	}
-	if rot := req.Params.Int("toy-reverse.rotate", 0) % n; rot > 0 {
-		order = append(order[rot:], order[:rot]...)
 	}
 	order = sched.Repair(order, req.Constraints)
 	return backend.Outcome{Order: order, Objective: req.Compiled.Objective(order)}
@@ -85,11 +74,10 @@ func TestToyBackendVisibleEverywhere(t *testing.T) {
 	}
 
 	// The portfolio races it like any built-in and reports telemetry
-	// under its name; its param travels through Options.Params.
+	// under its name.
 	res, err := portfolio.Solve(context.Background(), cse.C, cse.CS, portfolio.Options{
 		Backends: []string{"greedy", "toy-reverse"},
 		Budget:   5 * time.Second,
-		Params:   backend.Params{"toy-reverse.rotate": 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -108,15 +96,7 @@ func TestToyBackendVisibleEverywhere(t *testing.T) {
 		t.Fatalf("no toy-reverse telemetry: %+v", res.Backends)
 	}
 
-	// Param validation knows the declared knob — and still rejects junk.
-	if _, err := backend.ParseParams([]string{"toy-reverse.rotate=3"}); err != nil {
-		t.Fatalf("declared toy param rejected: %v", err)
-	}
-	if _, err := backend.ParseParams([]string{"toy-reverse.rotate=99"}); err == nil {
-		t.Fatal("out-of-range toy param accepted")
-	}
-
-	// GET /solvers on a live service lists it with the param spec.
+	// GET /solvers on a live service lists it.
 	srv := service.New(service.Config{Workers: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -145,8 +125,7 @@ func TestToyBackendVisibleEverywhere(t *testing.T) {
 	if toy == nil {
 		t.Fatalf("GET /solvers does not list toy-reverse")
 	}
-	if toy.Kind != "constructive" || len(toy.Params) != 1 ||
-		!strings.HasPrefix(toy.Params[0].Name, "toy-reverse.") {
+	if toy.Kind != "constructive" || toy.Summary == "" {
 		t.Fatalf("toy-reverse catalogue entry malformed: %+v", toy)
 	}
 }
