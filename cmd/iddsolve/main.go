@@ -26,9 +26,9 @@
 // Exit codes: 0 = solved (for proof-capable methods: proved optimal, or
 // a heuristic method returned a feasible order); 2 = invalid input,
 // infeasible instance, or a method that cannot handle it; 3 = a
-// proof-capable method (bruteforce, astar, cp, mip, portfolio) exhausted
-// its budget — or was interrupted — without an optimality proof. The
-// best incumbent is still printed in that case.
+// proof-capable method (an exact backend — bruteforce, astar, cp — or
+// portfolio) exhausted its budget — or was interrupted — without an
+// optimality proof. The best incumbent is still printed in that case.
 //
 // -warm-start-from seeds the search with a previous run's order: the
 // file is either a prior -json report (its "names" list is used) or a
@@ -74,7 +74,6 @@ import (
 	"github.com/evolving-olap/idd/internal/prune"
 	"github.com/evolving-olap/idd/internal/sched"
 	"github.com/evolving-olap/idd/internal/solver/backend"
-	"github.com/evolving-olap/idd/internal/solver/greedy"
 	"github.com/evolving-olap/idd/internal/solver/portfolio"
 )
 
@@ -107,7 +106,7 @@ func main() {
 		curve    = flag.Bool("curve", false, "print the per-step improvement curve")
 		jsonOut  = flag.Bool("json", false, "emit one JSON object instead of the text report")
 		workers  = flag.Int("workers", 0, "portfolio: concurrent backends (0 = GOMAXPROCS)")
-		solvers  = flag.String("solvers", "", "portfolio: comma-separated backend list (empty = auto; available: "+strings.Join(portfolio.Names(), ",")+")")
+		solvers  = flag.String("solvers", "", "portfolio: comma-separated backend list (empty = auto; available: "+strings.Join(backend.Names(), ",")+")")
 		warmFrom = flag.String("warm-start-from", "", "seed the search from a prior -json report (or a JSON array of index names), repaired against this instance")
 		trace    = flag.Bool("trace", false, "record a flight-recorder trace and print its span timeline after the report")
 		traceJS  = flag.Bool("trace-json", false, "like -trace but print the spans as JSON (inside the report when -json is set)")
@@ -455,9 +454,11 @@ func solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, method st
 		}
 		return res.Order, oc
 	default:
-		// Every other method is a registered backend, run standalone with
-		// the full budget (the registry is also what -list-solvers and
-		// the portfolio race draw from, so the rosters always agree).
+		// Every other method is a registered backend, run as a one-name
+		// portfolio roster with the full budget: the same code path, seed
+		// and budget the service's fast path uses (the registry is also
+		// what -list-solvers and the portfolio race draw from, so the
+		// rosters always agree).
 		b, ok := backend.Lookup(method)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "iddsolve: unknown method %q (methods: %s, random, portfolio)\n",
@@ -465,51 +466,33 @@ func solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, method st
 			exit(exitInvalid)
 			return nil, solveOutcome{}
 		}
-		info := b.Info()
-		bctx, cancel := context.WithTimeout(ctx, budget)
-		defer cancel()
-		req := backend.Request{
-			Compiled:    c,
-			Constraints: cs,
-			Budget:      budget,
-			Seed:        seed,
-			Initial:     greedy.Solve(c, cs),
+		res, err := portfolio.Solve(ctx, c, cs, portfolio.Options{
+			Backends:   []string{method},
+			Workers:    1,
+			Budget:     budget,
+			Seed:       seed,
+			Initial:    initial,
+			OnProgress: func(ev portfolio.ProgressEvent) { recordProgressSpan(tr, ev) },
+		})
+		if err != nil {
+			fail(err)
 		}
-		if initial != nil {
-			req.Initial = initial
+		br := res.Backends[0]
+		if br.Err != nil {
+			fail(br.Err)
 		}
-		if tr != nil {
-			tr.RecordBackend(obs.SpanBackendStart, method, "")
-			req.Publish = func(_ []int, obj float64) {
-				tr.RecordObjective(obs.SpanIncumbent, method, obj, "")
-			}
-		}
-		out := b.Solve(bctx, req)
-		if out.Err != nil {
-			fail(out.Err)
-		}
-		if tr != nil {
-			if info.Proves && out.Proved {
-				tr.RecordObjective(obs.SpanProved, method, out.Objective, "")
-			}
-			if math.IsInf(out.Objective, 1) {
-				tr.RecordBackend(obs.SpanBackendDone, method, "")
-			} else {
-				tr.RecordObjective(obs.SpanBackendDone, method, out.Objective, "")
-			}
-		}
-		order := out.Order
+		// Report the backend's own order, even when the seed beats it (a
+		// constructive baseline is shown as built); a search with no
+		// order of its own (A* proving the seed by its bound, a search
+		// cancelled before its first solution) reports the incumbent.
+		order := br.Order
 		if order == nil {
-			// A cancelled exact search may have no own order (e.g. A*
-			// proving via its bound); fall back to greedy so the CLI
-			// always reports a feasible schedule.
-			order = greedy.Solve(c, cs)
+			order = res.Order
 		}
-		oc := solveOutcome{counters: out.Counters}
-		if info.Proves {
-			proved := out.Proved
-			oc.proved = &proved
-			oc.note = provedNote(proved)
+		oc := solveOutcome{counters: br.Counters}
+		if b.Info().Kind == backend.KindExact {
+			oc.proved = &res.Proved
+			oc.note = provedNote(res.Proved)
 		}
 		return order, oc
 	}
@@ -521,7 +504,7 @@ func listSolvers(w io.Writer) {
 	for _, b := range backend.All() {
 		info := b.Info()
 		proves := "-"
-		if info.Proves {
+		if info.Kind == backend.KindExact {
 			proves = "yes"
 		}
 		fmt.Fprintf(w, "%-11s %-13s %-7s %s\n", info.Name, info.Kind, proves, info.Summary)

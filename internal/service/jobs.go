@@ -1059,8 +1059,10 @@ func (m *Manager) execute(r *run) {
 	// budget, fall back to the full race.
 	if len(r.params.Backends) == 0 {
 		if name, ok := portfolio.Route(c.N); ok {
+			fast := opts
+			fast.Backends = []string{name}
 			res, err = solveWith(func(ctx context.Context) (portfolio.Result, error) {
-				return portfolio.SolveSingle(ctx, c, cs, name, opts)
+				return portfolio.Solve(ctx, c, cs, fast)
 			})
 			switch {
 			case err == nil && res.Proved:

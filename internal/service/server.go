@@ -596,8 +596,8 @@ type SolverInfo struct {
 	Name string `json:"name"`
 	// Kind is "constructive", "exact" or "anytime".
 	Kind string `json:"kind"`
-	// Proves marks backends whose results can carry a proof flag; only
-	// exact kinds yield true optimality certificates.
+	// Proves marks backends whose results can carry an optimality
+	// proof: exactly the exact kind.
 	Proves bool `json:"proves,omitempty"`
 	// FinisherRank orders the anytime backends for the portfolio's
 	// exploitation tail (higher wins; 0 = never the finisher).
@@ -614,7 +614,7 @@ func Solvers() []SolverInfo {
 		out = append(out, SolverInfo{
 			Name:         info.Name,
 			Kind:         info.Kind.String(),
-			Proves:       info.Proves,
+			Proves:       info.Kind == backend.KindExact,
 			FinisherRank: info.Finisher,
 			Summary:      info.Summary,
 		})

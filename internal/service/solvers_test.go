@@ -39,7 +39,7 @@ func TestSolversEndpoint(t *testing.T) {
 	for _, s := range body.Solvers {
 		byName[s.Name] = s
 	}
-	for _, want := range []string{"greedy", "dp", "bruteforce", "astar", "cp", "mip",
+	for _, want := range []string{"greedy", "dp", "bruteforce", "astar", "cp",
 		"tabu-b", "tabu-f", "lns", "vns", "anneal"} {
 		if _, ok := byName[want]; !ok {
 			t.Fatalf("/solvers missing %q: %+v", want, body.Solvers)

@@ -18,7 +18,6 @@ func (asBackend) Info() backend.Info {
 		Name:       "astar",
 		Kind:       backend.KindExact,
 		Rank:       40,
-		Proves:     true,
 		Summary:    "A* over index subsets with an admissible completion bound (§4.5)",
 		Applicable: func(c *model.Compiled) bool { return c.N <= MaxN },
 	}

@@ -32,7 +32,8 @@ const (
 	// may stop a portfolio race.
 	KindExact
 	// KindAnytime: an iterative improver that publishes incumbents for
-	// as long as it is given budget (the local searches, mip).
+	// as long as it is given budget (the local searches). It never
+	// proves anything.
 	KindAnytime
 )
 
@@ -68,11 +69,6 @@ type Info struct {
 	// tail: among the enabled backends the highest positive rank runs
 	// the leftover budget undisturbed. 0 = never a finisher.
 	Finisher int
-	// Proves marks backends whose Outcome.Proved is meaningful. For
-	// KindExact it is a true optimality certificate; a non-exact prover
-	// (mip, whose proof is w.r.t. its discretized model) reports Proved
-	// for CLI exit-code purposes but never stops a portfolio race.
-	Proves bool
 	// Applicable reports whether the backend belongs in the default
 	// portfolio set for an instance (nil = always). Enumerative solvers
 	// use it to bow out beyond their tractable size.
@@ -96,7 +92,8 @@ type Request struct {
 	// context usually carries the hard deadline as well).
 	Budget time.Duration
 	// StepLimit, when positive, bounds backend-specific search effort
-	// (local-search steps / CP, A*, MIP nodes) for reproducible runs.
+	// (local-search steps / CP nodes / A* expansions) for reproducible
+	// runs.
 	StepLimit int64
 	// Seed derives the backend's private RNG stream.
 	Seed int64
@@ -121,9 +118,9 @@ type Outcome struct {
 	// nothing of its own) and Objective its objective (+Inf when none).
 	Order     []int
 	Objective float64
-	// Proved reports an exhausted search. Meaningful only when the
-	// backend's Info declares Proves; the portfolio additionally trusts
-	// it only from KindExact backends.
+	// Proved reports an exhausted search: an optimality certificate
+	// from a KindExact backend. The portfolio ignores it from any other
+	// kind.
 	Proved bool
 	// Iterations counts backend-specific effort (steps, nodes,
 	// expansions, permutations).

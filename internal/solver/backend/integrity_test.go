@@ -17,7 +17,6 @@ import (
 	_ "github.com/evolving-olap/idd/internal/solver/dp"
 	_ "github.com/evolving-olap/idd/internal/solver/greedy"
 	_ "github.com/evolving-olap/idd/internal/solver/local"
-	_ "github.com/evolving-olap/idd/internal/solver/mip"
 )
 
 func TestRegistryIntegrity(t *testing.T) {
@@ -42,9 +41,6 @@ func TestRegistryIntegrity(t *testing.T) {
 		if k := info.Kind.String(); k == "unknown" {
 			t.Errorf("%s: invalid Kind %d", name, info.Kind)
 		}
-		if info.Kind == backend.KindExact && !info.Proves {
-			t.Errorf("%s: exact backends must declare Proves", name)
-		}
 		if info.Finisher > 0 && info.Kind != backend.KindAnytime {
 			t.Errorf("%s: only anytime backends can be finishers (kind %s)", name, info.Kind)
 		}
@@ -54,7 +50,7 @@ func TestRegistryIntegrity(t *testing.T) {
 			t.Errorf("%s: Info() is not stable across calls", name)
 		}
 	}
-	for _, want := range []string{"greedy", "dp", "bruteforce", "astar", "cp", "mip",
+	for _, want := range []string{"greedy", "dp", "bruteforce", "astar", "cp",
 		"tabu-b", "tabu-f", "lns", "vns", "anneal"} {
 		if !seen[want] {
 			t.Errorf("built-in backend %q is not registered", want)

@@ -23,7 +23,6 @@ func (asBackend) Info() backend.Info {
 		Name:       "bruteforce",
 		Kind:       backend.KindExact,
 		Rank:       30,
-		Proves:     true,
 		Summary:    "bounded exhaustive enumeration; ground truth for tiny instances",
 		Applicable: func(c *model.Compiled) bool { return c.N <= maxDefaultN },
 	}

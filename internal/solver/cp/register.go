@@ -17,7 +17,6 @@ func (asBackend) Info() backend.Info {
 		Name:    "cp",
 		Kind:    backend.KindExact,
 		Rank:    50,
-		Proves:  true,
 		Summary: "branch-and-prune CP search (§6)",
 	}
 }

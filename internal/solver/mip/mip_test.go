@@ -5,12 +5,10 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"github.com/evolving-olap/idd/internal/constraint"
 	"github.com/evolving-olap/idd/internal/model"
 	"github.com/evolving-olap/idd/internal/randgen"
-	"github.com/evolving-olap/idd/internal/solver/backend"
 	"github.com/evolving-olap/idd/internal/solver/bruteforce"
 )
 
@@ -197,26 +195,4 @@ func inputOrder(in *model.Instance) []int {
 		order[i] = i
 	}
 	return order
-}
-
-// TestBackendBudgetBoundsSolve: the registry adapter derives the search
-// context from Request.Budget, so an elapsed budget stops the MIP before
-// its first node while an ample one runs it.
-func TestBackendBudgetBoundsSolve(t *testing.T) {
-	in, c := tiny(2, 4, 3)
-	b, ok := backend.Lookup("mip")
-	if !ok {
-		t.Fatal("mip is not registered")
-	}
-	out := b.Solve(context.Background(), backend.Request{Compiled: c, Budget: time.Nanosecond})
-	if out.Iterations != 0 || out.Proved {
-		t.Fatalf("1ns budget: %d nodes, proved %v", out.Iterations, out.Proved)
-	}
-	out = b.Solve(context.Background(), backend.Request{Compiled: c, Budget: 10 * time.Second, StepLimit: 200})
-	if out.Err != nil || out.Iterations == 0 {
-		t.Fatalf("10s budget: %d nodes, err %v", out.Iterations, out.Err)
-	}
-	if err := in.ValidOrder(out.Order); err != nil {
-		t.Fatal(err)
-	}
 }

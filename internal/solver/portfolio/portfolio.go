@@ -4,20 +4,25 @@
 // collection of complementary anytime solvers into a single robust one:
 // exact backends (cp, astar, bruteforce) publish proofs and prune against
 // the best heuristic incumbent, while the anytime backends (tabu, lns,
-// vns, anneal, mip) adopt whatever the portfolio has found so far and keep
+// vns, anneal) adopt whatever the portfolio has found so far and keep
 // improving it. The orchestrator runs backends on a bounded worker pool
 // with per-backend deadline slices carved out of one overall budget,
 // cancels everything through a context as soon as some backend proves the
 // incumbent optimal, and reports per-backend telemetry alongside the
 // winning schedule.
 //
+// Solve is the one way any program runs a backend: the service's fast
+// path and iddsolve's single-method runs are one-name rosters. It is
+// also where a backend panic is contained (see call).
+//
 // The backends themselves come from the self-describing registry in
 // internal/solver/backend: the orchestrator derives the default
 // selection from each backend's declared applicability, the finisher
 // from the declared anytime ranking, and hands every backend the same
-// backend.Request envelope (instance, budget slice, seed, typed params,
-// publish/consume hooks). Registering a new backend — even from a test
-// file — makes it available here with no portfolio edits.
+// backend.Request envelope (instance, budget slice, step limit, seed,
+// initial order, publish/consume hooks). Registering a new backend —
+// even from a test file — makes it available here with no portfolio
+// edits.
 package portfolio
 
 import (
@@ -43,7 +48,6 @@ import (
 	_ "github.com/evolving-olap/idd/internal/solver/cp"
 	_ "github.com/evolving-olap/idd/internal/solver/dp"
 	_ "github.com/evolving-olap/idd/internal/solver/local"
-	_ "github.com/evolving-olap/idd/internal/solver/mip"
 )
 
 const eps = 1e-12
@@ -129,9 +133,9 @@ func (s *Store) feasible(order []int) bool {
 // ValidateInitial reports why initial cannot seed a solve of c under cs:
 // wrong length, not a permutation, or incompatible with the precedence
 // constraints. It is the single admission check for Options.Initial,
-// shared by Solve and SolveSingle, and exported so warm-start callers
-// (the service session path) can decide to degrade to a cold start
-// instead of failing the run.
+// used by Solve, and exported so warm-start callers (the service
+// session path) can decide to degrade to a cold start instead of
+// failing the run.
 func ValidateInitial(c *model.Compiled, cs *constraint.Set, initial []int) error {
 	return validOrder(c.N, cs, initial)
 }
@@ -204,7 +208,8 @@ func validOrder(n int, cs *constraint.Set, order []int) error {
 
 // Options configures a portfolio run.
 type Options struct {
-	// Backends names the backends to race (see Names); nil = Default.
+	// Backends names the backends to race (see backend.Names); nil =
+	// backend.Default.
 	Backends []string
 	// Workers bounds concurrent backends (0 = GOMAXPROCS, capped at the
 	// number of backends).
@@ -215,8 +220,8 @@ type Options struct {
 	// get a fair share.
 	Budget time.Duration
 	// StepLimit, when positive, additionally bounds every backend's
-	// search steps (local-search steps / CP, A*, MIP nodes), making runs
-	// reproducible for tests regardless of wall-clock speed.
+	// search steps (local-search steps / CP nodes / A* expansions),
+	// making runs reproducible for tests regardless of wall-clock speed.
 	StepLimit int64
 	// Seed derives each randomized backend's private RNG.
 	Seed int64
@@ -308,12 +313,16 @@ type BackendResult struct {
 	BestPublished float64
 	// Improvements counts the backend's accepted incumbent publications.
 	Improvements int
-	// Proved marks an exact optimality proof (cp, astar, bruteforce
-	// only; the MIP proof is w.r.t. its discretized model and does not
-	// count).
+	// Proved marks an optimality proof. Only exact backends (cp, astar,
+	// bruteforce) set it; another kind's Outcome.Proved is ignored.
 	Proved bool
+	// Order is the backend's own final order (nil when it produced
+	// none, e.g. an A* proof of the shared incumbent by its bound). It
+	// may be worse than the seed: a constructive backend's order is
+	// reported as built.
+	Order []int
 	// Iterations counts backend-specific search effort: local-search
-	// steps, CP/MIP nodes, A* expansions, brute-force permutations.
+	// steps, CP nodes, A* expansions, brute-force permutations.
 	Iterations int64
 	// Counters is the backend's own effort breakdown (nil when the
 	// backend reports none): cp's prune-cause split, the local
@@ -323,7 +332,8 @@ type BackendResult struct {
 	// Wall is the backend's own wall-clock time.
 	Wall time.Duration
 	// Err reports a backend that refused or failed the instance (e.g.
-	// bruteforce/astar beyond MaxN, the MIP formulation too large).
+	// bruteforce/astar beyond MaxN, a local search without a seed) or
+	// panicked ("backend <name> panicked: ...").
 	Err error
 	// Skipped marks a backend never started: the budget was exhausted or
 	// an earlier backend proved optimality.
@@ -347,27 +357,20 @@ type Result struct {
 	Backends []BackendResult
 }
 
-// Names lists every registered backend, in the order Default considers
-// them (the registry's rank order).
-func Names() []string { return backend.Names() }
-
-// Default picks the backends applicable to an instance, derived from
-// each registered backend's declared applicability predicate: the cheap
-// constructive solvers and every anytime search always volunteer; the
-// enumerative exact solvers and the MIP bow out when the instance is
-// too large for them to contribute within a portfolio slice.
-func Default(c *model.Compiled) []string { return backend.Default(c) }
-
 // Solve races the configured backends and returns the best schedule found
 // plus per-backend telemetry. cs may be nil. The error is non-nil only
-// for an unknown backend name.
+// for an unknown backend name or an infeasible Options.Initial.
+//
+// The calling goroutine runs worker 0 of the pool, so a one-name roster
+// (the service's fast path, iddsolve -method <backend>) starts no
+// goroutine of its own.
 func Solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, opt Options) (Result, error) {
 	if cs == nil {
 		cs = constraint.NewSet(c.N)
 	}
 	names := opt.Backends
 	if len(names) == 0 {
-		names = Default(c)
+		names = backend.Default(c)
 	}
 	if err := backend.CheckNames(names); err != nil {
 		return Result{}, fmt.Errorf("portfolio: %w", err)
@@ -425,12 +428,16 @@ func Solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, opt Optio
 	// When there are more backends than workers the exploration phase is
 	// time-sliced, which handicaps every anytime solver against a
 	// standalone full-budget run. Reserve an exploitation tail: after the
-	// sliced race, the strongest anytime backend restarts from the shared
-	// incumbent with everything that is left (see the finisher pass
-	// below). With enough workers the race itself gets the whole budget.
+	// sliced race, the strongest anytime backend restarts from the
+	// initial order with everything that is left (see the finisher pass
+	// below). With enough workers the race itself gets the whole budget,
+	// and a finisher would only replay a backend that already ran.
 	exploreDeadline := overall
-	finisher := backend.Finisher(names)
-	if workers < len(names) && finisher != "" {
+	finisher := ""
+	if workers < len(names) {
+		finisher = backend.Finisher(names)
+	}
+	if finisher != "" {
 		// The fewer the workers, the more the race is sliced and the more
 		// budget the finisher needs to compete with a standalone
 		// full-budget run: 1 worker keeps 1/3 for exploration, many
@@ -449,98 +456,102 @@ func Solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, opt Optio
 	}
 	close(jobs)
 
+	work := func() {
+		for j := range jobs {
+			name := names[j]
+			b, _ := backend.Lookup(name)
+			exact := b.Info().Kind == backend.KindExact
+			left := queued.Add(-1) + 1 // backends not yet started, incl. this one
+			remaining := time.Until(exploreDeadline)
+			br := BackendResult{Name: name, Objective: math.Inf(1), BestPublished: math.Inf(1)}
+			if remaining <= 0 || parent.Err() != nil {
+				br.Skipped = true
+				results[j] = br
+				emit(ProgressEvent{Kind: ProgressBackendDone, Backend: name,
+					Objective: br.Objective, Skipped: true})
+				continue
+			}
+			// Deadline slicing: workers run concurrently, so the
+			// remaining wall budget funds `workers` seconds of solver
+			// time per second; divide it fairly across the queue.
+			slice := remaining
+			if left > int64(workers) {
+				slice = time.Duration(int64(remaining) * int64(workers) / left)
+			}
+			if slice < time.Millisecond {
+				slice = time.Millisecond
+			}
+			bctx, bcancel := context.WithTimeout(parent, slice)
+			// The backend contract does not promise that publish is
+			// called from one goroutine, so the orchestrator guards
+			// br's contribution counters with its own mutex instead
+			// of relying on any backend's internals. Backends join
+			// their goroutines before returning, so br is settled
+			// when it is read below.
+			var pubMu sync.Mutex
+			publish := func(order []int, obj float64) {
+				if !sh.Offer(name, order, obj) {
+					return
+				}
+				pubMu.Lock()
+				br.BestPublished = obj
+				br.Improvements++
+				pubMu.Unlock()
+				improved(name, order, obj)
+			}
+			req := backend.Request{
+				Compiled:    c,
+				Constraints: cs,
+				Budget:      slice,
+				StepLimit:   opt.StepLimit,
+				Seed:        opt.Seed + int64(j)*0x9E3779B9,
+				Initial:     initial,
+				Publish:     publish,
+				Incumbent:   sh.BetterThan,
+				Bound:       sh.Objective,
+			}
+			emit(ProgressEvent{Kind: ProgressBackendStarted, Backend: name,
+				Objective: sh.Objective()})
+			start := time.Now()
+			out := call(bctx, b, name, req)
+			bcancel()
+			br.Wall = time.Since(start)
+			br.Objective = out.Objective
+			// Only an exact backend's exhausted search is an
+			// optimality certificate; whatever another kind might
+			// claim is ignored.
+			br.Proved = out.Proved && exact
+			br.Order = out.Order
+			br.Iterations = out.Iterations
+			br.Counters = out.Counters
+			br.Err = out.Err
+			if out.Order != nil {
+				publish(out.Order, out.Objective)
+			}
+			results[j] = br
+			emit(ProgressEvent{Kind: ProgressBackendDone, Backend: name,
+				Objective: br.Objective, Err: br.Err,
+				Iterations: br.Iterations, Wall: br.Wall})
+			if br.Proved && proved.CompareAndSwap(false, true) {
+				// The incumbent is optimal; stop the other backends.
+				// The CAS elects a single prover so concurrent exact
+				// backends cannot double-emit the proof event.
+				cancel()
+				border, bobj, _ := sh.Best()
+				emit(ProgressEvent{Kind: ProgressProved, Backend: name,
+					Order: border, Objective: bobj})
+			}
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
-				name := names[j]
-				b, _ := backend.Lookup(name)
-				exact := b.Info().Kind == backend.KindExact
-				left := queued.Add(-1) + 1 // backends not yet started, incl. this one
-				remaining := time.Until(exploreDeadline)
-				br := BackendResult{Name: name, Objective: math.Inf(1), BestPublished: math.Inf(1)}
-				if remaining <= 0 || parent.Err() != nil {
-					br.Skipped = true
-					results[j] = br
-					emit(ProgressEvent{Kind: ProgressBackendDone, Backend: name,
-						Objective: br.Objective, Skipped: true})
-					continue
-				}
-				// Deadline slicing: workers run concurrently, so the
-				// remaining wall budget funds `workers` seconds of solver
-				// time per second; divide it fairly across the queue.
-				slice := remaining
-				if left > int64(workers) {
-					slice = time.Duration(int64(remaining) * int64(workers) / left)
-				}
-				if slice < time.Millisecond {
-					slice = time.Millisecond
-				}
-				bctx, bcancel := context.WithTimeout(parent, slice)
-				// The backend contract does not promise that publish is
-				// called from one goroutine, so the orchestrator guards
-				// br's contribution counters with its own mutex instead
-				// of relying on any backend's internals. Backends join
-				// their goroutines before returning, so br is settled
-				// when it is read below.
-				var pubMu sync.Mutex
-				publish := func(order []int, obj float64) {
-					if !sh.Offer(name, order, obj) {
-						return
-					}
-					pubMu.Lock()
-					br.BestPublished = obj
-					br.Improvements++
-					pubMu.Unlock()
-					improved(name, order, obj)
-				}
-				req := backend.Request{
-					Compiled:    c,
-					Constraints: cs,
-					Budget:      slice,
-					StepLimit:   opt.StepLimit,
-					Seed:        opt.Seed + int64(j)*0x9E3779B9,
-					Initial:     initial,
-					Publish:     publish,
-					Incumbent:   sh.BetterThan,
-					Bound:       sh.Objective,
-				}
-				emit(ProgressEvent{Kind: ProgressBackendStarted, Backend: name,
-					Objective: sh.Objective()})
-				start := time.Now()
-				out := b.Solve(bctx, req)
-				bcancel()
-				br.Wall = time.Since(start)
-				br.Objective = out.Objective
-				// Only an exact backend's exhausted search is an
-				// optimality certificate; mip's discretized proof (and
-				// whatever a misbehaving backend might claim) is
-				// telemetry at best.
-				br.Proved = out.Proved && exact
-				br.Iterations = out.Iterations
-				br.Counters = out.Counters
-				br.Err = out.Err
-				if out.Order != nil {
-					publish(out.Order, out.Objective)
-				}
-				results[j] = br
-				emit(ProgressEvent{Kind: ProgressBackendDone, Backend: name,
-					Objective: br.Objective, Err: br.Err,
-					Iterations: br.Iterations, Wall: br.Wall})
-				if br.Proved && proved.CompareAndSwap(false, true) {
-					// The incumbent is optimal; stop the other backends.
-					// The CAS elects a single prover so concurrent exact
-					// backends cannot double-emit the proof event.
-					cancel()
-					border, bobj, _ := sh.Best()
-					emit(ProgressEvent{Kind: ProgressProved, Backend: name,
-						Order: border, Objective: bobj})
-				}
-			}
+			work()
 		}()
 	}
+	work() // worker 0 runs on the caller's goroutine
 	wg.Wait()
 
 	// Finisher pass: exploitation of whatever budget the sliced race left
@@ -571,7 +582,7 @@ func Solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, opt Optio
 			// same searcher with the same seed would. No Incumbent hook:
 			// the finisher restarts from the initial order on purpose
 			// (see above) and must not re-adopt the race's incumbent.
-			fout := fb.Solve(parent, backend.Request{
+			fout := call(parent, fb, fname, backend.Request{
 				Compiled:    c,
 				Constraints: cs,
 				Budget:      rem,
@@ -584,12 +595,15 @@ func Solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, opt Optio
 				publish(fout.Order, fout.Objective)
 			}
 			fbr.Objective = fout.Objective
+			fbr.Order = fout.Order
+			fbr.Err = fout.Err
 			fbr.Iterations = fout.Iterations
 			fbr.Counters = fout.Counters
 			fbr.Wall = time.Since(fstart)
 			results = append(results, fbr)
 			emit(ProgressEvent{Kind: ProgressBackendDone, Backend: fname,
-				Objective: fbr.Objective, Iterations: fbr.Iterations, Wall: fbr.Wall})
+				Objective: fbr.Objective, Err: fbr.Err,
+				Iterations: fbr.Iterations, Wall: fbr.Wall})
 		}
 	}
 
@@ -601,4 +615,17 @@ func Solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, opt Optio
 		Proved:    proved.Load(),
 		Backends:  results,
 	}, nil
+}
+
+// call is the one place a backend runs. A panic on the backend's own
+// goroutine becomes the outcome's Err, so the race goes on without that
+// backend and a server survives it; a panic on a goroutine the backend
+// started itself is beyond any caller's reach.
+func call(ctx context.Context, b backend.Backend, name string, req backend.Request) (out backend.Outcome) {
+	defer func() {
+		if r := recover(); r != nil {
+			out = backend.Outcome{Objective: math.Inf(1), Err: fmt.Errorf("backend %s panicked: %v", name, r)}
+		}
+	}()
+	return b.Solve(ctx, req)
 }

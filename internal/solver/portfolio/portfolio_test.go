@@ -115,7 +115,7 @@ func TestStoreConcurrentOffers(t *testing.T) {
 
 func TestDefaultBackendSelection(t *testing.T) {
 	small := model.MustCompile(datasets.ReducedTPCH(6, datasets.Low))
-	names := Default(small)
+	names := backend.Default(small)
 	want := map[string]bool{"bruteforce": true, "astar": true, "cp": true, "greedy": true}
 	got := map[string]bool{}
 	for _, n := range names {
@@ -128,16 +128,16 @@ func TestDefaultBackendSelection(t *testing.T) {
 	}
 
 	big := model.MustCompile(datasets.TPCDS())
-	for _, n := range Default(big) {
-		if n == "bruteforce" || n == "mip" {
+	for _, n := range backend.Default(big) {
+		if n == "bruteforce" {
 			t.Errorf("Default(tpcds) includes intractable backend %s", n)
 		}
 	}
 }
 
 func TestNamesCoverRegistry(t *testing.T) {
-	names := Names()
-	if len(names) < 11 {
+	names := backend.Names()
+	if len(names) < 10 {
 		t.Fatalf("Names() lists only %d backends: %v", len(names), names)
 	}
 	for _, n := range names {
@@ -151,7 +151,7 @@ func TestNamesCoverRegistry(t *testing.T) {
 		}
 	}
 	// The built-in roster must be present in registry rank order.
-	want := []string{"greedy", "dp", "bruteforce", "astar", "cp", "mip",
+	want := []string{"greedy", "dp", "bruteforce", "astar", "cp",
 		"tabu-b", "tabu-f", "lns", "vns", "anneal"}
 	pos := map[string]int{}
 	for i, n := range names {

@@ -32,7 +32,7 @@ func TestRouteThreshold(t *testing.T) {
 
 // TestRouteConformance is the fast-path correctness contract: for every
 // instance size from trivial through both sides of the default routing
-// threshold, the routed single-backend solve and the full portfolio race
+// threshold, the routed one-name roster and the full portfolio race
 // must return bit-identical objectives, and the routed solve must carry
 // a proof. This is what licenses the service to skip the race.
 func TestRouteConformance(t *testing.T) {
@@ -45,11 +45,11 @@ func TestRouteConformance(t *testing.T) {
 		if !ok {
 			t.Fatalf("n=%d: not routed", n)
 		}
-		routed, err := SolveSingle(context.Background(), c, cs, name, Options{
-			Budget: 30 * time.Second, Seed: 1,
+		routed, err := Solve(context.Background(), c, cs, Options{
+			Backends: []string{name}, Budget: 30 * time.Second, Seed: 1,
 		})
 		if err != nil {
-			t.Fatalf("n=%d: SolveSingle(%s): %v", n, name, err)
+			t.Fatalf("n=%d: Solve(%s): %v", n, name, err)
 		}
 		if !routed.Proved {
 			t.Errorf("n=%d: routed solve via %s did not prove optimality", n, name)
@@ -78,8 +78,8 @@ func TestRouteConformance(t *testing.T) {
 func TestRoutedAstarAfterLargeProof(t *testing.T) {
 	solve := func(in *model.Instance) Result {
 		c := model.MustCompile(in)
-		res, err := SolveSingle(context.Background(), c, sched.PrecedenceSet(in), "astar", Options{
-			Budget: 30 * time.Second, Seed: 1,
+		res, err := Solve(context.Background(), c, sched.PrecedenceSet(in), Options{
+			Backends: []string{"astar"}, Budget: 30 * time.Second, Seed: 1,
 		})
 		if err != nil || !res.Proved {
 			t.Fatalf("%s: proved %v, err %v", in.Name, res.Proved, err)
@@ -108,8 +108,8 @@ func TestRouteConformanceCorpus(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: corpus case (n=%d) not routed", cse.Name, cse.C.N)
 		}
-		res, err := SolveSingle(context.Background(), cse.C, cse.CS, name, Options{
-			Budget: 30 * time.Second, Seed: 2,
+		res, err := Solve(context.Background(), cse.C, cse.CS, Options{
+			Backends: []string{name}, Budget: 30 * time.Second, Seed: 2,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", cse.Name, err)
@@ -161,23 +161,15 @@ func TestFeaturesOf(t *testing.T) {
 	}
 }
 
-// TestSolveSingleUnknownBackend: a bad name is an error, not a panic.
-func TestSolveSingleUnknownBackend(t *testing.T) {
-	c := model.MustCompile(datasets.ReducedTPCH(4, datasets.Low))
-	if _, err := SolveSingle(context.Background(), c, nil, "nope", Options{}); err == nil {
-		t.Fatal("unknown backend accepted")
-	}
-}
-
-// TestSolveSingleSeedsStore: even a backend that cannot improve returns
-// the greedy seed, never an empty result, and rejects an infeasible
-// caller-supplied Initial.
-func TestSolveSingleSeedsStore(t *testing.T) {
+// TestOneBackendSeedsStore: even a one-name roster whose backend cannot
+// improve returns the greedy seed, never an empty result, and rejects an
+// infeasible caller-supplied Initial.
+func TestOneBackendSeedsStore(t *testing.T) {
 	in := datasets.ReducedTPCH(6, datasets.Low)
 	c := model.MustCompile(in)
 	cs := sched.PrecedenceSet(in)
-	res, err := SolveSingle(context.Background(), c, cs, "greedy", Options{
-		Budget: time.Second,
+	res, err := Solve(context.Background(), c, cs, Options{
+		Backends: []string{"greedy"}, Budget: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,23 +181,25 @@ func TestSolveSingleSeedsStore(t *testing.T) {
 
 	bad := constraint.NewSet(c.N)
 	bad.MustAdd(1, 0)
-	if _, err := SolveSingle(context.Background(), c, bad, "greedy", Options{
-		Initial: []int{0, 1, 2, 3, 4, 5},
+	if _, err := Solve(context.Background(), c, bad, Options{
+		Backends: []string{"greedy"}, Initial: []int{0, 1, 2, 3, 4, 5},
 	}); err == nil {
 		t.Fatal("infeasible Initial accepted")
 	}
 }
 
-// TestSolveSingleProgressEvents: the routed solve emits the same event
-// vocabulary the race does — started, improvements, done, and a proof
-// for exact backends — so SSE consumers cannot tell the paths apart.
-func TestSolveSingleProgressEvents(t *testing.T) {
+// TestOneBackendProgressEvents: a one-name roster emits the same event
+// vocabulary a wider race does — started, improvements, done, and a
+// proof for exact backends — so SSE consumers cannot tell the paths
+// apart.
+func TestOneBackendProgressEvents(t *testing.T) {
 	in := datasets.ReducedTPCH(6, datasets.Low)
 	c := model.MustCompile(in)
 	cs := sched.PrecedenceSet(in)
 	var kinds []ProgressKind
-	res, err := SolveSingle(context.Background(), c, cs, "bruteforce", Options{
-		Budget: 10 * time.Second,
+	res, err := Solve(context.Background(), c, cs, Options{
+		Backends: []string{"bruteforce"},
+		Budget:   10 * time.Second,
 		OnProgress: func(ev ProgressEvent) {
 			kinds = append(kinds, ev.Kind)
 			if ev.Backend != "bruteforce" {

@@ -17,16 +17,14 @@ import (
 	"github.com/evolving-olap/idd/internal/solver/solvertest"
 )
 
-// Sweep effort bounds. Exact backends run step-unbounded with a
-// generous budget — every case is brute-forceable, so their proofs are
-// fast and mandatory. The rest only owe feasibility, so they get a
-// small step cap and a tight wall slice; that matters for mip, whose
-// time-indexed model burns whatever budget it is given on the larger
-// corpus instances (that blow-up is the paper's point).
+// Sweep effort bounds. Exact backends run step-unbounded — every case
+// is brute-forceable, so their proofs are fast and mandatory. The rest
+// only owe feasibility, so a step cap, not the wall clock, ends them.
+// The budget is a generous backstop for every kind; no backend is
+// expected to reach it.
 const (
-	sweepSteps    = 1500
-	exactBudget   = 10 * time.Second
-	anytimeBudget = time.Second
+	sweepSteps  = 1500
+	sweepBudget = 10 * time.Second
 )
 
 func TestRegistryConformance(t *testing.T) {
@@ -40,12 +38,12 @@ func TestRegistryConformance(t *testing.T) {
 					continue
 				}
 				applicable++
-				steps, budget := int64(sweepSteps), anytimeBudget
+				steps := int64(sweepSteps)
 				if info.Kind == backend.KindExact {
-					steps, budget = 0, exactBudget
+					steps = 0
 				}
-				req := solvertest.ConformanceRequest(cse, int64(seed)+1, steps, budget)
-				ctx, cancel := context.WithTimeout(context.Background(), budget)
+				req := solvertest.ConformanceRequest(cse, int64(seed)+1, steps, sweepBudget)
+				ctx, cancel := context.WithTimeout(context.Background(), sweepBudget)
 				out := b.Solve(ctx, req)
 				cancel()
 				if out.Err != nil {
@@ -77,7 +75,7 @@ func TestRegistryRosterSanity(t *testing.T) {
 	for _, b := range backend.All() {
 		have[b.Info().Name] = true
 	}
-	for _, want := range []string{"greedy", "dp", "bruteforce", "astar", "cp", "mip",
+	for _, want := range []string{"greedy", "dp", "bruteforce", "astar", "cp",
 		"tabu-b", "tabu-f", "lns", "vns", "anneal"} {
 		if !have[want] {
 			t.Errorf("registry lost built-in backend %q", want)

@@ -66,11 +66,11 @@ func TestToyBackendVisibleEverywhere(t *testing.T) {
 	// Default selection: the toy declares no applicability predicate, so
 	// the portfolio volunteers it for every instance.
 	inDefault := false
-	for _, name := range portfolio.Default(cse.C) {
+	for _, name := range backend.Default(cse.C) {
 		inDefault = inDefault || name == "toy-reverse"
 	}
 	if !inDefault {
-		t.Fatalf("toy-reverse missing from portfolio.Default: %v", portfolio.Default(cse.C))
+		t.Fatalf("toy-reverse missing from backend.Default: %v", backend.Default(cse.C))
 	}
 
 	// The portfolio races it like any built-in and reports telemetry
