@@ -24,6 +24,7 @@ import (
 	"github.com/evolving-olap/idd/internal/solver/local"
 	"github.com/evolving-olap/idd/internal/solver/mip"
 	"github.com/evolving-olap/idd/internal/solver/portfolio"
+	"github.com/evolving-olap/idd/internal/tpcds"
 	"github.com/evolving-olap/idd/internal/tpch"
 )
 
@@ -39,6 +40,21 @@ func BenchmarkTable4_TPCHPipeline(b *testing.B) {
 			b.Fatal(err)
 		}
 		if in.Stats().Queries != 22 {
+			b.Fatal("bad instance")
+		}
+	}
+}
+
+func BenchmarkTable4_TPCDSPipeline(b *testing.B) {
+	s, q := tpcds.Schema(), tpcds.Queries()
+	for i := 0; i < b.N; i++ {
+		in, _, err := advisor.BuildInstance("tpcds", s, q, advisor.Options{
+			MaxIndexes: 170, MaxPlansPerQuery: 33, MinBuildInteraction: 0.22,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if in.Stats().Queries != len(q) {
 			b.Fatal("bad instance")
 		}
 	}

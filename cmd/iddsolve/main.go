@@ -328,35 +328,6 @@ func printJSON(in *model.Instance, c *model.Compiled, method string, order []int
 	}
 }
 
-// recordProgressSpan mirrors one portfolio progress event into the
-// flight recorder (nil tr = tracing off).
-func recordProgressSpan(tr *obs.Trace, ev portfolio.ProgressEvent) {
-	if tr == nil {
-		return
-	}
-	switch ev.Kind {
-	case portfolio.ProgressBackendStarted:
-		tr.RecordBackend(obs.SpanBackendStart, ev.Backend, "")
-	case portfolio.ProgressImproved:
-		tr.RecordObjective(obs.SpanIncumbent, ev.Backend, ev.Objective, "")
-	case portfolio.ProgressProved:
-		tr.RecordObjective(obs.SpanProved, ev.Backend, ev.Objective, "")
-	case portfolio.ProgressBackendDone:
-		detail := ""
-		switch {
-		case ev.Skipped:
-			detail = "skipped"
-		case ev.Err != nil:
-			detail = ev.Err.Error()
-		}
-		if math.IsInf(ev.Objective, 1) {
-			tr.RecordBackend(obs.SpanBackendDone, ev.Backend, detail)
-		} else {
-			tr.RecordObjective(obs.SpanBackendDone, ev.Backend, ev.Objective, detail)
-		}
-	}
-}
-
 // warmOrderFrom reads a prior order (a -json report's "names" or a bare
 // JSON name array), repairs it against the current instance (dropped
 // indexes removed, added ones greedy-inserted), then against the full
@@ -417,7 +388,7 @@ func solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, method st
 			Budget:     budget,
 			Seed:       seed,
 			Initial:    initial,
-			OnProgress: func(ev portfolio.ProgressEvent) { recordProgressSpan(tr, ev) },
+			OnProgress: func(ev portfolio.ProgressEvent) { portfolio.RecordSpan(tr, ev) },
 		})
 		if err != nil {
 			fail(err)
@@ -472,7 +443,7 @@ func solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, method st
 			Budget:     budget,
 			Seed:       seed,
 			Initial:    initial,
-			OnProgress: func(ev portfolio.ProgressEvent) { recordProgressSpan(tr, ev) },
+			OnProgress: func(ev portfolio.ProgressEvent) { portfolio.RecordSpan(tr, ev) },
 		})
 		if err != nil {
 			fail(err)

@@ -36,7 +36,7 @@ func main() {
 	fmt.Printf("query %s without indexes: cost %.1f\n\n", q3.Name, noIdx)
 
 	fmt.Println("atomic configurations (what-if enumeration):")
-	for i, p := range sim.EnumeratePlans(q3, universe, 10) {
+	for i, p := range sim.Prepare(q3, universe).EnumeratePlans(10) {
 		fmt.Printf("  plan %d: cost %.1f (%.1f%% faster) using:\n", i+1, p.Cost, 100*(noIdx-p.Cost)/noIdx)
 		for _, u := range p.Used {
 			fmt.Printf("      %s\n", universe[u].Name())

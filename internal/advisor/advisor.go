@@ -4,6 +4,12 @@
 // "matrix file" — query plans, speedups, creation costs and build
 // interactions — by repeatedly calling the what-if optimizer
 // (internal/dbsim) with hypothetical indexes, exactly as §8 describes.
+//
+// Both Select and Extract prepare each query once against their index
+// universe (dbsim.Sim.Prepare) and then ask it one configuration at a
+// time: Select asks every candidate alone, Extract runs the plan
+// enumeration over the selected design. The instances are byte for byte
+// those of calling the optimizer from scratch for each configuration.
 package advisor
 
 import (
@@ -183,20 +189,25 @@ func Select(sim *dbsim.Sim, queries []*sql.Query, cands []dbsim.IndexDef, opt Op
 		d       dbsim.IndexDef
 		density float64
 	}
+	prepared := make([]dbsim.Prepared, len(queries))
+	noIdx := make([]float64, len(queries))
+	for qi, q := range queries {
+		prepared[qi] = sim.Prepare(q, cands)
+		noIdx[qi] = prepared[qi].NoIndexCost()
+	}
 	avail := make([]bool, len(cands))
 	scoredCands := make([]scored, 0, len(cands))
 	for ci, d := range cands {
 		var benefit float64
-		for i := range avail {
-			avail[i] = i == ci
-		}
-		for _, q := range queries {
-			no := sim.NoIndexCost(q, cands)
-			with := sim.BestPlan(q, cands, avail).Cost
+		avail[ci] = true
+		for qi, q := range queries {
+			no := noIdx[qi]
+			with := prepared[qi].BestPlan(avail).Cost
 			if with < no {
 				benefit += (no - with) * weight(q)
 			}
 		}
+		avail[ci] = false
 		if benefit <= 0 {
 			continue // the design tool would not suggest it
 		}
@@ -251,8 +262,9 @@ func Extract(name string, sim *dbsim.Sim, queries []*sql.Query, design []dbsim.I
 	usedAnywhere := make([]bool, len(design))
 	qtimes := make([]float64, len(queries))
 	for qi, q := range queries {
-		qtimes[qi] = sim.NoIndexCost(q, design)
-		for _, p := range sim.EnumeratePlans(q, design, opt.MaxPlansPerQuery) {
+		prepared := sim.Prepare(q, design)
+		qtimes[qi] = prepared.NoIndexCost()
+		for _, p := range prepared.EnumeratePlans(opt.MaxPlansPerQuery) {
 			spd := qtimes[qi] - p.Cost
 			if spd <= 1e-9 {
 				continue

@@ -8,6 +8,20 @@
 // consumes only these estimates, so matching their structure is what
 // the substitution has to get right.
 //
+// The what-if optimizer is asked about many index configurations of the
+// same query: the advisor prices every candidate alone, then enumerates
+// atomic configurations by removing used indexes one at a time. Prepare
+// therefore does the per-query work once, in the manner of INUM
+// (Papadomanolakis, Dash and Ailamaki, VLDB 2007): because the plan model
+// is decomposable, each plan component (a table's access path, a join
+// edge, the final sort) is priced on its own, so Prepare stores each
+// component's cost without indexes and the cost each usable index would
+// give it. A Prepared answers a configuration by taking each component's
+// minimum over its available indexes. It visits them in the order a
+// rescan of the universe meets them, compares with the same strict <,
+// and sums the components in the same order, so every cost is the same
+// float64, bit for bit, as one computed from scratch.
+//
 // Cost units are abstract "seconds": a sequential page read costs 1 unit
 // per page over a 8 KiB page model, random accesses cost a multiple, CPU
 // costs are per-row. Only relative magnitudes matter downstream.

@@ -195,7 +195,7 @@ func TestEnumeratePlansProducesCompetingConfigurations(t *testing.T) {
 		{Table: "customer", Key: []string{"country"}, Include: []string{"cust_id"}},
 		{Table: "customer", Key: []string{"cust_id"}},
 	}
-	plans := sim.EnumeratePlans(q, uni, 20)
+	plans := sim.Prepare(q, uni).EnumeratePlans(20)
 	if len(plans) < 2 {
 		t.Fatalf("expected multiple atomic configurations, got %d", len(plans))
 	}

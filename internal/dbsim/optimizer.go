@@ -2,7 +2,7 @@ package dbsim
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/evolving-olap/idd/internal/sql"
 )
@@ -17,54 +17,147 @@ type Plan struct {
 	Cost float64
 }
 
-// BestPlan runs the what-if optimizer: given the universe of hypothetical
-// indexes and an availability mask, it picks the cheapest access path per
-// table, the cheapest method per join edge, and a sort-avoidance index if
-// one applies, returning the used set and total cost. The model is
-// deliberately decomposable (no join reordering) so plans are
-// deterministic and the competing/query interactions of §4.2 emerge from
-// the index choices alone.
-func (s *Sim) BestPlan(q *sql.Query, universe []IndexDef, avail []bool) Plan {
-	used := map[int]bool{}
-	var total float64
+// Prepared is one query compiled against one index universe: the cost
+// of every plan component without indexes, and every index able to serve
+// it at the cost it would give, computed once. BestPlan then answers any
+// availability mask from these lists, so a caller that prices many masks
+// (selection, plan enumeration) pays for the universe scans once per
+// query instead of once per mask. A Prepared holds universe positions,
+// not index definitions, and is valid only for the universe it was built
+// with.
+type Prepared struct {
+	n     int         // universe size
+	comps []component // per table (q.Tables order), per join, then the sort
+}
+
+// component is one independently priced part of the plan.
+type component struct {
+	base float64  // cost with no index
+	opts []choice // indexes that can serve it, in the order they are tried
+}
+
+// choice is one index serving a component at the given cost.
+type choice struct {
+	ix   int
+	cost float64
+}
+
+// Prepare compiles q against universe. The plan model is deliberately
+// decomposable (no join reordering): the cheapest access path per table,
+// the cheapest method per join edge, and a sort-avoidance index if one
+// applies, so plans are deterministic and the competing/query
+// interactions of §4.2 emerge from the index choices alone.
+//
+// Each component keeps only the options that beat its base cost, in the
+// order a scan of the universe would meet them: ascending universe
+// position, and for a join edge the right side's indexes before the
+// left's. BestPlan takes the first strict minimum over the available
+// options, which is the choice a full rescan of the universe makes, so
+// costs and used sets match it bit for bit.
+func (s *Sim) Prepare(q *sql.Query, universe []IndexDef) Prepared {
+	p := Prepared{n: len(universe)}
 
 	outRows := map[string]float64{}
 	for _, tn := range q.Tables {
 		t := s.Schema.Table(tn)
+		preds := q.TablePredicates(tn)
 		sel := 1.0
-		for _, p := range q.TablePredicates(tn) {
-			sel *= p.Selectivity
+		for _, pr := range preds {
+			sel *= pr.Selectivity
 		}
 		outRows[tn] = float64(t.Rows) * sel
-		cost, ix := s.bestAccessPath(q, tn, universe, avail)
-		total += cost
-		if ix >= 0 {
-			used[ix] = true
+
+		// Access path: a full scan, or any usable index on the table.
+		c := component{base: s.TableScanCost(t)}
+		needed := q.NeededColumns(tn)
+		for ix, d := range universe {
+			if d.Table != tn {
+				continue
+			}
+			if cost, ok := s.indexScanCost(t, d, preds, needed); ok && cost < c.base {
+				c.opts = append(c.opts, choice{ix, cost})
+			}
 		}
+		p.comps = append(p.comps, c)
 	}
 
+	// Join edges: hash join, or index nested loops with either side as
+	// the inner (an index leading with the inner join column), costed per
+	// outer row.
 	for _, j := range q.Joins {
-		cost, ix := s.bestJoin(j, outRows, universe, avail)
-		total += cost
-		if ix >= 0 {
-			used[ix] = true
+		lRows, rRows := outRows[j.Left.Table], outRows[j.Right.Table]
+		small, large := lRows, rRows
+		if small > large {
+			small, large = large, small
 		}
+		c := component{base: small*hashBuildCost + large*hashProbeCost}
+		c.opts = appendLeading(c.opts, universe, j.Right, lRows*inlProbeCost, c.base)
+		c.opts = appendLeading(c.opts, universe, j.Left, rRows*inlProbeCost, c.base)
+		p.comps = append(p.comps, c)
 	}
 
+	// Final group/order stage: free when an index on the sort table has
+	// the sort columns as its key prefix.
 	if cols := groupOrOrder(q); len(cols) > 0 {
-		cost, ix := s.sortCost(q, cols, outRows, universe, avail)
-		total += cost
-		if ix >= 0 {
-			used[ix] = true
+		// Result size estimate: the largest filtered input.
+		var resRows float64
+		for _, r := range outRows {
+			if r > resRows {
+				resRows = r
+			}
+		}
+		if resRows < 2 {
+			resRows = 2
+		}
+		c := component{base: resRows * sortRowCost * math.Log2(resRows)}
+		if table, ok := oneTable(cols); ok {
+			for ix, d := range universe {
+				if d.Table == table && keyPrefix(d.Key, cols) {
+					c.opts = append(c.opts, choice{ix, 0})
+				}
+			}
+		}
+		p.comps = append(p.comps, c)
+	}
+	return p
+}
+
+// appendLeading appends the indexes whose leading key column is col, each
+// at cost, unless cost cannot beat base.
+func appendLeading(opts []choice, universe []IndexDef, col sql.ColRef, cost, base float64) []choice {
+	if !(cost < base) {
+		return opts
+	}
+	for ix, d := range universe {
+		if d.Table == col.Table && len(d.Key) > 0 && d.Key[0] == col.Column {
+			opts = append(opts, choice{ix, cost})
 		}
 	}
+	return opts
+}
 
-	plan := Plan{Cost: total}
-	for ix := range used {
-		plan.Used = append(plan.Used, ix)
+// oneTable reports the table all sort columns come from, if there is one;
+// only then can an index deliver the order.
+func oneTable(cols []sql.ColRef) (string, bool) {
+	for _, c := range cols[1:] {
+		if c.Table != cols[0].Table {
+			return "", false
+		}
 	}
-	sort.Ints(plan.Used)
-	return plan
+	return cols[0].Table, true
+}
+
+// keyPrefix reports whether the sort columns are a prefix of key.
+func keyPrefix(key []string, cols []sql.ColRef) bool {
+	if len(key) < len(cols) {
+		return false
+	}
+	for k, c := range cols {
+		if key[k] != c.Column {
+			return false
+		}
+	}
+	return true
 }
 
 func groupOrOrder(q *sql.Query) []sql.ColRef {
@@ -74,38 +167,59 @@ func groupOrOrder(q *sql.Query) []sql.ColRef {
 	return q.OrderBy
 }
 
-// bestAccessPath picks the cheapest way to read one table.
-func (s *Sim) bestAccessPath(q *sql.Query, table string, universe []IndexDef, avail []bool) (float64, int) {
-	t := s.Schema.Table(table)
-	best := s.TableScanCost(t)
-	bestIx := -1
-	needed := q.NeededColumns(table)
-	preds := q.TablePredicates(table)
-
-	for ix, d := range universe {
-		if !avail[ix] || d.Table != table {
+// BestPlan runs the what-if optimizer for one availability mask over the
+// prepared universe: per component, the cheapest available option, else
+// the base cost. The total is summed over tables, then joins, then the
+// sort. Used lists the chosen indexes ascending, each once.
+func (p Prepared) BestPlan(avail []bool) Plan {
+	var plan Plan
+	for _, c := range p.comps {
+		best, bestIx := c.base, -1
+		for _, o := range c.opts {
+			if avail[o.ix] && o.cost < best {
+				best, bestIx = o.cost, o.ix
+			}
+		}
+		plan.Cost += best
+		if bestIx < 0 {
 			continue
 		}
-		if c, ok := s.indexScanCost(t, d, preds, needed); ok && c < best {
-			best, bestIx = c, ix
+		if i, found := slices.BinarySearch(plan.Used, bestIx); !found {
+			if plan.Used == nil {
+				plan.Used = make([]int, 0, len(p.comps))
+			}
+			plan.Used = slices.Insert(plan.Used, i, bestIx)
 		}
 	}
-	return best, bestIx
+	return plan
+}
+
+// NoIndexCost is the query's cost with no hypothetical indexes — the
+// qtime(q) of the problem formulation.
+func (p Prepared) NoIndexCost() float64 {
+	return p.BestPlan(make([]bool, p.n)).Cost
+}
+
+// BestPlan prices q under the availability mask; see Prepare.
+func (s *Sim) BestPlan(q *sql.Query, universe []IndexDef, avail []bool) Plan {
+	return s.Prepare(q, universe).BestPlan(avail)
+}
+
+// NoIndexCost is q's cost with none of the universe's indexes.
+func (s *Sim) NoIndexCost(q *sql.Query, universe []IndexDef) float64 {
+	return s.Prepare(q, universe).NoIndexCost()
 }
 
 // indexScanCost estimates scanning table t via index d, or ok=false when
 // the index is unusable for this query.
 func (s *Sim) indexScanCost(t *sql.Table, d IndexDef, preds []sql.Predicate, needed []string) (float64, bool) {
 	// Longest usable prefix: equality predicates extend it, one range
-	// predicate ends it.
-	predOn := map[string]*sql.Predicate{}
-	for i := range preds {
-		predOn[preds[i].Col.Column] = &preds[i]
-	}
+	// predicate ends it. The last predicate on a column is the one that
+	// counts.
 	sel := 1.0
 	matched := 0
 	for _, k := range d.Key {
-		p := predOn[k]
+		p := lastPredOn(preds, k)
 		if p == nil {
 			break
 		}
@@ -115,16 +229,9 @@ func (s *Sim) indexScanCost(t *sql.Table, d IndexDef, preds []sql.Predicate, nee
 			break
 		}
 	}
-	have := map[string]bool{}
-	for _, c := range d.Key {
-		have[c] = true
-	}
-	for _, c := range d.Include {
-		have[c] = true
-	}
 	covering := true
 	for _, c := range needed {
-		if !have[c] {
+		if !slices.Contains(d.Key, c) && !slices.Contains(d.Include, c) {
 			covering = false
 			break
 		}
@@ -148,100 +255,34 @@ func (s *Sim) indexScanCost(t *sql.Table, d IndexDef, preds []sql.Predicate, nee
 	return cost, true
 }
 
-// bestJoin prices one equi-join edge: hash join versus index nested
-// loops on either side (INL requires an available index whose leading
-// key column is the inner join column).
-func (s *Sim) bestJoin(j sql.Join, outRows map[string]float64, universe []IndexDef, avail []bool) (float64, int) {
-	lRows, rRows := outRows[j.Left.Table], outRows[j.Right.Table]
-	small, large := lRows, rRows
-	if small > large {
-		small, large = large, small
-	}
-	best := small*hashBuildCost + large*hashProbeCost
-	bestIx := -1
-	try := func(inner sql.ColRef, outerRows float64) {
-		for ix, d := range universe {
-			if !avail[ix] || d.Table != inner.Table || len(d.Key) == 0 || d.Key[0] != inner.Column {
-				continue
-			}
-			c := outerRows * inlProbeCost
-			if c < best {
-				best, bestIx = c, ix
-			}
+func lastPredOn(preds []sql.Predicate, col string) *sql.Predicate {
+	for i := len(preds) - 1; i >= 0; i-- {
+		if preds[i].Col.Column == col {
+			return &preds[i]
 		}
 	}
-	try(j.Right, lRows)
-	try(j.Left, rRows)
-	return best, bestIx
-}
-
-// sortCost prices the final group/order stage: free when an available
-// index on the sort table has the sort columns as its key prefix.
-func (s *Sim) sortCost(q *sql.Query, cols []sql.ColRef, outRows map[string]float64, universe []IndexDef, avail []bool) (float64, int) {
-	// Result size estimate: the largest filtered input.
-	var resRows float64
-	for _, r := range outRows {
-		if r > resRows {
-			resRows = r
-		}
-	}
-	if resRows < 2 {
-		resRows = 2
-	}
-	full := resRows * sortRowCost * math.Log2(resRows)
-
-	// All sort columns must come from one table for index-assisted order.
-	table := cols[0].Table
-	for _, c := range cols[1:] {
-		if c.Table != table {
-			return full, -1
-		}
-	}
-	for ix, d := range universe {
-		if !avail[ix] || d.Table != table || len(d.Key) < len(cols) {
-			continue
-		}
-		match := true
-		for k, c := range cols {
-			if d.Key[k] != c.Column {
-				match = false
-				break
-			}
-		}
-		if match {
-			return 0, ix
-		}
-	}
-	return full, -1
-}
-
-// NoIndexCost is the query's cost with no hypothetical indexes — the
-// qtime(q) of the problem formulation.
-func (s *Sim) NoIndexCost(q *sql.Query, universe []IndexDef) float64 {
-	return s.BestPlan(q, universe, make([]bool, len(universe))).Cost
+	return nil
 }
 
 // EnumeratePlans reproduces the paper's §8 extraction loop: call the
 // what-if optimizer, record the atomic configuration, remove one used
 // index at a time and recurse, collecting up to maxPlans distinct
 // configurations that actually use indexes and beat the no-index cost.
-func (s *Sim) EnumeratePlans(q *sql.Query, universe []IndexDef, maxPlans int) []Plan {
-	base := make([]bool, len(universe))
-	for i := range base {
-		base[i] = true
-	}
-	noIdx := s.NoIndexCost(q, universe)
+func (p Prepared) EnumeratePlans(maxPlans int) []Plan {
+	noIdx := p.NoIndexCost()
 
 	type state struct{ removed []int }
 	seenPlan := map[string]bool{}
 	seenMask := map[string]bool{}
 	var out []Plan
+	avail := make([]bool, p.n)
 	queue := []state{{}}
 	for len(queue) > 0 && len(out) < maxPlans {
 		st := queue[0]
 		queue = queue[1:]
-		avail := make([]bool, len(universe))
-		copy(avail, base)
+		for i := range avail {
+			avail[i] = true
+		}
 		for _, r := range st.removed {
 			avail[r] = false
 		}
@@ -250,7 +291,7 @@ func (s *Sim) EnumeratePlans(q *sql.Query, universe []IndexDef, maxPlans int) []
 			continue
 		}
 		seenMask[mk] = true
-		plan := s.BestPlan(q, universe, avail)
+		plan := p.BestPlan(avail)
 		if len(plan.Used) == 0 || plan.Cost >= noIdx-1e-9 {
 			continue
 		}

@@ -183,7 +183,7 @@ func workloadRuntime(sim *dbsim.Sim, queries []*sql.Query, have []dbsim.IndexDef
 		if w == 0 {
 			w = 1
 		}
-		sum += sim.BestPlan(q, have, avail).Cost * w
+		sum += sim.Prepare(q, have).BestPlan(avail).Cost * w
 	}
 	return sum
 }

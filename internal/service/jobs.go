@@ -197,36 +197,6 @@ func (j *Job) TraceSnapshot() obs.TraceSnapshot {
 	return j.trace.Snapshot()
 }
 
-// recordProgress mirrors one portfolio progress event into the job's
-// trace. Unlike the SSE event stream, the trace also keeps backend
-// starts, so a replay shows when each backend began competing.
-func (j *Job) recordProgress(ev portfolio.ProgressEvent) {
-	if j.trace == nil {
-		return
-	}
-	switch ev.Kind {
-	case portfolio.ProgressBackendStarted:
-		j.trace.RecordBackend(obs.SpanBackendStart, ev.Backend, "")
-	case portfolio.ProgressImproved:
-		j.trace.RecordObjective(obs.SpanIncumbent, ev.Backend, ev.Objective, "")
-	case portfolio.ProgressProved:
-		j.trace.RecordObjective(obs.SpanProved, ev.Backend, ev.Objective, "")
-	case portfolio.ProgressBackendDone:
-		detail := ""
-		switch {
-		case ev.Skipped:
-			detail = "skipped"
-		case ev.Err != nil:
-			detail = ev.Err.Error()
-		}
-		if math.IsInf(ev.Objective, 1) {
-			j.trace.RecordBackend(obs.SpanBackendDone, ev.Backend, detail)
-		} else {
-			j.trace.RecordObjective(obs.SpanBackendDone, ev.Backend, ev.Objective, detail)
-		}
-	}
-}
-
 // translate maps a canonical-space order into this job's index space.
 func (j *Job) translate(order []int) []int {
 	out := make([]int, len(order))
@@ -386,7 +356,7 @@ func (r *run) recordSpan(ev portfolio.ProgressEvent) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, j := range r.jobs {
-		j.recordProgress(ev)
+		portfolio.RecordSpan(j.trace, ev)
 	}
 }
 

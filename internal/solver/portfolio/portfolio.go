@@ -36,6 +36,7 @@ import (
 
 	"github.com/evolving-olap/idd/internal/constraint"
 	"github.com/evolving-olap/idd/internal/model"
+	"github.com/evolving-olap/idd/internal/obs"
 	"github.com/evolving-olap/idd/internal/solver/backend"
 	"github.com/evolving-olap/idd/internal/solver/greedy"
 
@@ -297,6 +298,38 @@ type ProgressEvent struct {
 	Skipped    bool
 	Iterations int64
 	Wall       time.Duration
+}
+
+// RecordSpan mirrors one progress event into a flight recorder (nil tr =
+// tracing off). Unlike an event stream, the trace also keeps backend
+// starts, so a replay shows when each backend began competing. A
+// backend-done span carries "skipped" or the backend's error as its
+// detail, and its objective unless the backend found no solution.
+func RecordSpan(tr *obs.Trace, ev ProgressEvent) {
+	if tr == nil {
+		return
+	}
+	switch ev.Kind {
+	case ProgressBackendStarted:
+		tr.RecordBackend(obs.SpanBackendStart, ev.Backend, "")
+	case ProgressImproved:
+		tr.RecordObjective(obs.SpanIncumbent, ev.Backend, ev.Objective, "")
+	case ProgressProved:
+		tr.RecordObjective(obs.SpanProved, ev.Backend, ev.Objective, "")
+	case ProgressBackendDone:
+		detail := ""
+		switch {
+		case ev.Skipped:
+			detail = "skipped"
+		case ev.Err != nil:
+			detail = ev.Err.Error()
+		}
+		if math.IsInf(ev.Objective, 1) {
+			tr.RecordBackend(obs.SpanBackendDone, ev.Backend, detail)
+		} else {
+			tr.RecordObjective(obs.SpanBackendDone, ev.Backend, ev.Objective, detail)
+		}
+	}
 }
 
 // BackendResult is per-backend telemetry.

@@ -2,6 +2,7 @@ package portfolio
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"github.com/evolving-olap/idd/internal/model"
+	"github.com/evolving-olap/idd/internal/obs"
 	"github.com/evolving-olap/idd/internal/randgen"
 	"github.com/evolving-olap/idd/internal/solver/greedy"
 )
@@ -160,4 +162,46 @@ func TestSolveOnProgressOrderIsPrivate(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRecordSpan pins the progress → flight-recorder mapping shared by
+// the service's job traces and iddsolve's -trace output: one span per
+// event, for every ProgressKind and every backend-done variant.
+func TestRecordSpan(t *testing.T) {
+	obj := 12.5
+	for _, c := range []struct {
+		name   string
+		ev     ProgressEvent
+		kind   string
+		obj    *float64
+		detail string
+	}{
+		{"backend-start", ProgressEvent{Kind: ProgressBackendStarted, Backend: "cp", Objective: math.Inf(1)}, obs.SpanBackendStart, nil, ""},
+		{"improved", ProgressEvent{Kind: ProgressImproved, Backend: "vns", Order: []int{1, 0}, Objective: obj}, obs.SpanIncumbent, &obj, ""},
+		{"proved", ProgressEvent{Kind: ProgressProved, Backend: "astar", Order: []int{0, 1}, Objective: obj}, obs.SpanProved, &obj, ""},
+		{"done", ProgressEvent{Kind: ProgressBackendDone, Backend: "tabu-f", Objective: obj}, obs.SpanBackendDone, &obj, ""},
+		{"done skipped", ProgressEvent{Kind: ProgressBackendDone, Backend: "lns", Skipped: true, Objective: math.Inf(1)}, obs.SpanBackendDone, nil, "skipped"},
+		{"done error", ProgressEvent{Kind: ProgressBackendDone, Backend: "panicky", Err: errors.New("backend panicky panicked: boom"), Objective: math.Inf(1)}, obs.SpanBackendDone, nil, "backend panicky panicked: boom"},
+		{"done error with objective", ProgressEvent{Kind: ProgressBackendDone, Backend: "cp", Err: context.Canceled, Objective: obj}, obs.SpanBackendDone, &obj, context.Canceled.Error()},
+	} {
+		tr := obs.NewTrace(0)
+		RecordSpan(tr, c.ev)
+		spans := tr.Snapshot().Spans
+		if len(spans) != 1 {
+			t.Fatalf("%s: %d spans, want 1", c.name, len(spans))
+		}
+		s := spans[0]
+		if s.Kind != c.kind || s.Backend != c.ev.Backend || s.Detail != c.detail {
+			t.Errorf("%s: span %q backend %q detail %q, want %q %q %q",
+				c.name, s.Kind, s.Backend, s.Detail, c.kind, c.ev.Backend, c.detail)
+		}
+		switch {
+		case c.obj == nil && s.Objective != nil:
+			t.Errorf("%s: span carries objective %v, want none", c.name, *s.Objective)
+		case c.obj != nil && (s.Objective == nil || *s.Objective != *c.obj):
+			t.Errorf("%s: span objective %v, want %v", c.name, s.Objective, *c.obj)
+		}
+	}
+	// Tracing off: a nil recorder takes every event without effect.
+	RecordSpan(nil, ProgressEvent{Kind: ProgressImproved, Objective: obj})
 }

@@ -79,10 +79,12 @@ grep -q '"kind": "incumbent"' "$workdir/trace.json"
 grep -q '"kind": "done"' "$workdir/trace.json"
 grep -q '"objective"' "$workdir/trace.json"
 
-# The same instance under a different budget misses the solution cache
-# but shares its structural hash: the warm-hint table must seed the
+# The same instance under a different budget and an explicit backend
+# misses the solution cache and, since it names its backends, skips the
+# proved-result lookup (taken only for the default selection); it still
+# shares its structural hash, so the warm-hint table must seed the
 # re-solve with the first solve's order, leaving a warm-start span.
-job3_id=$(printf '{"instance": %s, "budget": "19s"}' "$(cat "$workdir/r12.json")" |
+job3_id=$(printf '{"instance": %s, "budget": "19s", "backends": ["cp"]}' "$(cat "$workdir/r12.json")" |
   curl -sf -X POST -H 'Content-Type: application/json' --data-binary @- \
     "http://$addr/jobs" | sed -n 's/.*"id": "\([0-9a-f]*\)".*/\1/p' | head -1)
 test -n "$job3_id"
