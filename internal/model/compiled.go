@@ -49,11 +49,15 @@ type Compiled struct {
 
 	// planRefs[i] packs, for every plan containing index i, the plan id
 	// with its query and weighted speedup into one contiguous record, so
-	// the Walker's Push loop reads sequential memory instead of chasing
-	// three parallel arrays. planIDs[i] is the same incidence as bare
-	// int32 ids for the Pop loop, which only rewinds missing-counts.
+	// SetEval's child loop reads sequential memory instead of chasing
+	// three parallel arrays; nil when N > 64, where SetEval does not run.
 	planRefs [][]planRef
-	planIDs  [][]int32
+
+	// planMask[p*maskWords:(p+1)*maskWords] is plan p's index set as a
+	// bitset laid out like the Walker's built set, for any N: masking it
+	// against the built words finds the plan's unbuilt indexes.
+	planMask  []uint64
+	maskWords int
 
 	// planSets holds every plan as a subset mask of its indexes with its
 	// query and weighted speedup, for SetEval; nil when N > 64.
@@ -69,6 +73,11 @@ type planRef struct {
 	plan  int32
 	query int32
 	spd   float64
+}
+
+// planMaskOf returns plan p's index bitset.
+func (c *Compiled) planMaskOf(p int32) []uint64 {
+	return c.planMask[int(p)*c.maskWords:][:c.maskWords]
 }
 
 // planSet is one plan seen as a set: a plan is available exactly when
@@ -141,24 +150,16 @@ func Compile(in *Instance) (*Compiled, error) {
 	c.Succ = compact(succ)
 	c.Pred = compact(pred)
 	c.Helpers = compact(helpers)
-	total := 0
-	for _, ps := range c.PlansWithIndex {
-		total += len(ps)
-	}
-	refs := make([]planRef, 0, total)
-	ids := make([]int32, 0, total)
-	c.planRefs = make([][]planRef, n)
-	c.planIDs = make([][]int32, n)
-	for i, ps := range c.PlansWithIndex {
-		start := len(refs)
-		for _, p := range ps {
-			refs = append(refs, planRef{plan: int32(p), query: int32(c.PlanQuery[p]), spd: c.PlanSpd[p]})
-			ids = append(ids, int32(p))
+	c.maskWords = (n + 63) / 64
+	c.planMask = make([]uint64, len(c.PlanIdx)*c.maskWords)
+	for p, idx := range c.PlanIdx {
+		mask := c.planMaskOf(int32(p))
+		for _, ix := range idx {
+			mask[ix>>6] |= 1 << (uint(ix) & 63)
 		}
-		c.planRefs[i] = refs[start:len(refs):len(refs)]
-		c.planIDs[i] = ids[start:len(ids):len(ids)]
 	}
 	if n <= 64 {
+		c.planRefs = buildPlanRefs(c)
 		c.planSets = make([]planSet, len(c.PlanIdx))
 		for p, idx := range c.PlanIdx {
 			for _, ix := range idx {
@@ -169,6 +170,25 @@ func Compile(in *Instance) (*Compiled, error) {
 		}
 	}
 	return c, nil
+}
+
+// buildPlanRefs packs, per index, the plans containing it with their
+// queries and weighted speedups (see Compiled.planRefs).
+func buildPlanRefs(c *Compiled) [][]planRef {
+	total := 0
+	for _, ps := range c.PlansWithIndex {
+		total += len(ps)
+	}
+	refs := make([]planRef, 0, total)
+	out := make([][]planRef, c.N)
+	for i, ps := range c.PlansWithIndex {
+		start := len(refs)
+		for _, p := range ps {
+			refs = append(refs, planRef{plan: int32(p), query: int32(c.PlanQuery[p]), spd: c.PlanSpd[p]})
+		}
+		out[i] = refs[start:len(refs):len(refs)]
+	}
+	return out
 }
 
 // compact re-lays a ragged [][]T over a single flat backing array. Row

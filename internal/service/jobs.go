@@ -1016,7 +1016,9 @@ func (m *Manager) execute(r *run) {
 	solveWith := func(f func(context.Context) (portfolio.Result, error)) (portfolio.Result, error) {
 		ctx, cancel := context.WithTimeout(r.ctx, r.budget+r.budget/2+2*time.Second)
 		defer cancel()
-		return f(ctx)
+		res, err := f(ctx)
+		m.metrics.recordPanics(res.Backends)
+		return res, err
 	}
 
 	start := time.Now()

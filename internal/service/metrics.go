@@ -1,9 +1,11 @@
 package service
 
 import (
+	"errors"
 	"time"
 
 	"github.com/evolving-olap/idd/internal/obs"
+	"github.com/evolving-olap/idd/internal/solver/portfolio"
 )
 
 // solveRateWindow is the sliding window behind solves.per_second: long
@@ -34,6 +36,8 @@ type Metrics struct {
 	solvesProved *obs.Counter
 	wins         *obs.CounterVec
 	rate         *obs.RateWindow
+	// panics counts backend panics the portfolio contained, by backend.
+	panics *obs.CounterVec
 
 	// fastpathRouted counts solves the fast path sent straight to one
 	// exact backend (by backend); fastpathFallback counts routed
@@ -89,6 +93,7 @@ func newMetrics() *Metrics {
 		solves:       reg.Counter("idd_solves_total", "Underlying portfolio solves executed."),
 		solvesProved: reg.Counter("idd_solves_proved_total", "Solves that ended with an optimality proof."),
 		wins:         reg.CounterVec("idd_backend_wins_total", "Winning solves by backend.", "backend"),
+		panics:       reg.CounterVec("idd_backend_panics_total", "Backend panics contained by the portfolio, by backend.", "backend"),
 		rate:         obs.NewRateWindow(0, solveRateWindow),
 
 		fastpathRouted:   reg.CounterVec("idd_fastpath_routed_total", "Solves served by the fast-path router, by exact backend.", "backend"),
@@ -149,6 +154,16 @@ func (m *Metrics) recordSolve(winner string, proved bool, wall time.Duration) {
 	}
 	if winner != "" {
 		m.wins.With(winner).Inc()
+	}
+}
+
+// recordPanics counts the backends of one portfolio run that panicked.
+func (m *Metrics) recordPanics(backends []portfolio.BackendResult) {
+	for _, b := range backends {
+		var pe *portfolio.PanicError
+		if errors.As(b.Err, &pe) {
+			m.panics.With(b.Name).Inc()
+		}
 	}
 }
 

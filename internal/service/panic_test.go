@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/evolving-olap/idd/internal/model"
+	"github.com/evolving-olap/idd/internal/obs"
 	"github.com/evolving-olap/idd/internal/solver/backend"
 )
 
@@ -71,5 +72,31 @@ func TestServedBackendPanicContained(t *testing.T) {
 	want := solve("greedy")
 	if !slices.Equal(got.Order, want.Order) || got.Objective != want.Objective {
 		t.Errorf("answered %v (%v), greedy alone gives %v (%v)", got.Order, got.Objective, want.Order, want.Objective)
+	}
+
+	// The contained panic is counted once, against the backend that
+	// panicked, in an exposition that passes the strict lint.
+	resp, err := http.Get(ts.URL + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.LintExposition(string(text)); err != nil {
+		t.Fatalf("exposition lint: %v", err)
+	}
+	for _, want := range []string{
+		"# TYPE idd_backend_panics_total counter",
+		`idd_backend_panics_total{backend="panicky"} 1`,
+	} {
+		if !strings.Contains(string(text), want+"\n") {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+	if strings.Contains(string(text), `idd_backend_panics_total{backend="greedy"}`) {
+		t.Error("greedy counted as panicked")
 	}
 }

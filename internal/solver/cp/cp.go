@@ -23,8 +23,19 @@
 // with it on or off — so it is always on (Options.NoMemo exists for
 // ablation only). On the reduced TPC-H n=20 proof it takes the serial
 // search from 21.8M nodes to about 8k.
-// Fail-limited searches skip it (see newSearcher), which keeps LNS and
-// VNS step-for-step what they were.
+// Fail-limited searches skip it (see Searcher.Solve), which keeps LNS
+// and VNS step-for-step what they were.
+//
+// A node pays for what changed at it, not for n. The unplaced indexes
+// are kept on a doubly linked list in ascending order (Knuth's dancing
+// links): placing an index unlinks it and unplacing relinks it in O(1),
+// and the bound, the candidate scan and the tail lookup walk only that
+// list, in the same index order a scan of all n indexes would visit, so
+// every float sum is unchanged. The walker underneath moves only the
+// plan watches of the placed index (model.Walker). The search state
+// itself (a Searcher) is built once per instance and constraint set and
+// reused: LNS and VNS solve every relaxation of a run on one Searcher,
+// and Solve builds one and solves once.
 //
 // The search is serial and deterministic: identical inputs yield
 // identical node and fail counts and the same improving-solution
@@ -173,7 +184,13 @@ func (r Result) Counters() map[string]int64 {
 // this bounds cancellation latency to well under a millisecond.
 const pollStride = 64
 
-type searcher struct {
+// Searcher is the CP search state for one compiled instance and
+// constraint set: the walker, the lower-bound tables, the unplaced-index
+// links and the per-depth candidate arena. Solve runs one search on it
+// and leaves it ready for the next, so a caller that searches the same
+// instance many times (LNS and VNS, once per relaxation) builds it once.
+// A Searcher is not safe for concurrent use.
+type Searcher struct {
 	c   *model.Compiled
 	cs  *constraint.Set
 	opt Options
@@ -181,6 +198,12 @@ type searcher struct {
 
 	w      *model.Walker
 	placed []bool
+	// next/prev link the unplaced indexes in ascending order through the
+	// head sentinel n: next[n] is the smallest unplaced index, and an
+	// empty list has next[n] == n. place unlinks, unplace relinks; the
+	// search places and unplaces in LIFO order, so a relinked index's
+	// neighbours are the ones it was unlinked from.
+	next, prev []int
 	// order[0:k] is the current prefix (order[j] = index placed j-th).
 	order []int
 	// predsLeft[i] = number of not-yet-placed predecessors of i.
@@ -228,32 +251,31 @@ type searcher struct {
 // depth 2 every prefix places a distinct set.
 const memoFrom = 2
 
-// newSearcher builds the search state. Fail-limited searches (LNS
-// relaxations) run without the memo: their fail budget, not exhaustion,
-// ends them, so there it would change what the budget buys — and how
-// VNS adapts — instead of only how fast a proof completes.
-func newSearcher(c *model.Compiled, cs *constraint.Set, opt Options) *searcher {
+// NewSearcher builds the search state for c under cs, which may be nil
+// (no precedence/analysis constraints).
+func NewSearcher(c *model.Compiled, cs *constraint.Set) *Searcher {
+	if cs == nil {
+		cs = constraint.NewSet(c.N)
+	}
 	n := c.N
-	s := &searcher{
+	s := &Searcher{
 		c:         c,
 		cs:        cs,
-		opt:       opt,
 		lb:        bruteforce.NewLowerBound(c),
 		w:         model.NewWalker(c),
 		placed:    make([]bool, n),
+		next:      make([]int, n+1),
+		prev:      make([]int, n+1),
 		order:     make([]int, n),
 		predsLeft: make([]int, n),
 		minPos:    make([]int, n),
 		maxPos:    make([]int, n),
+		fixedPos:  make([]int, n),
 		dens:      make([]float64, n),
-		bestObj:   math.Inf(1),
-		poll:      pollStride,
 	}
-	if !opt.NoMemo && !opt.NoBound && opt.FailLimit == 0 && memoFrom < n {
-		s.memo = newMemo(n)
-	}
-	if ml := opt.TailBound.MaxLen(); ml > 0 {
-		s.tailScratch = make([]int, 0, ml)
+	for i := 0; i <= n; i++ {
+		s.next[i] = (i + 1) % (n + 1)
+		s.prev[(i+1)%(n+1)] = i
 	}
 	// One flat arena backs every per-depth candidate row.
 	s.candRows = make([][]int, n)
@@ -268,35 +290,58 @@ func newSearcher(c *model.Compiled, cs *constraint.Set, opt Options) *searcher {
 		s.minPos[i] = cs.MinPos(i)
 		s.maxPos[i] = cs.MaxPos(i)
 	}
-	s.fixedPos = make([]int, n)
-	for i := range s.fixedPos {
-		s.fixedPos[i] = -1
-	}
-	if opt.Fixed != nil {
-		for p, i := range opt.Fixed {
-			if i >= 0 {
-				s.fixedPos[i] = p
-			}
-		}
-	}
 	return s
 }
 
-// Solve runs the CP search. cs may be nil (no precedence/analysis
-// constraints). Passing contradictory Fixed assignments yields an
-// exhausted search with no solution (Proved=true, Order=Incumbent).
+// Solve runs the CP search on a fresh Searcher. cs may be nil (no
+// precedence/analysis constraints). Passing contradictory Fixed
+// assignments yields an exhausted search with no solution (Proved=true,
+// Order=Incumbent).
 func Solve(c *model.Compiled, cs *constraint.Set, opt Options) Result {
-	if cs == nil {
-		cs = constraint.NewSet(c.N)
+	return NewSearcher(c, cs).Solve(opt)
+}
+
+// Solve runs one CP search under opt. Every search starts from the same
+// state — nothing but the allocated buffers carries over from an earlier
+// one — so a reused Searcher returns exactly what a fresh one would.
+// Fail-limited searches (LNS relaxations) run without the memo: their
+// fail budget, not exhaustion, ends them, so there it would change what
+// the budget buys — and how VNS adapts — instead of only how fast a
+// proof completes. Any other search gets a fresh memo.
+func (s *Searcher) Solve(opt Options) Result {
+	n := s.c.N
+	s.opt = opt
+	s.memo = nil
+	if !opt.NoMemo && !opt.NoBound && opt.FailLimit == 0 && memoFrom < n {
+		s.memo = newMemo(n)
 	}
-	s := newSearcher(c, cs, opt)
+	if ml := opt.TailBound.MaxLen(); ml > cap(s.tailScratch) {
+		s.tailScratch = make([]int, 0, ml)
+	}
+	for i := range s.fixedPos {
+		s.fixedPos[i] = -1
+	}
+	for p, i := range opt.Fixed {
+		if i >= 0 {
+			s.fixedPos[i] = p
+		}
+	}
+	s.best = s.best[:0]
+	s.bestObj = math.Inf(1)
 	if opt.Incumbent != nil {
 		s.best = append(s.best, opt.Incumbent...)
-		s.bestObj = c.Objective(opt.Incumbent)
+		s.bestObj = s.c.Objective(opt.Incumbent)
 	}
+	s.nodes, s.fails, s.solutions, s.st = 0, 0, 0, Stats{}
+	s.aborted = false
+	s.poll = pollStride
 	s.dfs(0)
+	var order []int
+	if len(s.best) > 0 {
+		order = append(order, s.best...) // s.best is reused by the next search
+	}
 	return Result{
-		Order:     s.best,
+		Order:     order,
 		Objective: s.bestObj,
 		Proved:    !s.aborted,
 		Nodes:     s.nodes,
@@ -311,7 +356,7 @@ func Solve(c *model.Compiled, cs *constraint.Set, opt Options) Result {
 // pollStride nodes through a plain countdown, so cancellation latency no
 // longer depends on how the node counter happens to align (the old
 // modulo check) or how deep in the tree the search currently is.
-func (s *searcher) limitHit() bool {
+func (s *Searcher) limitHit() bool {
 	if s.opt.FailLimit > 0 && s.fails >= s.opt.FailLimit {
 		return true
 	}
@@ -337,7 +382,7 @@ func (s *searcher) limitHit() bool {
 
 // dfs extends the schedule at position k. Returns false when the search
 // must abort entirely.
-func (s *searcher) dfs(k int) bool {
+func (s *Searcher) dfs(k int) bool {
 	s.nodes++
 	if s.limitHit() {
 		s.aborted = true
@@ -419,16 +464,15 @@ func (s *searcher) dfs(k int) bool {
 // rounding can put it an ulp above that leaf; it is deflated by the
 // same 1e-9 relative margin as the tail tables (prune.TailBound) so a
 // prune never discards an order that is better by a few ulps.
-func (s *searcher) boundBelow() float64 {
+func (s *Searcher) boundBelow() float64 {
 	var restSum, restMin float64
 	restMin = math.Inf(1)
-	for i := 0; i < s.c.N; i++ {
-		if !s.placed[i] {
-			mc := s.lb.MinCost(i)
-			restSum += mc
-			if mc < restMin {
-				restMin = mc
-			}
+	n := s.c.N
+	for i := s.next[n]; i != n; i = s.next[i] {
+		mc := s.lb.MinCost(i)
+		restSum += mc
+		if mc < restMin {
+			restMin = mc
 		}
 	}
 	if math.IsInf(restMin, 1) {
@@ -444,17 +488,16 @@ func (s *searcher) boundBelow() float64 {
 // feasible completion of the remaining set is looked up and the node
 // fails when even that cannot strictly beat ub. Lookup misses never
 // prune, so the check is sound regardless of the table's coverage.
-func (s *searcher) tailPruned(k int, ub float64) bool {
+func (s *Searcher) tailPruned(k int, ub float64) bool {
 	tb := s.opt.TailBound
 	m := s.c.N - k
 	if m > tb.MaxLen() { // MaxLen is 0 when tb is nil
 		return false
 	}
 	rem := s.tailScratch[:0]
-	for i := 0; i < s.c.N; i++ {
-		if !s.placed[i] {
-			rem = append(rem, i)
-		}
+	n := s.c.N
+	for i := s.next[n]; i != n; i = s.next[i] {
+		rem = append(rem, i)
 	}
 	t, ok := tb.Lookup(rem)
 	return ok && s.w.Objective()+t >= ub-1e-12
@@ -468,7 +511,7 @@ func (s *searcher) tailPruned(k int, ub float64) bool {
 // forced (two such indexes = failure); otherwise candidates are the
 // ready indexes ordered by current density, which steers the search
 // toward good incumbents early.
-func (s *searcher) candidates(k int) []int {
+func (s *Searcher) candidates(k int) []int {
 	n := s.c.N
 	row := s.candRows[k][:0]
 	if s.opt.Fixed != nil && s.opt.Fixed[k] >= 0 {
@@ -479,10 +522,7 @@ func (s *searcher) candidates(k int) []int {
 		return append(row, i)
 	}
 	forced := -1
-	for i := 0; i < n; i++ {
-		if s.placed[i] {
-			continue
-		}
+	for i := s.next[n]; i != n; i = s.next[i] {
 		if s.maxPos[i] < k {
 			return nil // missed its window: contradiction
 		}
@@ -500,8 +540,8 @@ func (s *searcher) candidates(k int) []int {
 		return append(row, forced)
 	}
 
-	for i := 0; i < n; i++ {
-		if s.placed[i] || s.predsLeft[i] > 0 || s.minPos[i] > k {
+	for i := s.next[n]; i != n; i = s.next[i] {
+		if s.predsLeft[i] > 0 || s.minPos[i] > k {
 			continue
 		}
 		// Frozen-position feasibility: if the index is pinned to another
@@ -531,15 +571,17 @@ func (s *searcher) candidates(k int) []int {
 
 // better orders candidate indexes by the density recorded in s.dens
 // (descending), ties by id (ascending).
-func (s *searcher) better(a, b int) bool {
+func (s *Searcher) better(a, b int) bool {
 	if s.dens[a] != s.dens[b] {
 		return s.dens[a] > s.dens[b]
 	}
 	return a < b
 }
 
-func (s *searcher) place(i int) {
+func (s *Searcher) place(i int) {
 	s.placed[i] = true
+	s.next[s.prev[i]] = s.next[i]
+	s.prev[s.next[i]] = s.prev[i]
 	s.w.Push(i)
 	s.cs.Successors(i).ForEach(func(j int) bool {
 		s.predsLeft[j]--
@@ -547,11 +589,13 @@ func (s *searcher) place(i int) {
 	})
 }
 
-func (s *searcher) unplace(i int) {
+func (s *Searcher) unplace(i int) {
 	s.cs.Successors(i).ForEach(func(j int) bool {
 		s.predsLeft[j]++
 		return true
 	})
 	s.w.Pop()
+	s.next[s.prev[i]] = i
+	s.prev[s.next[i]] = i
 	s.placed[i] = false
 }

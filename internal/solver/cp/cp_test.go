@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -129,20 +130,29 @@ func TestDeadlineAborts(t *testing.T) {
 	}
 }
 
+// TestContextCancelsPromptly cancels the context from inside the search:
+// the ExternalBound callback, polled at every node, cancels after a fixed
+// number of polls and returns +Inf, so pruning is unchanged. The search
+// must then stop within one context-poll stride, unproved, with the
+// incumbent its first dives found.
 func TestContextCancelsPromptly(t *testing.T) {
-	in, c := inst(5, 20) // far beyond provable in the test budget
+	in, c := inst(5, 20) // far beyond provable in the polls allowed
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	res := Solve(c, nil, Options{Context: ctx})
+	defer cancel()
+	const cancelAt = 5000
+	polls := 0
+	res := Solve(c, nil, Options{Context: ctx, ExternalBound: func() float64 {
+		if polls++; polls == cancelAt {
+			cancel()
+		}
+		return math.Inf(1)
+	}})
 	if res.Proved {
-		t.Skip("instance unexpectedly proved before cancellation")
+		t.Fatalf("search proved after %d nodes; it was cancelled at poll %d", res.Nodes, cancelAt)
 	}
-	if wall := time.Since(start); wall > 2*time.Second {
-		t.Fatalf("cancellation took %v", wall)
+	if polls < cancelAt || polls > cancelAt+2*pollStride+2 {
+		t.Fatalf("search polled the bound %d times; cancelled at %d, the context is polled every %d nodes",
+			polls, cancelAt, pollStride)
 	}
 	if err := in.ValidOrder(res.Order); err != nil {
 		t.Fatalf("cancelled search lost its incumbent: %v", err)
@@ -341,5 +351,40 @@ func TestBoundReducesNodes(t *testing.T) {
 	}
 	if with.Nodes >= without.Nodes {
 		t.Errorf("bound did not reduce nodes: %d vs %d", with.Nodes, without.Nodes)
+	}
+}
+
+// TestSearcherReuseMatchesFresh runs a sequence of differently
+// configured searches on one Searcher — LNS-style relaxations with and
+// without a fail limit, node-limited aborts, full proofs with the memo
+// and the tail bound — and requires each to return exactly what Solve on
+// a fresh Searcher returns: work counts, prune causes, order and
+// objective bits.
+func TestSearcherReuseMatchesFresh(t *testing.T) {
+	c, cs, init, tb := proofN20Low()
+	rng := rand.New(rand.NewSource(3))
+	var opts []Options
+	for r := 0; r < 12; r++ {
+		fixed := append([]int(nil), init...)
+		for _, p := range rng.Perm(c.N)[:2+r%5] {
+			fixed[p] = -1
+		}
+		opts = append(opts, Options{FailLimit: int64(50 * (r % 3)), Incumbent: init, Fixed: fixed})
+	}
+	opts = append(opts,
+		Options{NodeLimit: 300, Incumbent: init, TailBound: tb},
+		Options{Incumbent: init, TailBound: tb},
+		Options{NodeLimit: 777},
+		Options{Incumbent: init},
+		Options{FailLimit: 100, Incumbent: init, TailBound: tb},
+	)
+	s := NewSearcher(c, cs)
+	for k, opt := range opts {
+		got, want := s.Solve(opt), Solve(c, cs, opt)
+		if got.Nodes != want.Nodes || got.Fails != want.Fails || got.Solutions != want.Solutions ||
+			got.Stats != want.Stats || got.Proved != want.Proved ||
+			math.Float64bits(got.Objective) != math.Float64bits(want.Objective) || !slices.Equal(got.Order, want.Order) {
+			t.Fatalf("search %d: reused searcher %+v\nfresh %+v", k, got, want)
+		}
 	}
 }

@@ -4,6 +4,13 @@
 // query speedup plus a share of every not-yet-feasible plan the index
 // participates in (future interaction opportunities), and the cost is the
 // current build cost including build-interaction discounts.
+//
+// Candidates are scored without deploying them. Solve keeps, per plan,
+// how many of its indexes are still missing — decremented once per
+// committed index — and scores a candidate i from the plans containing
+// i alone: the plans missing only i give the direct speedup and the
+// query bests after i, and the others get their share of the remaining
+// interaction. The walker only commits the chosen index.
 package greedy
 
 import (
@@ -12,23 +19,22 @@ import (
 )
 
 // Solve returns the greedy deployment order. cs may be nil when the
-// instance has no precedence constraints. Successor scoring runs
-// entirely on the walker's reusable state (dense SpeedupIfBuilt scratch,
-// bitset readiness tests), so the loop is allocation-free after the
-// initial walker setup.
+// instance has no precedence constraints. Scoring runs on reusable
+// per-plan and per-query scratch (see scorer), so the loop is
+// allocation-free after setup.
 func Solve(c *model.Compiled, cs *constraint.Set) []int {
 	n := c.N
-	w := model.NewWalker(c)
+	s := newScorer(c)
 	order := make([]int, 0, n)
 
 	for len(order) < n {
 		best, bestDensity, bestCost := -1, -1.0, 0.0
 		for i := 0; i < n; i++ {
-			if w.Built(i) || !ready(i, w, cs) {
+			if s.w.Built(i) || !ready(i, s.w, cs) {
 				continue
 			}
-			benefit := benefitOf(c, w, i)
-			cost := w.BuildCost(i)
+			benefit := s.benefit(i)
+			cost := s.w.BuildCost(i)
 			density := benefit / cost
 			// Tie-breaks: higher density, then cheaper build, then
 			// smaller id (determinism).
@@ -37,7 +43,7 @@ func Solve(c *model.Compiled, cs *constraint.Set) []int {
 				best, bestDensity, bestCost = i, density, cost
 			}
 		}
-		w.Push(best)
+		s.commit(best)
 		order = append(order, best)
 	}
 	return order
@@ -52,31 +58,108 @@ func ready(i int, w *model.Walker, cs *constraint.Set) bool {
 	return w.BuiltSet().ContainsAll(cs.Predecessors(i))
 }
 
-// benefitOf evaluates Algorithm 1's benefit for deploying i now:
-// the direct runtime drop plus, for every plan containing i that stays
-// infeasible, the plan's remaining improvement divided equally among the
-// plan's not-yet-deployed indexes.
-func benefitOf(c *model.Compiled, w *model.Walker, i int) float64 {
-	// Direct benefit: how much the workload runtime drops when i is
-	// deployed now.
-	benefit := w.SpeedupIfBuilt(i)
-	w.Push(i)
+// scorer holds the greedy state: the committed prefix on a walker, the
+// per-plan missing counts, and epoch-stamped per-query scratch for
+// benefit.
+type scorer struct {
+	c       *model.Compiled
+	w       *model.Walker
+	missing []int32 // plan -> indexes not yet committed
 
-	for _, p := range c.PlansWithIndex[i] {
-		missing := w.PlanMissing(p)
-		if missing == 0 {
-			continue // plan (now) feasible; captured by direct benefit
+	// after[q] is query q's best speedup once the scored index is
+	// deployed and gain[q] what that adds, valid where stamp[q] == epoch;
+	// touched lists those queries in order of their first plan.
+	after   []float64
+	gain    []float64
+	stamp   []uint32
+	touched []int
+	epoch   uint32
+}
+
+func newScorer(c *model.Compiled) *scorer {
+	nq := len(c.Inst.Queries)
+	s := &scorer{
+		c:       c,
+		w:       model.NewWalker(c),
+		missing: make([]int32, len(c.PlanIdx)),
+		after:   make([]float64, nq),
+		gain:    make([]float64, nq),
+		stamp:   make([]uint32, nq),
+	}
+	for p, idx := range c.PlanIdx {
+		s.missing[p] = int32(len(idx))
+	}
+	return s
+}
+
+// commit deploys i.
+func (s *scorer) commit(i int) {
+	s.w.Push(i)
+	for _, p := range s.c.PlansWithIndex[i] {
+		s.missing[p]--
+	}
+}
+
+// benefit evaluates Algorithm 1's benefit for deploying i now: the
+// direct runtime drop plus, for every plan containing i that stays
+// infeasible, the plan's remaining improvement divided equally among the
+// plan's not-yet-deployed indexes. The first pass over the plans
+// containing i finds those that i completes (one missing index): per
+// query, the largest speedup gain sums, in the order the plans meet the
+// queries, to the direct benefit, and the largest speedup is the query's
+// best after i. The second pass adds the interaction shares against
+// those bests.
+func (s *scorer) benefit(i int) float64 {
+	c := s.c
+	s.epoch++
+	if s.epoch == 0 { // uint32 wrap: invalidate all stamps once
+		clear(s.stamp)
+		s.epoch = 1
+	}
+	s.touched = s.touched[:0]
+	plans := c.PlansWithIndex[i]
+	for _, p := range plans {
+		if s.missing[p] != 1 {
+			continue
 		}
 		q := c.PlanQuery[p]
-		// interaction = current runtime of q - runtime if p were used.
+		spd := c.PlanSpd[p]
+		d := spd - s.w.QueryBest(q)
+		if d <= 0 {
+			continue
+		}
+		if s.stamp[q] != s.epoch {
+			s.stamp[q] = s.epoch
+			s.gain[q], s.after[q] = d, spd
+			s.touched = append(s.touched, q)
+			continue
+		}
+		s.gain[q] = max(s.gain[q], d)
+		s.after[q] = max(s.after[q], spd)
+	}
+	var benefit float64
+	for _, q := range s.touched {
+		benefit += s.gain[q]
+	}
+
+	for _, p := range plans {
+		missing := s.missing[p]
+		if missing == 1 {
+			continue // feasible once i is deployed; counted above
+		}
+		q := c.PlanQuery[p]
+		bestAfter := s.w.QueryBest(q)
+		if s.stamp[q] == s.epoch {
+			bestAfter = s.after[q]
+		}
+		// interaction = runtime of q after i - runtime if p were used.
 		planRuntime := c.QryRuntime[q] - c.PlanSpd[p]
-		interaction := w.QueryRuntime(q) - planRuntime
+		interaction := (c.QryRuntime[q] - bestAfter) - planRuntime
 		if interaction > 0 {
-			// Share among the indexes still missing plus i itself (the
+			// Share among the indexes still missing, i included (the
 			// paper divides by |p \ N| with i not yet in N).
-			benefit += interaction / float64(missing+1)
+			benefit += interaction / float64(missing)
 		}
 	}
-	w.Pop()
 	return benefit
 }

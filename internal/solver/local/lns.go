@@ -10,6 +10,7 @@ import (
 // iteration relaxes a random RelaxFraction of the indexes (default 5%),
 // freezes the rest at their current positions, and asks the CP engine to
 // re-optimize the relaxed slots under a failure limit (default 500).
+// Every relaxation of a run is solved on one cp.Searcher.
 func LNS(c *model.Compiled, cs *constraint.Set, opt Options) Result {
 	if opt.Rng == nil {
 		panic("local: LNS requires Options.Rng")
@@ -33,10 +34,11 @@ func LNS(c *model.Compiled, cs *constraint.Set, opt Options) Result {
 	}
 	size := max(2, int(relax*float64(c.N)+0.5))
 
+	r := newRelaxer(c, cs)
 	var accepted int64
 	for !b.exhausted() {
 		cur, curObj, _ = tr.adopt(&opt, cur, curObj)
-		improved, impObj, _, nodes := relaxAndSolve(c, cs, cur, curObj, size, failLimit, b, opt)
+		improved, impObj, _, nodes := r.relaxAndSolve(cur, curObj, size, failLimit, b, opt)
 		b.spend(nodes)
 		if improved != nil {
 			cur = improved
@@ -51,6 +53,19 @@ func LNS(c *model.Compiled, cs *constraint.Set, opt Options) Result {
 		Accepted: accepted, Adopted: tr.adopted}
 }
 
+// relaxer is what one LNS or VNS run reuses across its relaxations:
+// the CP search state (built once per run, not once per relaxation) and
+// the relaxation buffers.
+type relaxer struct {
+	cp      *cp.Searcher
+	relaxed []bool
+	fixed   []int
+}
+
+func newRelaxer(c *model.Compiled, cs *constraint.Set) *relaxer {
+	return &relaxer{cp: cp.NewSearcher(c, cs), relaxed: make([]bool, c.N), fixed: make([]int, c.N)}
+}
+
 // relaxAndSolve performs one LNS iteration: pick `size` random indexes,
 // free their positions, and CP-search the neighborhood. It returns the
 // improved order (nil if none) with its exact objective (the CP engine
@@ -58,33 +73,33 @@ func LNS(c *model.Compiled, cs *constraint.Set, opt Options) Result {
 // bit-identical to a fresh replay and needs no re-evaluation), whether
 // the neighborhood was exhausted (a proof that no better solution exists
 // within it), and the CP nodes consumed.
-func relaxAndSolve(c *model.Compiled, cs *constraint.Set, cur []int, curObj float64,
+func (r *relaxer) relaxAndSolve(cur []int, curObj float64,
 	size int, failLimit int64, b *budgetTracker, opt Options) (improved []int, impObj float64, proof bool, nodes int64) {
 
-	n := c.N
+	n := len(cur)
 	if size > n {
 		size = n
 	}
-	relaxed := make([]bool, n)
+	relaxed := r.relaxed
+	clear(relaxed)
 	for picked := 0; picked < size; {
 		if p := opt.Rng.Intn(n); !relaxed[p] {
 			relaxed[p] = true
 			picked++
 		}
 	}
-	fixed := make([]int, n)
 	for p, ix := range cur {
 		if relaxed[p] {
-			fixed[p] = -1
+			r.fixed[p] = -1
 		} else {
-			fixed[p] = ix
+			r.fixed[p] = ix
 		}
 	}
-	res := cp.Solve(c, cs, cp.Options{
+	res := r.cp.Solve(cp.Options{
 		FailLimit: failLimit,
 		NodeLimit: b.remainingSteps(),
 		Incumbent: cur,
-		Fixed:     fixed,
+		Fixed:     r.fixed,
 	})
 	if res.Solutions > 0 && res.Objective < curObj-1e-12 {
 		return res.Order, res.Objective, res.Proved, res.Nodes

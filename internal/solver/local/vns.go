@@ -11,7 +11,8 @@ import (
 // relaxations end with an exhaustion proof, the search is stuck in a local
 // minimum and the relaxation size grows by 1% of the indexes; otherwise
 // the neighborhood needs more exploration and the failure limit grows by
-// 20%. The paper finds this variant the most scalable and stable.
+// 20%. The paper finds this variant the most scalable and stable. Like
+// LNS, a run solves every relaxation on one cp.Searcher.
 func VNS(c *model.Compiled, cs *constraint.Set, opt Options) Result {
 	if opt.Rng == nil {
 		panic("local: VNS requires Options.Rng")
@@ -36,11 +37,12 @@ func VNS(c *model.Compiled, cs *constraint.Set, opt Options) Result {
 	size := max(2, c.N/50) // start with a small neighborhood (~2%)
 	grow := max(1, c.N/100)
 
+	r := newRelaxer(c, cs)
 	var accepted int64
 	proofs, tried := 0, 0
 	for !b.exhausted() {
 		cur, curObj, _ = tr.adopt(&opt, cur, curObj)
-		improved, impObj, proof, nodes := relaxAndSolve(c, cs, cur, curObj, size, failLimit, b, opt)
+		improved, impObj, proof, nodes := r.relaxAndSolve(cur, curObj, size, failLimit, b, opt)
 		b.spend(nodes)
 		tried++
 		if proof {

@@ -2,6 +2,7 @@ package portfolio
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -92,6 +93,9 @@ func TestBackendPanicContained(t *testing.T) {
 		p, g := res.Backends[0], res.Backends[1]
 		if p.Err == nil || !strings.Contains(p.Err.Error(), "backend panicky panicked: boom") {
 			t.Errorf("workers=%d: panicky Err = %v", workers, p.Err)
+		}
+		if pe := (*PanicError)(nil); !errors.As(p.Err, &pe) || pe.Backend != "panicky" {
+			t.Errorf("workers=%d: panicky Err %v is not a *PanicError naming it", workers, p.Err)
 		}
 		if g.Err != nil || g.Skipped || g.Order == nil {
 			t.Errorf("workers=%d: greedy did not run after the panic: %+v", workers, g)

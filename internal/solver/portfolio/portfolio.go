@@ -366,7 +366,7 @@ type BackendResult struct {
 	Wall time.Duration
 	// Err reports a backend that refused or failed the instance (e.g.
 	// bruteforce/astar beyond MaxN, a local search without a seed) or
-	// panicked ("backend <name> panicked: ...").
+	// panicked (a *PanicError: "backend <name> panicked: ...").
 	Err error
 	// Skipped marks a backend never started: the budget was exhausted or
 	// an earlier backend proved optimality.
@@ -650,14 +650,25 @@ func Solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, opt Optio
 	}, nil
 }
 
+// PanicError is the Err of a backend that panicked: call recovered the
+// panic and the race went on without it.
+type PanicError struct {
+	Backend string
+	Value   any // what the backend panicked with
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("backend %s panicked: %v", e.Backend, e.Value)
+}
+
 // call is the one place a backend runs. A panic on the backend's own
-// goroutine becomes the outcome's Err, so the race goes on without that
-// backend and a server survives it; a panic on a goroutine the backend
-// started itself is beyond any caller's reach.
+// goroutine becomes the outcome's Err (a *PanicError), so the race goes
+// on without that backend and a server survives it; a panic on a
+// goroutine the backend started itself is beyond any caller's reach.
 func call(ctx context.Context, b backend.Backend, name string, req backend.Request) (out backend.Outcome) {
 	defer func() {
 		if r := recover(); r != nil {
-			out = backend.Outcome{Objective: math.Inf(1), Err: fmt.Errorf("backend %s panicked: %v", name, r)}
+			out = backend.Outcome{Objective: math.Inf(1), Err: &PanicError{Backend: name, Value: r}}
 		}
 	}()
 	return b.Solve(ctx, req)
