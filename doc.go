@@ -52,8 +52,10 @@
 // a prior plan against a delta), and iddserver's session API serves the
 // same loop online — POST /sessions pins a plan, each delta re-solves
 // warm-started from the previous incumbent via portfolio.Options.Initial
-// (admission by portfolio.RepairInitial, degrading to a cold start when
-// the seed is unrepairable), and the session's SSE stream carries only
+// (admission by portfolio.RepairInitial: constraint.Set.Repair, the one
+// stable topological pass, mends the seed against the current
+// precedences, and a seed that is not a permutation degrades to a cold
+// start), and the session's SSE stream carries only
 // the changed tail of the plan. A structural-hash hint table beside the
 // solution cache warm-seeds cache misses whose structure matches a
 // finished solve; iddsolve -warm-start-from does the same offline, and

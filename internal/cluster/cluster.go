@@ -638,23 +638,7 @@ func validIncumbent(inc Incumbent) bool {
 	if inc.Clock >= clockCap || math.IsNaN(inc.Objective) || math.IsInf(inc.Objective, 0) || len(inc.Order) == 0 {
 		return false
 	}
-	return validFullOrder(len(inc.Order), nil, inc.Order)
-}
-
-// validFullOrder reports whether order is a permutation of 0..n-1
-// compatible with the constraint set (nil = no constraints).
-func validFullOrder(n int, cs *constraint.Set, order []int) bool {
-	if len(order) != n {
-		return false
-	}
-	seen := make([]bool, n)
-	for _, i := range order {
-		if i < 0 || i >= n || seen[i] {
-			return false
-		}
-		seen[i] = true
-	}
-	return cs == nil || cs.Compatible(order)
+	return constraint.CheckOrder(len(inc.Order), nil, inc.Order) == nil
 }
 
 type resultMsg struct {
@@ -723,7 +707,7 @@ type activeSolve struct {
 // constraints and returns its locally computed objective.
 func (as *activeSolve) verify(order []int) (float64, bool) {
 	c := as.start.Compiled
-	if !validFullOrder(c.N, as.start.Constraints, order) {
+	if constraint.CheckOrder(c.N, as.start.Constraints, order) != nil {
 		return 0, false
 	}
 	return c.Objective(order), true

@@ -1,8 +1,8 @@
 // Package constraint maintains the precedence relation over index
 // positions that the pruning analysis of §5 accumulates (edges like
 // T_i < T_j) and that the exact solvers consume. It offers cycle-safe
-// edge insertion, transitive closure via bitsets, topological orders and
-// position bounds.
+// edge insertion, transitive closure via bitsets, position bounds, an
+// order check (CheckOrder) and a stable topological repair (Set.Repair).
 package constraint
 
 import (
@@ -100,39 +100,44 @@ func (s *Set) MinPos(i int) int { return s.before[i].Count() }
 // MaxPos returns the latest 0-based position item i can take.
 func (s *Set) MaxPos(i int) int { return s.n - 1 - s.after[i].Count() }
 
-// Topo returns one topological order consistent with the relation.
-// Ties are broken by item number, making the result deterministic.
-func (s *Set) Topo() []int {
-	indeg := make([]int, s.n)
+// Repair returns order, a permutation of 0..N-1, reordered to respect
+// the relation by a stable topological pass: at every step the ready
+// item (all predecessors emitted) that comes earliest in order is
+// emitted, so items move later only when a precedence makes them wait.
+// A compatible order comes back unchanged, and Repair of the identity
+// order is the topological order that breaks ties by item number.
+func (s *Set) Repair(order []int) []int {
+	rank := make([]int, s.n)
+	for k, it := range order {
+		rank[it] = k
+	}
+	remainingPred := make([]int, s.n)
 	succ := make([][]int, s.n)
 	for _, e := range s.edges {
+		remainingPred[e[1]]++
 		succ[e[0]] = append(succ[e[0]], e[1])
-		indeg[e[1]]++
 	}
-	// Deterministic Kahn with a simple ordered frontier.
-	frontier := make([]int, 0, s.n)
+	ready := make([]int, 0, s.n)
 	for i := 0; i < s.n; i++ {
-		if indeg[i] == 0 {
-			frontier = append(frontier, i)
+		if remainingPred[i] == 0 {
+			ready = append(ready, i)
 		}
 	}
 	out := make([]int, 0, s.n)
-	for len(frontier) > 0 {
-		// Pop the smallest (frontier kept sorted by construction order;
-		// find min for determinism).
+	for len(ready) > 0 {
 		mi := 0
-		for k := 1; k < len(frontier); k++ {
-			if frontier[k] < frontier[mi] {
+		for k := 1; k < len(ready); k++ {
+			if rank[ready[k]] < rank[ready[mi]] {
 				mi = k
 			}
 		}
-		u := frontier[mi]
-		frontier = append(frontier[:mi], frontier[mi+1:]...)
-		out = append(out, u)
-		for _, v := range succ[u] {
-			indeg[v]--
-			if indeg[v] == 0 {
-				frontier = append(frontier, v)
+		it := ready[mi]
+		ready = append(ready[:mi], ready[mi+1:]...)
+		out = append(out, it)
+		for _, v := range succ[it] {
+			remainingPred[v]--
+			if remainingPred[v] == 0 {
+				ready = append(ready, v)
 			}
 		}
 	}
@@ -167,4 +172,24 @@ func (s *Set) Compatible(order []int) bool {
 		}
 	}
 	return true
+}
+
+// CheckOrder reports why order is not a feasible schedule of n items:
+// wrong length, not a permutation of 0..n-1, or (when s is not nil)
+// incompatible with s. It returns nil for a feasible order.
+func CheckOrder(n int, s *Set, order []int) error {
+	if len(order) != n {
+		return fmt.Errorf("order has %d entries, want %d", len(order), n)
+	}
+	seen := make([]bool, n)
+	for _, i := range order {
+		if i < 0 || i >= n || seen[i] {
+			return fmt.Errorf("order is not a permutation of 0..%d", n-1)
+		}
+		seen[i] = true
+	}
+	if s != nil && !s.Compatible(order) {
+		return fmt.Errorf("order violates precedence constraints")
+	}
+	return nil
 }

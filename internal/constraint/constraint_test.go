@@ -70,8 +70,8 @@ func TestTopoIsCompatibleAndDeterministic(t *testing.T) {
 	s.MustAdd(3, 0)
 	s.MustAdd(0, 5)
 	s.MustAdd(4, 5)
-	a := s.Topo()
-	b := s.Topo()
+	a := s.Repair(identity(6))
+	b := s.Repair(identity(6))
 	if len(a) != 6 {
 		t.Fatalf("topo length %d", len(a))
 	}
@@ -85,6 +85,27 @@ func TestTopoIsCompatibleAndDeterministic(t *testing.T) {
 	}
 	if s.Compatible([]int{5, 0, 1, 2, 3, 4}) {
 		t.Fatal("Compatible accepted violating order")
+	}
+}
+
+func TestCheckOrder(t *testing.T) {
+	s := NewSet(6)
+	s.MustAdd(1, 0)
+	if err := CheckOrder(6, s, []int{1, 0, 2, 3, 4, 5}); err != nil {
+		t.Fatalf("feasible order rejected: %v", err)
+	}
+	if err := CheckOrder(6, nil, []int{0, 1, 2, 3, 4, 5}); err != nil {
+		t.Fatalf("permutation rejected without constraints: %v", err)
+	}
+	for name, bad := range map[string][]int{
+		"short":        {0, 1, 2},
+		"duplicate":    {0, 0, 1, 2, 3, 4},
+		"out of range": {0, 1, 2, 3, 4, 6},
+		"precedence":   identity(6),
+	} {
+		if err := CheckOrder(6, s, bad); err == nil {
+			t.Errorf("%s order accepted: %v", name, bad)
+		}
 	}
 }
 
@@ -141,7 +162,7 @@ func TestQuickClosureMatchesDFS(t *testing.T) {
 				}
 			}
 		}
-		return s.Compatible(s.Topo())
+		return s.Compatible(s.Repair(identity(n)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

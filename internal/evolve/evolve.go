@@ -295,11 +295,11 @@ func ProjectDelta(full *model.Instance, isNew []bool) (*model.Instance, []int, e
 
 // RepairOrder adapts a previous deployment order (index names, earliest
 // first) to a drifted instance: names that no longer exist are dropped,
-// survivors keep their relative order, and indexes new to the instance
-// are greedy-inserted one at a time at the objective-minimising feasible
-// position. The result is a feasible warm-start order for in; callers
-// fall back to a cold start when repair fails (e.g. the surviving
-// prefix violates the instance's precedences).
+// survivors keep their relative order except where the instance's
+// precedences force a stable reorder (constraint.Set.Repair), and
+// indexes new to the instance are greedy-inserted one at a time at the
+// objective-minimising feasible position. The result is a feasible
+// warm-start order for in; it fails only when in itself is invalid.
 func RepairOrder(in *model.Instance, prior []string) ([]string, error) {
 	if err := in.Validate(); err != nil {
 		return nil, fmt.Errorf("evolve: repair: %w", err)
@@ -333,61 +333,15 @@ func RepairOrder(in *model.Instance, prior []string) ([]string, error) {
 	cs := sched.PrecedenceSet(in)
 	// Complete the permutation first (new indexes go to the tail), then
 	// reposition each new index where it helps most.
-	order = append(order, added...)
-	if repaired := stableTopo(order, cs); repaired == nil {
-		return nil, fmt.Errorf("evolve: repair: prior order cannot be made precedence-feasible")
-	} else {
-		order = repaired
-	}
+	order = cs.Repair(append(order, added...))
 	for _, ix := range added {
 		order = bestReinsert(c, cs, order, ix)
-	}
-	if !compatible(cs, order) {
-		return nil, fmt.Errorf("evolve: repair: no precedence-feasible completion")
 	}
 	names := make([]string, n)
 	for k, ix := range order {
 		names[k] = in.Indexes[ix].Name
 	}
 	return names, nil
-}
-
-// stableTopo reorders order into a cs-compatible permutation that keeps
-// the given relative order wherever the constraints allow, or nil when
-// the constraints are cyclic over these items.
-func stableTopo(order []int, cs *constraint.Set) []int {
-	if compatible(cs, order) {
-		return order
-	}
-	n := len(order)
-	used := make(map[int]bool, n)
-	out := make([]int, 0, n)
-	for len(out) < n {
-		picked := -1
-		for _, it := range order {
-			if used[it] {
-				continue
-			}
-			ready := true
-			cs.Predecessors(it).ForEach(func(p int) bool {
-				if !used[p] {
-					ready = false
-					return false
-				}
-				return true
-			})
-			if ready {
-				picked = it
-				break
-			}
-		}
-		if picked < 0 {
-			return nil
-		}
-		used[picked] = true
-		out = append(out, picked)
-	}
-	return out
 }
 
 // bestReinsert moves item ix to the feasible position in order that
@@ -406,7 +360,7 @@ func bestReinsert(c *model.Compiled, cs *constraint.Set, order []int, ix int) []
 		copy(cand[:p], base[:p])
 		cand[p] = ix
 		copy(cand[p+1:], base[p:])
-		if !compatible(cs, cand) {
+		if !cs.Compatible(cand) {
 			continue
 		}
 		if obj := c.Objective(cand); obj < bestObj {
@@ -415,8 +369,4 @@ func bestReinsert(c *model.Compiled, cs *constraint.Set, order []int, ix int) []
 		}
 	}
 	return best
-}
-
-func compatible(cs *constraint.Set, order []int) bool {
-	return cs == nil || cs.Compatible(order)
 }

@@ -1,6 +1,10 @@
 package prune
 
-import "sort"
+import (
+	"sort"
+
+	"github.com/evolving-olap/idd/internal/sched"
+)
 
 // alliances detects allied index groups (§5.1, Appendix D.2): indexes
 // whose plan memberships are identical — building a strict subset of the
@@ -47,7 +51,7 @@ func (a *analyzer) alliances(rep *Report) {
 			inGroup[i] = true
 		}
 		order := make([]int, 0, len(group))
-		for _, v := range a.cs.Topo() {
+		for _, v := range a.cs.Repair(sched.Identity(n)) {
 			if inGroup[v] {
 				order = append(order, v)
 			}

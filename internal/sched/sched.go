@@ -1,6 +1,6 @@
 // Package sched provides schedule (permutation) utilities shared by the
-// solvers: precedence-respecting random permutations, feasibility repair,
-// and the swap/insert neighborhood moves used by local search.
+// solvers: precedence-respecting random permutations and the swap/insert
+// neighborhood moves used by local search.
 package sched
 
 import (
@@ -47,53 +47,6 @@ func RandomFeasible(rng *rand.Rand, cs *constraint.Set) []int {
 		ready[k] = ready[len(ready)-1]
 		ready = ready[:len(ready)-1]
 		placed[it] = true
-		out = append(out, it)
-		for _, v := range succ[it] {
-			remainingPred[v]--
-			if remainingPred[v] == 0 {
-				ready = append(ready, v)
-			}
-		}
-	}
-	if len(out) != n {
-		panic("sched: constraint set has a cycle")
-	}
-	return out
-}
-
-// Repair reorders a (possibly infeasible) permutation into a feasible one
-// via a stable topological pass: at every step the unblocked item with the
-// earliest input position is emitted, so items only move later when a
-// precedence forces them to wait for a predecessor.
-func Repair(order []int, cs *constraint.Set) []int {
-	n := cs.N()
-	rank := make([]int, n)
-	for k, it := range order {
-		rank[it] = k
-	}
-	remainingPred := make([]int, n)
-	succ := make([][]int, n)
-	for _, e := range cs.Edges() {
-		remainingPred[e[1]]++
-		succ[e[0]] = append(succ[e[0]], e[1])
-	}
-	ready := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if remainingPred[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-	out := make([]int, 0, n)
-	for len(ready) > 0 {
-		// Pick the ready item that appears earliest in the input order.
-		mi := 0
-		for k := 1; k < len(ready); k++ {
-			if rank[ready[k]] < rank[ready[mi]] {
-				mi = k
-			}
-		}
-		it := ready[mi]
-		ready = append(ready[:mi], ready[mi+1:]...)
 		out = append(out, it)
 		for _, v := range succ[it] {
 			remainingPred[v]--

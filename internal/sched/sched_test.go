@@ -81,7 +81,7 @@ func TestRepairStableAndFeasible(t *testing.T) {
 	cs := constraint.NewSet(5)
 	cs.MustAdd(4, 0) // 4 must precede 0
 	in := []int{0, 1, 2, 3, 4}
-	out := Repair(in, cs)
+	out := cs.Repair(in)
 	if !cs.Compatible(out) {
 		t.Fatalf("repair output infeasible: %v", out)
 	}
@@ -95,7 +95,7 @@ func TestRepairStableAndFeasible(t *testing.T) {
 	}
 	// A feasible order is unchanged.
 	ok := []int{4, 3, 2, 1, 0}
-	got := Repair(ok, cs)
+	got := cs.Repair(ok)
 	for i := range ok {
 		if got[i] != ok[i] {
 			t.Fatalf("repair changed a feasible order: %v -> %v", ok, got)

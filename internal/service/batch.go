@@ -29,8 +29,7 @@ type Batch struct {
 
 	mu         sync.Mutex
 	items      []batchItem
-	events     []Event
-	notify     chan struct{} // closed+replaced on every event append
+	log        eventLog
 	done       chan struct{} // closed when every item is terminal
 	remaining  int
 	finishedAt time.Time
@@ -124,25 +123,12 @@ func (b *Batch) Jobs() []*Job {
 	return out
 }
 
-// appendEvent records ev and wakes subscribers; caller holds b.mu.
-func (b *Batch) appendEvent(ev Event) {
-	ev.Seq = len(b.events)
-	b.events = append(b.events, ev)
-	close(b.notify)
-	b.notify = make(chan struct{})
-}
-
 // eventsSince implements eventSource for the shared SSE handler.
 func (b *Batch) eventsSince(seq int) (evs []Event, terminal bool, notify <-chan struct{}) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if seq < 0 {
-		seq = 0
-	}
-	if seq < len(b.events) {
-		evs = append(evs, b.events[seq:]...)
-	}
-	return evs, b.remaining == 0, b.notify
+	evs, notify = b.log.since(seq)
+	return evs, b.remaining == 0, notify
 }
 
 // itemDone records one finished sub-solve: an "item" event in
@@ -160,13 +146,13 @@ func (b *Batch) itemDone(index int, j *Job) bool {
 
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.appendEvent(ev)
+	b.log.append(ev)
 	b.remaining--
 	if b.remaining > 0 {
 		return false
 	}
 	b.finishedAt = time.Now()
-	b.appendEvent(Event{Type: EventBatchDone, State: "done"})
+	b.log.append(Event{Type: EventBatchDone, State: "done"})
 	close(b.done)
 	return true
 }
@@ -210,10 +196,9 @@ func (m *Manager) SubmitBatch(instances []*model.Instance, p Params) (*Batch, er
 		tenant:    tenant,
 		createdAt: time.Now(),
 		items:     make([]batchItem, len(instances)),
-		notify:    make(chan struct{}),
 		done:      make(chan struct{}),
 	}
-	b.events = append(b.events, Event{Seq: 0, Type: EventQueued})
+	b.log.append(Event{Type: EventQueued})
 
 	live := 0
 	for i, in := range instances {
@@ -231,13 +216,13 @@ func (m *Manager) SubmitBatch(instances []*model.Instance, p Params) (*Batch, er
 	// before registration so any subscriber sees a complete history.
 	for i, it := range b.items {
 		if it.err != nil {
-			b.appendEvent(Event{Type: EventItem, Item: intPtr(i),
+			b.log.append(Event{Type: EventItem, Item: intPtr(i),
 				State: StateFailed, Error: it.err.Error()})
 		}
 	}
 	if live == 0 {
 		b.finishedAt = time.Now()
-		b.appendEvent(Event{Type: EventBatchDone, State: "done"})
+		b.log.append(Event{Type: EventBatchDone, State: "done"})
 		close(b.done)
 	}
 

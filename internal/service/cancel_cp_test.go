@@ -3,7 +3,6 @@ package service
 import (
 	"math/rand"
 	"net/http"
-	"slices"
 	"testing"
 	"time"
 
@@ -35,21 +34,7 @@ func TestCancelInterruptsCPProofPromptly(t *testing.T) {
 	if !ok {
 		t.Fatalf("job %s unknown", st.ID)
 	}
-	for seq, deadline := 0, time.After(45*time.Second); ; {
-		evs, terminal, notify := j.eventsSince(seq)
-		if slices.ContainsFunc(evs, func(ev Event) bool { return ev.Type == EventIncumbent && ev.Backend == "cp" }) {
-			break
-		}
-		if terminal {
-			t.Fatalf("job ended before cp published an incumbent: %+v", j.Status())
-		}
-		seq += len(evs)
-		select {
-		case <-notify:
-		case <-deadline:
-			t.Fatal("no cp incumbent within 45s")
-		}
-	}
+	waitEvent(t, j, 45*time.Second, func(ev Event) bool { return ev.Type == EventIncumbent && ev.Backend == "cp" })
 
 	req, _ := http.NewRequest("DELETE", ts.URL+"/jobs/"+st.ID, nil)
 	resp, err := http.DefaultClient.Do(req)

@@ -1,11 +1,11 @@
 package service
 
-// Per-job event logs. Every job keeps its full ordered event history so
-// an SSE subscriber can attach at any time (or reconnect with
+// Event logs. Every job, batch and session keeps its full ordered event
+// history so an SSE subscriber can attach at any time (or reconnect with
 // Last-Event-ID) and replay from any sequence number; live subscribers
-// block on a notification channel that is closed and replaced on every
-// append. Events end with exactly one terminal "done" event carrying the
-// job's final state.
+// block on a notification channel that the next append closes. A job's
+// events end with exactly one terminal "done" event carrying its final
+// state.
 
 // Event types, in the order they can appear in a job's stream:
 // one "queued", at most one "started", any number of "incumbent" /
@@ -65,19 +65,44 @@ type Event struct {
 	WarmStarted bool     `json:"warm_started,omitempty"`
 }
 
-// eventSource is any ordered event log an SSE handler can stream: jobs
-// and batches both implement it.
+// eventSource is any ordered event log an SSE handler can stream: jobs,
+// batches and sessions all implement it.
 type eventSource interface {
 	eventsSince(seq int) (evs []Event, terminal bool, notify <-chan struct{})
 }
 
-// appendEvent records ev on the job and wakes subscribers. Callers must
-// hold j.mu; ev.Seq is assigned here.
-func (j *Job) appendEvent(ev Event) {
-	ev.Seq = len(j.events)
-	j.events = append(j.events, ev)
-	close(j.notify)
-	j.notify = make(chan struct{})
+// eventLog is the event history jobs, batches and sessions keep. Its
+// owner guards it with its own mutex and decides when it is terminal.
+// The zero value is an empty log.
+type eventLog struct {
+	events []Event
+	notify chan struct{} // closed on the next append; nil until a reader waits
+}
+
+// append records ev, assigning its Seq, and wakes subscribers.
+func (l *eventLog) append(ev Event) {
+	ev.Seq = len(l.events)
+	l.events = append(l.events, ev)
+	if l.notify != nil {
+		close(l.notify)
+		l.notify = nil
+	}
+}
+
+// since returns a snapshot of the events from seq on and the channel
+// that signals the next append; the owner adds its terminal state to
+// answer eventsSince.
+func (l *eventLog) since(seq int) (evs []Event, notify <-chan struct{}) {
+	if seq < 0 {
+		seq = 0
+	}
+	if seq < len(l.events) {
+		evs = append(evs, l.events[seq:]...)
+	}
+	if l.notify == nil {
+		l.notify = make(chan struct{})
+	}
+	return evs, l.notify
 }
 
 // eventsSince returns a snapshot of the events from seq on, whether the
@@ -85,13 +110,8 @@ func (j *Job) appendEvent(ev Event) {
 func (j *Job) eventsSince(seq int) (evs []Event, terminal bool, notify <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if seq < 0 {
-		seq = 0
-	}
-	if seq < len(j.events) {
-		evs = append(evs, j.events[seq:]...)
-	}
-	return evs, isTerminal(j.state), j.notify
+	evs, notify = j.log.since(seq)
+	return evs, isTerminal(j.state), notify
 }
 
 func isTerminal(state string) bool {

@@ -145,8 +145,7 @@ type Job struct {
 
 	mu         sync.Mutex
 	state      string
-	events     []Event
-	notify     chan struct{} // closed+replaced on every event append
+	log        eventLog
 	done       chan struct{} // closed on terminal transition
 	err        error
 	result     *SolveResult
@@ -170,7 +169,7 @@ func (j *Job) Status() JobStatus {
 		Priority: j.priority,
 		QueuedAt: j.queuedAt,
 		Result:   j.result,
-		Events:   len(j.events),
+		Events:   len(j.log.events),
 	}
 	if !j.startedAt.IsZero() {
 		t := j.startedAt
@@ -218,7 +217,7 @@ func (j *Job) start(now time.Time) {
 	if j.trace != nil {
 		j.trace.Record(obs.SpanStarted)
 	}
-	j.appendEvent(Event{Type: EventStarted})
+	j.log.append(Event{Type: EventStarted})
 }
 
 // finish moves the job to a terminal state, records the result or error,
@@ -254,7 +253,7 @@ func (j *Job) finish(state string, res *SolveResult, err error) bool {
 	if err != nil {
 		ev.Error = err.Error()
 	}
-	j.appendEvent(ev)
+	j.log.append(ev)
 	return true
 }
 
@@ -344,7 +343,7 @@ func (r *run) emit(ev Event, order []int) {
 			jev.Order = j.translate(order)
 		}
 		j.mu.Lock()
-		j.appendEvent(jev)
+		j.log.append(jev)
 		j.mu.Unlock()
 	}
 }
@@ -531,12 +530,6 @@ func (m *Manager) cachePut(key string, res *SolveResult) {
 // a solve searches, never the optimum it proves.
 func provedKey(hash string) string { return hash + "|proved" }
 
-// CachedResult looks up a finished result by solve key without touching
-// job state (used by the cluster layer to answer peers).
-func (m *Manager) CachedResult(key string) (*SolveResult, bool) {
-	return m.cache.get(key)
-}
-
 // MaxBodyBytes reports the configured request-body cap (the cluster
 // router buffers bodies under the same limit the service enforces).
 func (m *Manager) MaxBodyBytes() int64 { return m.cfg.MaxBodyBytes }
@@ -689,13 +682,12 @@ func (m *Manager) submitWarm(in *model.Instance, p Params, warmNames []string, p
 		priority: p.Priority,
 		origOf:   origOf,
 		state:    StateQueued,
-		notify:   make(chan struct{}),
 		done:     make(chan struct{}),
 		queuedAt: time.Now(),
 		trace:    obs.NewTrace(0),
 	}
 	j.trace.RecordBackend(obs.SpanQueued, "", "tenant="+tenant)
-	j.events = append(j.events, Event{Seq: 0, Type: EventQueued})
+	j.log.append(Event{Type: EventQueued})
 
 	m.mu.Lock()
 	if m.draining {
@@ -947,8 +939,9 @@ func (m *Manager) execute(r *run) {
 	// Warm-start admission: the seed must be feasible under the final
 	// constraint set (the pruning analysis may have added precedence
 	// edges the prior incumbent never saw — RepairInitial reorders it
-	// stably against them). A seed that cannot be repaired degrades the
-	// run to a cold start instead of failing the attached jobs.
+	// stably against them). A seed that is not a permutation of the
+	// instance's indexes degrades the run to a cold start instead of
+	// failing the attached jobs.
 	initial := r.initial
 	warmStarted := false
 	if initial != nil {
@@ -969,6 +962,22 @@ func (m *Manager) execute(r *run) {
 		}
 	}
 
+	// Cluster hookup: hand the distributor a shared store it can inject
+	// remote incumbents into and announce every local improvement for
+	// broadcast. Single-node mode (nil Distributor) leaves ds nil.
+	var store *portfolio.Store
+	var ds DistributedSolve
+	if m.cfg.Distributor != nil {
+		store = portfolio.NewStore(c.N, cs)
+		ds = m.cfg.Distributor.SolveStarted(SolveStart{
+			Key:         r.key,
+			Compiled:    c,
+			Constraints: cs,
+			Store:       store,
+		})
+		defer ds.Done()
+	}
+
 	opts := portfolio.Options{
 		Backends:  r.params.Backends,
 		Workers:   r.params.Workers,
@@ -976,6 +985,7 @@ func (m *Manager) execute(r *run) {
 		StepLimit: r.params.StepLimit,
 		Seed:      r.params.Seed,
 		Initial:   initial,
+		Store:     store,
 		OnProgress: func(ev portfolio.ProgressEvent) {
 			r.recordSpan(ev)
 			if ev.Kind == portfolio.ProgressBackendStarted {
@@ -984,31 +994,11 @@ func (m *Manager) execute(r *run) {
 				// wire contract; backend starts live in the trace.
 				return
 			}
+			if ds != nil && ev.Kind == portfolio.ProgressImproved {
+				ds.Improved(ev.Order, ev.Objective)
+			}
 			r.emit(progressToEvent(ev), ev.Order)
 		},
-	}
-
-	// Cluster hookup: hand the distributor a shared store it can inject
-	// remote incumbents into and announce every local improvement for
-	// broadcast. Single-node mode (nil Distributor) takes neither
-	// branch.
-	if m.cfg.Distributor != nil {
-		store := portfolio.NewStore(c.N, cs)
-		ds := m.cfg.Distributor.SolveStarted(SolveStart{
-			Key:         r.key,
-			Compiled:    c,
-			Constraints: cs,
-			Store:       store,
-		})
-		defer ds.Done()
-		opts.Store = store
-		prevImprove := opts.OnImprove
-		opts.OnImprove = func(b string, order []int, obj float64) {
-			if prevImprove != nil {
-				prevImprove(b, order, obj)
-			}
-			ds.Improved(order, obj)
-		}
 	}
 	// The portfolio enforces its own budget; the outer timeout only
 	// reaps a stuck backend, so give it headroom. Each attempt (routed

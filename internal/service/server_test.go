@@ -83,26 +83,52 @@ func decode[T any](t *testing.T, resp *http.Response) T {
 	return v
 }
 
+// waitState follows the job's event stream until the event that puts
+// the job in want (started for running, done for a terminal state) and
+// returns the job's status read right after it.
 func waitState(t *testing.T, base, id string, want string, timeout time.Duration) JobStatus {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for {
-		resp, err := http.Get(base + "/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := decode[JobStatus](t, resp)
-		if st.State == want {
-			return st
-		}
-		if isTerminal(st.State) {
-			t.Fatalf("job %s reached %q (err %q) while waiting for %q", id, st.State, st.Error, want)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s stuck in %q waiting for %q", id, st.State, want)
-		}
-		time.Sleep(10 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "GET", base+"/jobs/"+id+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	state := StateQueued
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	for state != want && sc.Scan() {
+		data, ok := strings.CutPrefix(sc.Text(), "data: ")
+		if !ok {
+			continue
+		}
+		var ev Event
+		if err := json.Unmarshal([]byte(data), &ev); err != nil {
+			t.Fatalf("bad SSE data %q: %v", data, err)
+		}
+		switch ev.Type {
+		case EventStarted:
+			state = StateRunning
+		case EventDone:
+			state = ev.State
+			if state != want {
+				t.Fatalf("job %s reached %q (err %q) while waiting for %q", id, state, ev.Error, want)
+			}
+		}
+	}
+	if state != want {
+		t.Fatalf("job %s stuck in %q waiting for %q", id, state, want)
+	}
+	st, err := http.Get(base + "/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return decode[JobStatus](t, st)
 }
 
 func TestSyncSolveJSON(t *testing.T) {

@@ -51,8 +51,7 @@ type Session struct {
 	result    *SolveResult
 	lastJobID string
 	updatedAt time.Time
-	events    []Event
-	notify    chan struct{}
+	log       eventLog
 	closed    bool
 }
 
@@ -150,25 +149,12 @@ func (s *Session) Status() SessionStatus {
 	return st
 }
 
-// appendEvent records ev and wakes subscribers; caller holds s.mu.
-func (s *Session) appendEvent(ev Event) {
-	ev.Seq = len(s.events)
-	s.events = append(s.events, ev)
-	close(s.notify)
-	s.notify = make(chan struct{})
-}
-
 // eventsSince implements eventSource for the shared SSE handler.
 func (s *Session) eventsSince(seq int) (evs []Event, terminal bool, notify <-chan struct{}) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if seq < 0 {
-		seq = 0
-	}
-	if seq < len(s.events) {
-		evs = append(evs, s.events[seq:]...)
-	}
-	return evs, s.closed, s.notify
+	evs, notify = s.log.since(seq)
+	return evs, s.closed, notify
 }
 
 // CreateSession runs the initial solve synchronously and, on success,
@@ -217,10 +203,9 @@ func (m *Manager) CreateSession(ctx context.Context, in *model.Instance, p Param
 		result:    st.Result,
 		lastJobID: j.ID,
 		updatedAt: time.Now(),
-		notify:    make(chan struct{}),
 	}
 	rev := 0
-	s.events = append(s.events, Event{Seq: 0, Type: EventPlan,
+	s.log.append(Event{Type: EventPlan,
 		Revision: &rev, Names: append([]string(nil), s.planNames...),
 		Objective: fptr(st.Result.Objective), JobID: j.ID})
 
@@ -258,7 +243,7 @@ func (m *Manager) CloseSession(id string) (*Session, error) {
 	s.closed = true
 	s.instance = nil
 	s.updatedAt = time.Now()
-	s.appendEvent(Event{Type: EventSessionClosed, State: "closed"})
+	s.log.append(Event{Type: EventSessionClosed, State: "closed"})
 	s.mu.Unlock()
 
 	m.mu.Lock()
@@ -345,7 +330,8 @@ func (m *Manager) SessionDelta(ctx context.Context, id string, d SessionDelta) (
 	)
 	if solveInst.N() > 0 {
 		// Repair the previous order against the delta; fall back to a
-		// cold submission only when repair is infeasible.
+		// cold submission when repair fails, which only an invalid
+		// instance does (Submit then reports it).
 		var j *Job
 		var serr error
 		if warmNames, rerr := evolve.RepairOrder(solveInst, prevPlan); rerr == nil {
@@ -390,7 +376,7 @@ func (m *Manager) SessionDelta(ctx context.Context, id string, d SessionDelta) (
 		ev.Objective = fptr(result.Objective)
 		ev.WarmStarted = result.WarmStarted
 	}
-	s.appendEvent(ev)
+	s.log.append(ev)
 	s.mu.Unlock()
 	m.metrics.sessionDeltas.Add(1)
 

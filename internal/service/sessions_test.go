@@ -443,7 +443,7 @@ func TestWarmRejectedDegradesToCold(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &Job{
 		ID: "warm-rej", hash: "h", tenant: DefaultTenant, origOf: origOf,
-		state: StateQueued, notify: make(chan struct{}), done: make(chan struct{}),
+		state: StateQueued, done: make(chan struct{}),
 		queuedAt: time.Now(), trace: obs.NewTrace(0),
 	}
 	r := &run{

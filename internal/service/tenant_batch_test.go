@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -37,6 +38,27 @@ func waitDone(t *testing.T, j *Job, timeout time.Duration) JobStatus {
 		t.Fatalf("job %s not done after %v (state %q)", j.ID, timeout, j.Status().State)
 	}
 	return j.Status()
+}
+
+// waitEvent blocks until src logs an event that match accepts, failing
+// the test when src turns terminal first or timeout passes.
+func waitEvent(t *testing.T, src eventSource, timeout time.Duration, match func(Event) bool) {
+	t.Helper()
+	for seq, deadline := 0, time.After(timeout); ; {
+		evs, terminal, notify := src.eventsSince(seq)
+		if slices.ContainsFunc(evs, match) {
+			return
+		}
+		if terminal {
+			t.Fatalf("event stream ended without the awaited event")
+		}
+		seq += len(evs)
+		select {
+		case <-notify:
+		case <-deadline:
+			t.Fatalf("awaited event not logged within %v", timeout)
+		}
+	}
 }
 
 // TestTenantFairScheduling is the starvation regression: one tenant
@@ -163,19 +185,8 @@ func TestTenantQueueQuota(t *testing.T) {
 		t.Fatalf("submission 0: %v", err)
 	}
 	jobs = append(jobs, j0)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		m.mu.Lock()
-		queued := m.sched.len()
-		m.mu.Unlock()
-		if queued == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("first run never started")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	// A worker pops a run off the queue before its jobs emit started.
+	waitEvent(t, j0, 5*time.Second, func(ev Event) bool { return ev.Type == EventStarted })
 	for i := 1; i < 3; i++ {
 		p := p
 		p.Seed = int64(i)

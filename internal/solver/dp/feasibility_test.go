@@ -13,7 +13,7 @@ import (
 
 // TestFeasibilityProperty: the DP baseline ignores precedence constraints
 // by construction, so its production path (portfolio, conformance) pipes
-// the order through sched.Repair — the repaired order must always be a
+// the order through Set.Repair — the repaired order must always be a
 // feasible permutation.
 func TestFeasibilityProperty(t *testing.T) {
 	cfg := randgen.DefaultConfig()
@@ -22,6 +22,6 @@ func TestFeasibilityProperty(t *testing.T) {
 		in := randgen.New(rand.New(rand.NewSource(seed)), cfg)
 		c := model.MustCompile(in)
 		cs := sched.PrecedenceSet(in)
-		solvertest.RequireFeasible(t, c.N, cs, sched.Repair(dp.Solve(c), cs))
+		solvertest.RequireFeasible(t, c.N, cs, cs.Repair(dp.Solve(c)))
 	}
 }

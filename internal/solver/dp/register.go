@@ -3,7 +3,6 @@ package dp
 import (
 	"context"
 
-	"github.com/evolving-olap/idd/internal/sched"
 	"github.com/evolving-olap/idd/internal/solver/backend"
 )
 
@@ -25,6 +24,6 @@ func (asBackend) Info() backend.Info {
 }
 
 func (asBackend) Solve(_ context.Context, req backend.Request) backend.Outcome {
-	order := sched.Repair(Solve(req.Compiled), req.Constraints)
+	order := req.Constraints.Repair(Solve(req.Compiled))
 	return backend.Outcome{Order: order, Objective: req.Compiled.Objective(order)}
 }

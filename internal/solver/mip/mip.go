@@ -387,7 +387,7 @@ func Solve(c *model.Compiled, cs *constraint.Set, opt Options) (Result, error) {
 	// model for LP-bound pruning. own marks the solver's own discoveries;
 	// adopted external incumbents are not re-published via OnIncumbent.
 	accept := func(order []int, own bool) {
-		if !orderFeasible(cs, order) {
+		if constraint.CheckOrder(c.N, cs, order) != nil {
 			return
 		}
 		if dObj := discreteObjective(c, f, order); dObj < incumbentLP {
@@ -519,11 +519,6 @@ func discreteObjective(c *model.Compiled, f *Formulation, order []int) float64 {
 		}
 	}
 	return total
-}
-
-// orderFeasible checks an extracted order against analysis constraints.
-func orderFeasible(cs *constraint.Set, order []int) bool {
-	return cs == nil || cs.Compatible(order)
 }
 
 // extractOrder sorts indexes by their A_i start times, breaking ties with

@@ -86,7 +86,7 @@ func (s *Store) Offer(owner string, order []int, obj float64) bool {
 	if obj >= s.Objective()-eps {
 		return false
 	}
-	if !s.feasible(order) {
+	if constraint.CheckOrder(s.n, s.cs, order) != nil {
 		return false
 	}
 	s.mu.Lock()
@@ -127,84 +127,17 @@ func (s *Store) BetterThan(than float64) ([]int, float64) {
 	return append([]int(nil), s.order...), obj
 }
 
-func (s *Store) feasible(order []int) bool {
-	return validOrder(s.n, s.cs, order) == nil
-}
-
-// ValidateInitial reports why initial cannot seed a solve of c under cs:
-// wrong length, not a permutation, or incompatible with the precedence
-// constraints. It is the single admission check for Options.Initial,
-// used by Solve, and exported so warm-start callers (the service
-// session path) can decide to degrade to a cold start instead of
-// failing the run.
-func ValidateInitial(c *model.Compiled, cs *constraint.Set, initial []int) error {
-	return validOrder(c.N, cs, initial)
-}
-
-// RepairInitial returns initial unchanged when it is already a feasible
-// seed, and otherwise attempts a stable topological reorder: items keep
-// their given relative order except where cs forces a swap. This rescues
-// warm starts whose order predates extra constraints (e.g. the pruning
-// analysis adds precedence edges a previous incumbent never saw). It
-// fails only when initial is not a permutation at all.
+// RepairInitial admits a warm-start order for a solve of c under cs: it
+// fails when initial is not a permutation of 0..c.N-1, and otherwise
+// returns cs.Repair(initial), which keeps a feasible order as it is and
+// reorders an infeasible one stably. This rescues warm starts whose order
+// predates extra constraints (e.g. the pruning analysis adds precedence
+// edges a previous incumbent never saw).
 func RepairInitial(c *model.Compiled, cs *constraint.Set, initial []int) ([]int, error) {
-	err := ValidateInitial(c, cs, initial)
-	if err == nil {
-		return initial, nil
+	if err := constraint.CheckOrder(c.N, nil, initial); err != nil {
+		return nil, err
 	}
-	// Only a precedence violation is repairable; re-check the shape.
-	if serr := validOrder(c.N, nil, initial); serr != nil {
-		return nil, serr
-	}
-	n := c.N
-	used := make([]bool, n)
-	out := make([]int, 0, n)
-	for len(out) < n {
-		picked := -1
-		for _, it := range initial {
-			if used[it] {
-				continue
-			}
-			ready := true
-			cs.Predecessors(it).ForEach(func(p int) bool {
-				if !used[p] {
-					ready = false
-					return false
-				}
-				return true
-			})
-			if ready {
-				picked = it
-				break
-			}
-		}
-		if picked < 0 {
-			return nil, fmt.Errorf("initial order cannot satisfy the precedence constraints")
-		}
-		used[picked] = true
-		out = append(out, picked)
-	}
-	if verr := ValidateInitial(c, cs, out); verr != nil {
-		return nil, verr
-	}
-	return out, nil
-}
-
-func validOrder(n int, cs *constraint.Set, order []int) error {
-	if len(order) != n {
-		return fmt.Errorf("initial order has %d entries, want %d", len(order), n)
-	}
-	seen := make([]bool, n)
-	for _, i := range order {
-		if i < 0 || i >= n || seen[i] {
-			return fmt.Errorf("initial order is not a permutation of 0..%d", n-1)
-		}
-		seen[i] = true
-	}
-	if cs != nil && !cs.Compatible(order) {
-		return fmt.Errorf("initial order violates precedence constraints")
-	}
-	return nil
+	return cs.Repair(initial), nil
 }
 
 // Options configures a portfolio run.
@@ -234,20 +167,15 @@ type Options struct {
 	// cluster injects a store it also feeds remote incumbents into, so
 	// exact provers on this node prune against bests found on another.
 	Store *Store
-	// OnImprove, when non-nil, observes every change of the shared
-	// incumbent (with a copy of the order). It may be invoked from
-	// multiple backend goroutines; each call was an improvement at the
-	// moment it was committed to the store, but delivery order between
-	// goroutines is not synchronized, so a slightly stale (larger)
-	// objective can arrive after a fresher one.
-	OnImprove func(backend string, order []int, objective float64)
 	// OnProgress, when non-nil, observes the full anytime progress of the
 	// run: every backend start, every incumbent improvement, every
 	// backend completion, and the optimality proof if one lands. It is
-	// invoked from backend worker
-	// goroutines and must be safe for concurrent use; event order between
-	// goroutines is not synchronized (see OnImprove). The solve service
-	// turns this stream into server-sent events.
+	// invoked from backend worker goroutines and must be safe for
+	// concurrent use. Each ProgressImproved event was an improvement at
+	// the moment it was committed to the store, but delivery order
+	// between goroutines is not synchronized, so a slightly stale
+	// (larger) objective can arrive after a fresher one. The solve
+	// service turns this stream into server-sent events.
 	OnProgress func(ProgressEvent)
 }
 
@@ -425,9 +353,6 @@ func Solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, opt Optio
 		}
 	}
 	improved := func(backend string, order []int, obj float64) {
-		if opt.OnImprove != nil {
-			opt.OnImprove(backend, order, obj)
-		}
 		if opt.OnProgress != nil {
 			opt.OnProgress(ProgressEvent{
 				Kind: ProgressImproved, Backend: backend,
@@ -443,7 +368,7 @@ func Solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, opt Optio
 	initial := opt.Initial
 	if initial == nil {
 		initial = greedy.Solve(c, cs)
-	} else if err := ValidateInitial(c, cs, initial); err != nil {
+	} else if err := constraint.CheckOrder(c.N, cs, initial); err != nil {
 		// An infeasible seed would silently poison every backend (they
 		// all start from it and prune against its objective).
 		return Result{}, fmt.Errorf("portfolio: Options.Initial is not a feasible order: %w", err)

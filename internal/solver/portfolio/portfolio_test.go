@@ -378,7 +378,7 @@ func TestSolveSingleWorkerSlicesBudget(t *testing.T) {
 	}
 }
 
-// TestSolveOnImproveObserver: every observed improvement beats the seed
+// TestSolveOnImproveObserver: every ProgressImproved event beats the seed
 // and is attributed to a real backend. (Delivery order between backend
 // goroutines is documented as unsynchronized, so monotonicity of the
 // stream is deliberately not asserted.)
@@ -393,17 +393,20 @@ func TestSolveOnImproveObserver(t *testing.T) {
 	_, err := Solve(context.Background(), c, cs, Options{
 		Budget: 2 * time.Second,
 		Seed:   6,
-		OnImprove: func(backend string, order []int, obj float64) {
+		OnProgress: func(ev ProgressEvent) {
+			if ev.Kind != ProgressImproved {
+				return
+			}
 			mu.Lock()
 			defer mu.Unlock()
 			calls++
-			if obj >= seedObj {
+			if ev.Objective >= seedObj {
 				violations++
 			}
-			if backend == "" || backend == "seed" {
+			if ev.Backend == "" || ev.Backend == "seed" {
 				violations++
 			}
-			if len(order) != c.N {
+			if len(ev.Order) != c.N {
 				violations++
 			}
 		},
@@ -459,25 +462,6 @@ func TestSolveCPProvesConformanceCases(t *testing.T) {
 	}
 }
 
-func TestValidateInitial(t *testing.T) {
-	in := datasets.ReducedTPCH(6, datasets.Low)
-	c := model.MustCompile(in)
-	cs := constraint.NewSet(c.N)
-	cs.MustAdd(1, 0)
-	if err := ValidateInitial(c, cs, []int{1, 0, 2, 3, 4, 5}); err != nil {
-		t.Fatalf("feasible order rejected: %v", err)
-	}
-	for name, bad := range map[string][]int{
-		"short":      {0, 1, 2},
-		"duplicate":  {0, 0, 1, 2, 3, 4},
-		"precedence": sched.Identity(c.N),
-	} {
-		if err := ValidateInitial(c, cs, bad); err == nil {
-			t.Errorf("%s order accepted: %v", name, bad)
-		}
-	}
-}
-
 // TestRepairInitial: precedence violations are repaired by a stable
 // topological reorder (relative order of unconstrained pairs kept);
 // shape errors are unrepairable.
@@ -491,7 +475,7 @@ func TestRepairInitial(t *testing.T) {
 	if err != nil {
 		t.Fatalf("repair failed: %v", err)
 	}
-	if err := ValidateInitial(c, cs, got); err != nil {
+	if err := constraint.CheckOrder(c.N, cs, got); err != nil {
 		t.Fatalf("repaired order still infeasible: %v (%v)", got, err)
 	}
 	pos := make([]int, c.N)

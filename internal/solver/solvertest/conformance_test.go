@@ -84,7 +84,7 @@ func TestConformanceDP(t *testing.T) {
 		t.Run(cse.Name, func(t *testing.T) {
 			// The DP baseline ignores precedences by construction; repair
 			// its order the way the portfolio runner does.
-			order := sched.Repair(dp.Solve(cse.C), cse.CS)
+			order := cse.CS.Repair(dp.Solve(cse.C))
 			solvertest.RequireWithinGap(t, cse, order, dpGap)
 		})
 	}

@@ -105,21 +105,8 @@ func ConformanceRequest(cse *Case, seed, stepLimit int64, budget time.Duration) 
 // nil.
 func RequireFeasible(tb testing.TB, n int, cs *constraint.Set, order []int) {
 	tb.Helper()
-	if len(order) != n {
-		tb.Fatalf("order has %d entries, want %d: %v", len(order), n, order)
-	}
-	seen := make([]bool, n)
-	for _, i := range order {
-		if i < 0 || i >= n {
-			tb.Fatalf("order contains out-of-range index %d: %v", i, order)
-		}
-		if seen[i] {
-			tb.Fatalf("order contains duplicate index %d: %v", i, order)
-		}
-		seen[i] = true
-	}
-	if cs != nil && !cs.Compatible(order) {
-		tb.Fatalf("order violates precedence constraints: %v", order)
+	if err := constraint.CheckOrder(n, cs, order); err != nil {
+		tb.Fatalf("%v: %v", err, order)
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/evolving-olap/idd/internal/sched"
 	"github.com/evolving-olap/idd/internal/service"
 	"github.com/evolving-olap/idd/internal/solver/backend"
 	"github.com/evolving-olap/idd/internal/solver/portfolio"
@@ -54,7 +53,7 @@ func (toyBackend) Solve(_ context.Context, req backend.Request) backend.Outcome 
 	for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
 		order[i], order[j] = order[j], order[i]
 	}
-	order = sched.Repair(order, req.Constraints)
+	order = req.Constraints.Repair(order)
 	return backend.Outcome{Order: order, Objective: req.Compiled.Objective(order)}
 }
 
