@@ -193,7 +193,7 @@ func (w *Walker) BuildCost(i int) float64 {
 // would report, without deploying i: it is bitwise the expression Push
 // accumulates.
 func (w *Walker) ObjectiveIfPushed(i int) float64 {
-	return w.obj + w.runtime*w.BuildCost(i)
+	return w.obj + float64(w.runtime*w.BuildCost(i))
 }
 
 // unbuilt returns an unbuilt index of the plan whose index bitset is
@@ -290,7 +290,10 @@ func (w *Walker) Push(i int) {
 		chgStart: int32(len(w.chgQ)),
 	})
 
-	w.obj += w.runtime * cost
+	// The explicit conversion rounds the product on its own, so no
+	// architecture fuses it into the sum: a caller that accumulates the
+	// same operands (cp's per-depth area) gets the same bits.
+	w.obj += float64(w.runtime * cost)
 	w.deploy += cost
 	w.built[i] = true
 	w.builtSet.Add(i)

@@ -57,6 +57,16 @@ func (c *lruCache) put(key string, val *SolveResult) {
 	}
 }
 
+// remove drops key's entry, if any.
+func (c *lruCache) remove(key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		c.ll.Remove(el)
+		delete(c.items, key)
+	}
+}
+
 // len reports the current entry count.
 func (c *lruCache) len() int {
 	c.mu.Lock()

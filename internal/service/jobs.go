@@ -705,13 +705,7 @@ func (m *Manager) submitWarm(in *model.Instance, p Params, warmNames []string, p
 	m.metrics.jobsSubmitted.Add(1)
 	m.metrics.tenantSubmitted.With(tenant).Inc()
 
-	res, ok := m.cache.get(key)
-	if !ok && len(p.Backends) == 0 {
-		// The instance's optimum is proved already (a session that
-		// reverts a delta comes back to it): no need to prove it again.
-		res, ok = m.cache.get(provedKey(hash))
-	}
-	if ok {
+	if res, ok := m.cachedResult(canon, key, hash, len(p.Backends) == 0); ok {
 		m.jobs[j.ID] = j
 		m.mu.Unlock()
 		m.metrics.cacheHits.Add(1)
@@ -777,6 +771,32 @@ func (m *Manager) submitWarm(in *model.Instance, p Params, warmNames []string, p
 	m.cond.Signal()
 	m.mu.Unlock()
 	return j, nil
+}
+
+// cachedResult returns the cached result that answers key or, when
+// proved is set (a request with the default backend selection), the
+// instance's proved result: its optimum is proved already (a session
+// that reverts a delta comes back to it), so there is no need to prove
+// it again. An entry whose order is not a feasible order of canon — a
+// malformed result replicated from a peer — is dropped and counted, and
+// never translated or served.
+func (m *Manager) cachedResult(canon *model.Instance, key, hash string, proved bool) (*SolveResult, bool) {
+	keys, n := [2]string{key}, 1
+	if proved {
+		keys[1], n = provedKey(hash), 2
+	}
+	for _, k := range keys[:n] {
+		res, ok := m.cache.get(k)
+		if !ok {
+			continue
+		}
+		if canon.ValidOrder(res.Order) == nil {
+			return res, true
+		}
+		m.cache.remove(k)
+		m.metrics.cacheRejected.Add(1)
+	}
+	return nil, false
 }
 
 // settle finishes j (see Job.finish), counts it, records it for

@@ -30,7 +30,10 @@ type Metrics struct {
 
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
-	attached    *obs.Counter // single-flight joins
+	// cacheRejected counts cached results dropped on a hit because
+	// their order is not a feasible order of the requested instance.
+	cacheRejected *obs.Counter
+	attached      *obs.Counter // single-flight joins
 
 	solves       *obs.Counter // underlying portfolio runs executed
 	solvesProved *obs.Counter
@@ -88,7 +91,9 @@ func newMetrics() *Metrics {
 
 		cacheHits:   reg.Counter("idd_cache_hits_total", "Jobs answered from the solution cache."),
 		cacheMisses: reg.Counter("idd_cache_misses_total", "Submissions that missed the solution cache."),
-		attached:    reg.Counter("idd_singleflight_attached_total", "Jobs that joined an identical in-flight solve."),
+		cacheRejected: reg.Counter("idd_cache_rejected_total",
+			"Cached results dropped on a hit because their order is not a feasible order of the instance."),
+		attached: reg.Counter("idd_singleflight_attached_total", "Jobs that joined an identical in-flight solve."),
 
 		solves:       reg.Counter("idd_solves_total", "Underlying portfolio solves executed."),
 		solvesProved: reg.Counter("idd_solves_proved_total", "Solves that ended with an optimality proof."),
@@ -205,11 +210,12 @@ type MetricsSnapshot struct {
 	} `json:"jobs"`
 
 	Cache struct {
-		Hits    int64   `json:"hits"`
-		Misses  int64   `json:"misses"`
-		HitRate float64 `json:"hit_rate"`
-		Size    int     `json:"size"`
-		Cap     int     `json:"cap"`
+		Hits     int64   `json:"hits"`
+		Misses   int64   `json:"misses"`
+		Rejected int64   `json:"rejected"`
+		HitRate  float64 `json:"hit_rate"`
+		Size     int     `json:"size"`
+		Cap      int     `json:"cap"`
 	} `json:"cache"`
 
 	// SingleFlightAttached counts jobs that joined an identical
@@ -294,6 +300,7 @@ func (m *Metrics) snapshot(workers, queueDepth, queueCap, running, cacheSize, ca
 
 	s.Cache.Hits = m.cacheHits.Value()
 	s.Cache.Misses = m.cacheMisses.Value()
+	s.Cache.Rejected = m.cacheRejected.Value()
 	if total := s.Cache.Hits + s.Cache.Misses; total > 0 {
 		s.Cache.HitRate = float64(s.Cache.Hits) / float64(total)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/evolving-olap/idd/internal/codec"
 	"github.com/evolving-olap/idd/internal/evolve"
 	"github.com/evolving-olap/idd/internal/model"
 )
@@ -168,5 +169,47 @@ func TestReplicatedProofServesPeer(t *testing.T) {
 	got := solveDone(t, peer, in, Params{Seed: 7, Budget: Duration(5 * time.Second)}, nil)
 	if !got.CacheHit || !got.Proved || math.Float64bits(got.Objective) != math.Float64bits(first.Objective) {
 		t.Fatalf("peer: %+v; want the replicated proof", got)
+	}
+}
+
+// TestMalformedCachedOrderSolvedAsMiss: a cached result whose order is
+// not a feasible order of its instance — an index out of range, or one
+// index repeated under a proved flag, as a forged replication frame may
+// carry — is dropped on the hit and counted in idd_cache_rejected_total,
+// and the request is solved as a miss: the first panicked translating
+// the order, the second was served as a proved optimum.
+func TestMalformedCachedOrderSolvedAsMiss(t *testing.T) {
+	in := trapInstance(t)
+	p := Params{Seed: 1, Budget: Duration(5 * time.Second)}
+	canon, _ := codec.Canonicalize(in)
+	hash := codec.CanonicalHash(canon)
+	for _, tc := range []struct {
+		name    string
+		res     SolveResult
+		entries int64 // a proved result is also cached under the instance alone
+	}{
+		{"out of range", SolveResult{Order: []int{99}, Objective: 1}, 1},
+		{"repeated index, proved", SolveResult{Order: make([]int, len(in.Indexes)), Objective: 1, Proved: true}, 2},
+	} {
+		m := newTestManager(t, Config{Workers: 2})
+		m.SeedCache(solveKey(hash, p, m.clampBudget(p.Budget)), &tc.res)
+		got := solveDone(t, m, in, p, nil)
+		if got.CacheHit {
+			t.Fatalf("%s: malformed cached result served: %+v", tc.name, got)
+		}
+		if err := in.ValidOrder(got.Order); err != nil {
+			t.Fatalf("%s: solved order: %v", tc.name, err)
+		}
+		if n := m.metrics.cacheRejected.Value(); n != tc.entries {
+			t.Fatalf("%s: %d cached results rejected, want %d", tc.name, n, tc.entries)
+		}
+		// The fresh result replaced the dropped entry.
+		again := solveDone(t, m, in, p, nil)
+		if !again.CacheHit || !slices.Equal(again.Order, got.Order) {
+			t.Fatalf("%s: repeat request %+v; want a cache hit on the solved order %v", tc.name, again, got.Order)
+		}
+		if n := m.metrics.cacheRejected.Value(); n != tc.entries {
+			t.Fatalf("%s: repeat request rejected a cached result (%d in all)", tc.name, n)
+		}
 	}
 }

@@ -272,7 +272,7 @@ func Solve(c *model.Compiled, cs *constraint.Set, opt Options) (Result, error) {
 			}
 			// Walker.ObjectiveIfPushed's expression on the node's prefix:
 			// cur.g is that prefix's objective, cur.runtime its runtime.
-			ng := cur.g + cur.runtime*c.MaskBuildCost(i, cur.mask)
+			ng := cur.g + float64(cur.runtime*c.MaskBuildCost(i, cur.mask))
 			if floor > 0 && ng+floor*(restPre[r]+restSuf[r+1]) > cut {
 				continue // h ≥ the floor: the exact test below cuts it too
 			}

@@ -24,7 +24,8 @@
 // ablation only). On the reduced TPC-H n=20 proof it takes the serial
 // search from 21.8M nodes to about 8k.
 // Fail-limited searches skip it (see Searcher.Solve), which keeps LNS
-// and VNS step-for-step what they were.
+// and VNS step-for-step what they were; they use the set-value cache
+// instead.
 //
 // A node pays for what changed at it, not for n. The unplaced indexes
 // are kept on a doubly linked list in ascending order (Knuth's dancing
@@ -37,6 +38,26 @@
 // reused: LNS and VNS solve every relaxation of a run on one Searcher,
 // and Solve builds one and solves once.
 //
+// The walker is walked lazily. The Searcher keeps a node's area (the
+// objective of its prefix) on its own per-depth stack, from the same
+// operands Walker.Push accumulates, and the runtime of every prefix the
+// walker has walked since that prefix last changed. The walker is moved
+// only when a node needs a value no stack holds — the runtime of a
+// prefix not walked yet, or SpeedupIfBuilt for the branching order —
+// and then only over the positions that changed. A memo-cut node or a
+// leaf needs no walker at all, and the frozen prefix that consecutive
+// relaxations share is not replayed.
+//
+// A fail-limited search also keeps a set-value cache (cache.go): the
+// runtime, the bound's sums, the tail lookup and the branching order of
+// every placed set it expands. A node whose set was already expanded in
+// the same search costs a table lookup and the comparisons against the
+// current bound. Neither the lazy walker nor the cache can change a
+// count: every value either one supplies is a function of the placed set
+// that the walker would recompute bit for bit, and every decision — the
+// limits, the bound and tail comparisons, the leaf test — is still taken
+// at every node against the search's current incumbent.
+//
 // The search is serial and deterministic: identical inputs yield
 // identical node and fail counts and the same improving-solution
 // sequence.
@@ -47,6 +68,7 @@ import (
 	"math"
 	"time"
 
+	"github.com/evolving-olap/idd/internal/bitset"
 	"github.com/evolving-olap/idd/internal/constraint"
 	"github.com/evolving-olap/idd/internal/model"
 	"github.com/evolving-olap/idd/internal/prune"
@@ -57,7 +79,8 @@ import (
 type Options struct {
 	// FailLimit aborts the search after this many backtracks (0 = no
 	// limit). LNS uses small limits (the paper uses 500); a fail-limited
-	// search runs without the subset-dominance memo.
+	// search runs without the subset-dominance memo and with the
+	// set-value cache.
 	FailLimit int64
 	// NodeLimit aborts after this many search nodes (0 = no limit).
 	NodeLimit int64
@@ -81,6 +104,12 @@ type Options struct {
 	// Incumbent, when non-nil, seeds the search with a known feasible
 	// order; only strictly better solutions are reported.
 	Incumbent []int
+	// IncumbentObjective, when non-zero, is Incumbent's objective bit for
+	// bit as Compiled.Objective computes it, which spares the search a
+	// replay of the order. Zero means unknown. Every node is pruned
+	// against this value, so a caller that holds the objective only
+	// approximately, or from another evaluator, must leave it zero.
+	IncumbentObjective float64
 	// Fixed, when non-nil, freezes positions: Fixed[k] = index that must
 	// be deployed k-th, or -1 if position k is free. Frozen positions
 	// implement LNS relaxations.
@@ -186,18 +215,33 @@ const pollStride = 64
 
 // Searcher is the CP search state for one compiled instance and
 // constraint set: the walker, the lower-bound tables, the unplaced-index
-// links and the per-depth candidate arena. Solve runs one search on it
-// and leaves it ready for the next, so a caller that searches the same
-// instance many times (LNS and VNS, once per relaxation) builds it once.
-// A Searcher is not safe for concurrent use.
+// links, the per-depth candidate arena and the set-value cache. Solve
+// runs one search on it and leaves it ready for the next, so a caller
+// that searches the same instance many times (LNS and VNS, once per
+// relaxation) builds it once. A Searcher is not safe for concurrent use.
 type Searcher struct {
 	c   *model.Compiled
 	cs  *constraint.Set
 	opt Options
 	lb  *bruteforce.LowerBound
 
+	// w is walked lazily (see the package comment): its steps hold
+	// order[:walked] — a longer walk's later steps are stale — and
+	// run[j] holds the runtime after order[:j] for every j <= known.
+	// Writing another index into order[j] lowers both to at most j.
 	w      *model.Walker
+	walked int
+	known  int
+	run    []float64
+	// area[k] is the objective of the prefix order[:k] of the current
+	// path: area[k+1] = area[k] + run·BuildCost, Walker.Push's operands.
+	area []float64
+	// pushes counts walker pushes over the Searcher's lifetime.
+	pushes int64
+
 	placed []bool
+	// set holds the placed indexes as a bitset: the memo and cache key.
+	set bitset.Set
 	// next/prev link the unplaced indexes in ascending order through the
 	// head sentinel n: next[n] is the smallest unplaced index, and an
 	// empty list has next[n] == n. place unlinks, unplace relinks; the
@@ -229,6 +273,13 @@ type Searcher struct {
 	// memo is the subset-dominance table (nil when disabled), consulted
 	// at depths >= memoFrom.
 	memo *memo
+	// cache is the set-value cache of fail-limited searches, built on
+	// first use and kept; it is consulted at depths >= cacheFrom, past
+	// which a placed set can be reached again (n+1 when not in use).
+	cache     *setCache
+	cacheFrom int
+	// scratch holds the values of a node that is not cached.
+	scratch [valueWords]uint64
 
 	// best/cbBuf are reusable solution buffers: best holds the improving
 	// incumbent (monotone, so in-place overwrite is safe), cbBuf is what
@@ -251,6 +302,26 @@ type Searcher struct {
 // depth 2 every prefix places a distinct set.
 const memoFrom = 2
 
+// revisitFrom returns the shallowest depth at which two prefixes under
+// the frozen positions fixed can place the same set: one past the second
+// free position (memoFrom when nothing is frozen). Above it, the
+// frozen indexes and at most one free one determine the prefix from its
+// set; n when fewer than two positions are free.
+func revisitFrom(fixed []int, n int) int {
+	if fixed == nil {
+		return memoFrom
+	}
+	free := 0
+	for k, i := range fixed[:min(len(fixed), n)] {
+		if i < 0 {
+			if free++; free == 2 {
+				return k + 1
+			}
+		}
+	}
+	return n
+}
+
 // NewSearcher builds the search state for c under cs, which may be nil
 // (no precedence/analysis constraints).
 func NewSearcher(c *model.Compiled, cs *constraint.Set) *Searcher {
@@ -263,7 +334,10 @@ func NewSearcher(c *model.Compiled, cs *constraint.Set) *Searcher {
 		cs:        cs,
 		lb:        bruteforce.NewLowerBound(c),
 		w:         model.NewWalker(c),
+		run:       make([]float64, n+1),
+		area:      make([]float64, n+1),
 		placed:    make([]bool, n),
+		set:       bitset.New(n),
 		next:      make([]int, n+1),
 		prev:      make([]int, n+1),
 		order:     make([]int, n),
@@ -273,6 +347,7 @@ func NewSearcher(c *model.Compiled, cs *constraint.Set) *Searcher {
 		fixedPos:  make([]int, n),
 		dens:      make([]float64, n),
 	}
+	s.run[0] = s.w.Runtime()
 	for i := 0; i <= n; i++ {
 		s.next[i] = (i + 1) % (n + 1)
 		s.prev[(i+1)%(n+1)] = i
@@ -301,19 +376,30 @@ func Solve(c *model.Compiled, cs *constraint.Set, opt Options) Result {
 	return NewSearcher(c, cs).Solve(opt)
 }
 
-// Solve runs one CP search under opt. Every search starts from the same
-// state — nothing but the allocated buffers carries over from an earlier
-// one — so a reused Searcher returns exactly what a fresh one would.
+// Solve runs one CP search under opt. What carries over from an earlier
+// search — the walker's position and the runtimes of the prefixes it
+// walked — is a function of the prefix alone, so a reused Searcher
+// returns exactly what a fresh one would.
 // Fail-limited searches (LNS relaxations) run without the memo: their
 // fail budget, not exhaustion, ends them, so there it would change what
 // the budget buys — and how VNS adapts — instead of only how fast a
-// proof completes. Any other search gets a fresh memo.
+// proof completes. They use the emptied set-value cache instead. Any
+// other search gets a fresh memo.
 func (s *Searcher) Solve(opt Options) Result {
 	n := s.c.N
 	s.opt = opt
 	s.memo = nil
 	if !opt.NoMemo && !opt.NoBound && opt.FailLimit == 0 && memoFrom < n {
 		s.memo = newMemo(n)
+	}
+	s.cacheFrom = n + 1
+	if opt.FailLimit > 0 {
+		if s.cacheFrom = revisitFrom(opt.Fixed, n); s.cacheFrom < n {
+			if s.cache == nil {
+				s.cache = newSetCache(n)
+			}
+			s.cache.reset()
+		}
 	}
 	if ml := opt.TailBound.MaxLen(); ml > cap(s.tailScratch) {
 		s.tailScratch = make([]int, 0, ml)
@@ -330,7 +416,10 @@ func (s *Searcher) Solve(opt Options) Result {
 	s.bestObj = math.Inf(1)
 	if opt.Incumbent != nil {
 		s.best = append(s.best, opt.Incumbent...)
-		s.bestObj = s.c.Objective(opt.Incumbent)
+		s.bestObj = opt.IncumbentObjective
+		if s.bestObj == 0 {
+			s.bestObj = s.c.Objective(opt.Incumbent)
+		}
 	}
 	s.nodes, s.fails, s.solutions, s.st = 0, 0, 0, Stats{}
 	s.aborted = false
@@ -389,8 +478,9 @@ func (s *Searcher) dfs(k int) bool {
 		return false
 	}
 	n := s.c.N
+	area := s.area[k]
 	if k == n {
-		obj := s.w.Objective()
+		obj := area
 		if s.opt.ExternalBound != nil && obj >= s.opt.ExternalBound()-1e-12 {
 			return true // ties or trails the portfolio's incumbent
 		}
@@ -410,12 +500,13 @@ func (s *Searcher) dfs(k int) bool {
 
 	// Subset dominance: this placed set was already reached at no larger
 	// area, and its subtree explored. Checked before the O(n) bound scan.
-	if s.memo != nil && k >= memoFrom && s.memo.dominated(s.w.BuiltSet().Words(), s.w.Objective()) {
+	if s.memo != nil && k >= memoFrom && s.memo.dominated(s.set.Words(), area) {
 		s.fails++
 		s.st.PrunedMemo++
 		return true
 	}
 
+	v, kept := s.values(k)
 	// Objective bound (branch-and-prune): even the most optimistic
 	// completion cannot beat the incumbent — the solver's own or, in
 	// portfolio mode, the best any backend has published so far.
@@ -426,26 +517,33 @@ func (s *Searcher) dfs(k int) bool {
 		}
 	}
 	if !s.opt.NoBound && !math.IsInf(ub, 1) {
-		if s.boundBelow() >= ub-1e-12 {
+		if s.boundBelow(v, area) >= ub-1e-12 {
 			s.fails++
 			s.st.PrunedBound++
 			return true
 		}
-		if s.tailPruned(k, ub) {
+		if s.tailPruned(k, v, area, ub) {
 			s.fails++
 			s.st.PrunedTail++
 			return true
 		}
 	}
 
-	cands := s.candidates(k)
+	cands := s.candidates(k, v, kept)
 	if cands == nil {
 		s.fails++
 		s.st.Infeasible++
 		return true
 	}
+	// v may move or be overwritten below this node: read it first.
+	r := math.Float64frombits(v[vRun])
 	for _, i := range cands {
-		s.order[k] = i
+		s.area[k+1] = area + float64(r*s.c.BuildCost(i, s.placed))
+		if s.order[k] != i {
+			s.order[k] = i
+			s.walked = min(s.walked, k)
+			s.known = min(s.known, k)
+		}
 		s.place(i)
 		ok := s.dfs(k + 1)
 		s.unplace(i)
@@ -456,30 +554,84 @@ func (s *Searcher) dfs(k int) bool {
 	return true
 }
 
-// boundBelow returns an admissible lower bound for any completion:
-// the first remaining step pays at least the cheapest remaining
-// best-case cost at the current runtime; every other remaining step is
-// bounded by the fully-deployed runtime. The bound sums its terms in
-// another order than a leaf's objective does, so near a tight leaf
-// rounding can put it an ulp above that leaf; it is deflated by the
-// same 1e-9 relative margin as the tail tables (prune.TailBound) so a
-// prune never discards an order that is better by a few ulps.
-func (s *Searcher) boundBelow() float64 {
-	var restSum, restMin float64
-	restMin = math.Inf(1)
-	n := s.c.N
-	for i := s.next[n]; i != n; i = s.next[i] {
-		mc := s.lb.MinCost(i)
-		restSum += mc
-		if mc < restMin {
-			restMin = mc
+// values returns the set-dependent values of the node at depth k with
+// its runtime filled in, and whether they are kept: the set's cache
+// entry in a cached search (filled on the set's first visit), else the
+// scratch, which the next node overwrites.
+func (s *Searcher) values(k int) ([]uint64, bool) {
+	if k >= s.cacheFrom {
+		v, found := s.cache.entry(s.set.Words())
+		if found {
+			return v, true
+		}
+		if v != nil {
+			v[vRun] = math.Float64bits(s.runtimeAt(k))
+			return v, true
 		}
 	}
+	v := s.scratch[:]
+	v[vStamp] = 0
+	v[vRun] = math.Float64bits(s.runtimeAt(k))
+	return v, false
+}
+
+// runtimeAt returns the runtime after the prefix order[:k], walking the
+// walker forward only when the prefix was not walked since it last
+// changed.
+func (s *Searcher) runtimeAt(k int) float64 {
+	if k > s.known {
+		s.walkTo(k)
+	}
+	return s.run[k]
+}
+
+// walkTo moves the walker onto the prefix order[:k]: it pops the steps
+// past the part of its walk that is still current and pushes the rest,
+// recording each prefix's runtime.
+func (s *Searcher) walkTo(k int) {
+	keep := min(s.walked, k)
+	for s.w.Len() > keep {
+		s.w.Pop()
+	}
+	for j := keep; j < k; j++ {
+		s.w.Push(s.order[j])
+		s.run[j+1] = s.w.Runtime()
+	}
+	s.pushes += int64(k - keep)
+	s.walked = k
+	s.known = max(s.known, k)
+}
+
+// boundBelow returns an admissible lower bound for any completion of
+// the node whose area and values are given: the first remaining step
+// pays at least the cheapest remaining best-case cost at the current
+// runtime; every other remaining step is bounded by the fully-deployed
+// runtime. The bound sums its terms in another order than a leaf's
+// objective does, so near a tight leaf rounding can put it an ulp above
+// that leaf; it is deflated by the same 1e-9 relative margin as the tail
+// tables (prune.TailBound) so a prune never discards an order that is
+// better by a few ulps.
+func (s *Searcher) boundBelow(v []uint64, area float64) float64 {
+	if v[vStamp]&hasRest == 0 {
+		var restSum float64
+		restMin := math.Inf(1)
+		n := s.c.N
+		for i := s.next[n]; i != n; i = s.next[i] {
+			mc := s.lb.MinCost(i)
+			restSum += mc
+			if mc < restMin {
+				restMin = mc
+			}
+		}
+		v[vRestSum], v[vRestMin] = math.Float64bits(restSum), math.Float64bits(restMin)
+		v[vStamp] |= hasRest
+	}
+	restSum, restMin := math.Float64frombits(v[vRestSum]), math.Float64frombits(v[vRestMin])
 	if math.IsInf(restMin, 1) {
-		return s.w.Objective()
+		return area
 	}
 	rmin := s.lb.MinRuntime()
-	b := s.w.Objective() + s.w.Runtime()*restMin + rmin*(restSum-restMin)
+	b := area + math.Float64frombits(v[vRun])*restMin + rmin*(restSum-restMin)
 	return b - 1e-9*(math.Abs(b)+1)
 }
 
@@ -488,31 +640,38 @@ func (s *Searcher) boundBelow() float64 {
 // feasible completion of the remaining set is looked up and the node
 // fails when even that cannot strictly beat ub. Lookup misses never
 // prune, so the check is sound regardless of the table's coverage.
-func (s *Searcher) tailPruned(k int, ub float64) bool {
+func (s *Searcher) tailPruned(k int, v []uint64, area, ub float64) bool {
 	tb := s.opt.TailBound
-	m := s.c.N - k
-	if m > tb.MaxLen() { // MaxLen is 0 when tb is nil
+	if s.c.N-k > tb.MaxLen() { // MaxLen is 0 when tb is nil
 		return false
 	}
-	rem := s.tailScratch[:0]
-	n := s.c.N
-	for i := s.next[n]; i != n; i = s.next[i] {
-		rem = append(rem, i)
+	if v[vStamp]&hasTail == 0 {
+		rem := s.tailScratch[:0]
+		n := s.c.N
+		for i := s.next[n]; i != n; i = s.next[i] {
+			rem = append(rem, i)
+		}
+		t, ok := tb.Lookup(rem)
+		v[vTail] = math.Float64bits(t)
+		v[vStamp] |= hasTail
+		if ok {
+			v[vStamp] |= tailHit
+		}
 	}
-	t, ok := tb.Lookup(rem)
-	return ok && s.w.Objective()+t >= ub-1e-12
+	return v[vStamp]&tailHit != 0 && area+math.Float64frombits(v[vTail]) >= ub-1e-12
 }
 
 // candidates returns the branching order for position k, or nil when the
-// node is a dead end. The returned slice is the searcher's reusable row
-// for depth k — valid until the next candidates(k) call at the same
-// depth, which cannot happen while the caller's loop is still running.
+// node is a dead end: the order stored in v when it was kept, else the
+// searcher's reusable row for depth k — valid until the next
+// candidates(k) call at the same depth, which cannot happen while the
+// caller's loop is still running — which is stored when kept is set.
 // First-fail flavor: an index whose latest feasible position is k is
 // forced (two such indexes = failure); otherwise candidates are the
 // ready indexes ordered by current density, which steers the search
-// toward good incumbents early.
-func (s *Searcher) candidates(k int) []int {
-	n := s.c.N
+// toward good incumbents early. A frozen position's one candidate is
+// checked in O(1) and never stored.
+func (s *Searcher) candidates(k int, v []uint64, kept bool) []int {
 	row := s.candRows[k][:0]
 	if s.opt.Fixed != nil && s.opt.Fixed[k] >= 0 {
 		i := s.opt.Fixed[k]
@@ -521,6 +680,19 @@ func (s *Searcher) candidates(k int) []int {
 		}
 		return append(row, i)
 	}
+	if v[vStamp]&hasCands != 0 {
+		return s.cache.row(v)
+	}
+	row = s.scan(k, row)
+	if kept {
+		s.cache.keepRow(v, row)
+	}
+	return row
+}
+
+// scan computes the branching order of a free position k into row.
+func (s *Searcher) scan(k int, row []int) []int {
+	n := s.c.N
 	forced := -1
 	for i := s.next[n]; i != n; i = s.next[i] {
 		if s.maxPos[i] < k {
@@ -540,6 +712,9 @@ func (s *Searcher) candidates(k int) []int {
 		return append(row, forced)
 	}
 
+	if !s.opt.NaiveBranching {
+		s.walkTo(k) // densities read the walker at this node's prefix
+	}
 	for i := s.next[n]; i != n; i = s.next[i] {
 		if s.predsLeft[i] > 0 || s.minPos[i] > k {
 			continue
@@ -580,9 +755,9 @@ func (s *Searcher) better(a, b int) bool {
 
 func (s *Searcher) place(i int) {
 	s.placed[i] = true
+	s.set.Add(i)
 	s.next[s.prev[i]] = s.next[i]
 	s.prev[s.next[i]] = s.prev[i]
-	s.w.Push(i)
 	s.cs.Successors(i).ForEach(func(j int) bool {
 		s.predsLeft[j]--
 		return true
@@ -594,8 +769,8 @@ func (s *Searcher) unplace(i int) {
 		s.predsLeft[j]++
 		return true
 	})
-	s.w.Pop()
 	s.next[s.prev[i]] = i
 	s.prev[s.next[i]] = i
+	s.set.Remove(i)
 	s.placed[i] = false
 }

@@ -36,13 +36,18 @@ func LNS(c *model.Compiled, cs *constraint.Set, opt Options) Result {
 
 	r := newRelaxer(c, cs)
 	var accepted int64
+	exact := true // curObj is bit for bit what Compiled.Objective gives cur
 	for !b.exhausted() {
-		cur, curObj, _ = tr.adopt(&opt, cur, curObj)
-		improved, impObj, _, nodes := r.relaxAndSolve(cur, curObj, size, failLimit, b, opt)
+		var adopted bool
+		if cur, curObj, adopted = tr.adopt(&opt, cur, curObj); adopted {
+			exact = false // another backend's value: the search replays cur
+		}
+		improved, impObj, _, nodes := r.relaxAndSolve(cur, curObj, exact, size, failLimit, b, opt)
 		b.spend(nodes)
 		if improved != nil {
 			cur = improved
 			curObj = impObj // the CP engine's exact walker objective; no re-replay
+			exact = true
 			accepted++
 			if curObj < tr.best-1e-12 {
 				tr.record(cur, curObj)
@@ -67,13 +72,16 @@ func newRelaxer(c *model.Compiled, cs *constraint.Set) *relaxer {
 }
 
 // relaxAndSolve performs one LNS iteration: pick `size` random indexes,
-// free their positions, and CP-search the neighborhood. It returns the
-// improved order (nil if none) with its exact objective (the CP engine
-// evaluates candidates through the shared Walker, so the value is
-// bit-identical to a fresh replay and needs no re-evaluation), whether
+// free their positions, and CP-search the neighborhood with cur as the
+// incumbent. When exact is set, curObj is cur's objective bit for bit as
+// Compiled.Objective computes it, and the search takes it instead of
+// replaying cur; an order adopted from another backend is replayed. It
+// returns the improved order (nil if none) with its exact objective (the
+// CP engine evaluates candidates through the shared Walker, so the value
+// is bit-identical to a fresh replay and needs no re-evaluation), whether
 // the neighborhood was exhausted (a proof that no better solution exists
 // within it), and the CP nodes consumed.
-func (r *relaxer) relaxAndSolve(cur []int, curObj float64,
+func (r *relaxer) relaxAndSolve(cur []int, curObj float64, exact bool,
 	size int, failLimit int64, b *budgetTracker, opt Options) (improved []int, impObj float64, proof bool, nodes int64) {
 
 	n := len(cur)
@@ -95,12 +103,16 @@ func (r *relaxer) relaxAndSolve(cur []int, curObj float64,
 			r.fixed[p] = ix
 		}
 	}
-	res := r.cp.Solve(cp.Options{
+	opts := cp.Options{
 		FailLimit: failLimit,
 		NodeLimit: b.remainingSteps(),
 		Incumbent: cur,
 		Fixed:     r.fixed,
-	})
+	}
+	if exact {
+		opts.IncumbentObjective = curObj
+	}
+	res := r.cp.Solve(opts)
 	if res.Solutions > 0 && res.Objective < curObj-1e-12 {
 		return res.Order, res.Objective, res.Proved, res.Nodes
 	}

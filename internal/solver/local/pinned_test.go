@@ -76,3 +76,59 @@ func TestLocalSearchTPCDSPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestLNSTPCDSPinned pins step-limited LNS runs on full TPC-DS exactly,
+// as TestLocalSearchTPCDSPinned does for VNS. LNS solves a relaxation
+// of another shape (6 free positions, fail limit 500), so the CP
+// search's set-value cache and lazily walked walker meet other paths.
+func TestLNSTPCDSPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("two TPC-DS searches are slow under the race detector")
+	}
+	if !exactPins {
+		t.Skip("pins were recorded on amd64")
+	}
+	c, cs, init := tpcdsStart()
+	for seed, want := range []pinnedRun{
+		{100000, 6, 0x41998f9ef7aa00a6},
+		{100000, 9, 0x4194df0713002cb2},
+	} {
+		res := LNS(c, cs, Options{Initial: init, MaxSteps: 100_000, Rng: rand.New(rand.NewSource(int64(seed)))})
+		if got := pinOf(res); got != want {
+			t.Errorf("LNS seed %d: steps/accepted/objective bits %d/%d/%#x, want %d/%d/%#x",
+				seed, got.steps, got.accepted, got.objBits, want.steps, want.accepted, want.objBits)
+		}
+	}
+}
+
+// TestRelaxationObjectiveExact checks the objective LNS and VNS hand the
+// CP search with every relaxation's incumbent, which the search takes
+// without replaying the order: on a pinned run, each value the run's
+// current objective takes (the start and every accepted move, all of
+// which OnImprove sees when nothing is adopted) is bit for bit what
+// Compiled.Objective computes for the order.
+func TestRelaxationObjectiveExact(t *testing.T) {
+	if raceEnabled {
+		t.Skip("TPC-DS searches are slow under the race detector")
+	}
+	c, cs, init := tpcdsStart()
+	for _, tc := range []struct {
+		name string
+		run  func(*model.Compiled, *constraint.Set, Options) Result
+	}{{"VNS", VNS}, {"LNS", LNS}} {
+		var values int64
+		onImprove := func(order []int, obj float64) {
+			values++
+			if want := c.Objective(order); math.Float64bits(obj) != math.Float64bits(want) {
+				t.Fatalf("%s: current objective %#x, Compiled.Objective %#x", tc.name, math.Float64bits(obj), math.Float64bits(want))
+			}
+		}
+		res := tc.run(c, cs, Options{Initial: init, MaxSteps: 100_000, Rng: rand.New(rand.NewSource(1)), OnImprove: onImprove})
+		if values != res.Accepted+1 {
+			t.Fatalf("%s: OnImprove saw %d values for %d accepted moves", tc.name, values, res.Accepted)
+		}
+		if res.Accepted == 0 {
+			t.Fatalf("%s: no move accepted; nothing was checked", tc.name)
+		}
+	}
+}

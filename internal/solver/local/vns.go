@@ -40,9 +40,13 @@ func VNS(c *model.Compiled, cs *constraint.Set, opt Options) Result {
 	r := newRelaxer(c, cs)
 	var accepted int64
 	proofs, tried := 0, 0
+	exact := true // curObj is bit for bit what Compiled.Objective gives cur
 	for !b.exhausted() {
-		cur, curObj, _ = tr.adopt(&opt, cur, curObj)
-		improved, impObj, proof, nodes := r.relaxAndSolve(cur, curObj, size, failLimit, b, opt)
+		var adopted bool
+		if cur, curObj, adopted = tr.adopt(&opt, cur, curObj); adopted {
+			exact = false // another backend's value: the search replays cur
+		}
+		improved, impObj, proof, nodes := r.relaxAndSolve(cur, curObj, exact, size, failLimit, b, opt)
 		b.spend(nodes)
 		tried++
 		if proof {
@@ -51,6 +55,7 @@ func VNS(c *model.Compiled, cs *constraint.Set, opt Options) Result {
 		if improved != nil {
 			cur = improved
 			curObj = impObj // the CP engine's exact walker objective; no re-replay
+			exact = true
 			accepted++
 			if curObj < tr.best-1e-12 {
 				tr.record(cur, curObj)
