@@ -30,7 +30,6 @@
 //	GET    /healthz           liveness (503 while draining); cluster mode
 //	                          adds per-peer membership + health
 //	GET    /cluster/health    peer protocol (cluster mode): health gossip
-//	POST   /cluster/incumbent peer protocol: LWW incumbent exchange
 //	POST   /cluster/result    peer protocol: finished-result replication
 //	GET    /metrics           JSON snapshot; Prometheus text format with
 //	                          ?format=prometheus or Accept: text/plain
@@ -62,8 +61,8 @@
 // consistent hash of the canonical instance to their owning node (so
 // the solution cache and single-flight dedup keep their hit rates
 // cluster-wide), job/batch/session ids are node-prefixed and proxied to
-// their home node, and finished results and incumbent improvements
-// replicate to every peer. /healthz gains a cluster section with
+// their home node, and finished results replicate to every peer, which
+// serves the identical request from its cache. /healthz gains a cluster section with
 // per-peer health; /metrics gains idd_cluster_* counters.
 // -gossip-interval tunes the peer protocol.
 //

@@ -67,14 +67,15 @@
 // iddserver processes started with the same static -peers list form a
 // coordinator-free solve cluster. Submissions are routed by consistent
 // hash of the canonical instance to their owning node (the solution
-// cache and single-flight dedup keep their hit rates cluster-wide),
-// finished results and in-flight incumbents replicate through a
-// last-writer-wins merge ordered by (objective, Lamport clock) —
-// commutative, associative, idempotent, property-tested under random
-// delivery orders. Incoming incumbent frames are checked before they
-// merge, and a live solve recomputes a frame's objective before
-// adopting it. See README.md's "Distributed cluster" and
-// the examples/cluster docker-compose walkthrough.
+// cache and single-flight dedup keep their hit rates cluster-wide), so
+// while the owner is up every solve of an instance is the single-node
+// solve on that node. Finished results replicate to every peer, which
+// serves the identical request (same solve key) from its cache; a
+// peer's proved flag answers only that key, and a cached order is
+// checked against the instance before it is served. When the owner is
+// down, the node a request lands on solves it locally. See README.md's
+// "Distributed cluster" and the examples/cluster docker-compose
+// walkthrough.
 //
 // The public surface lives in the commands (cmd/iddgen, cmd/iddsolve,
 // cmd/iddinspect, cmd/iddbench, cmd/iddserver, cmd/iddload) and the

@@ -100,8 +100,8 @@ func main() {
 		nodes[0].Name(), res["cache_hit"] == true, res["objective"])
 	for i, n := range nodes {
 		s := n.Snapshot()
-		log.Printf("node %d (%s): %d result(s) replicated in, %d incumbent(s) applied",
-			i, n.Name(), s.ResultsApplied, s.IncumbentsApplied)
+		log.Printf("node %d (%s): %d result(s) replicated out, %d in",
+			i, n.Name(), s.ResultsSent, s.ResultsApplied)
 	}
 	log.Println()
 

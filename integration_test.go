@@ -95,7 +95,7 @@ func TestCLIIntegration(t *testing.T) {
 }
 
 // TestExamplesRun executes the fast examples end to end (the heavier
-// ones — recovery, joint_design, evolving_warehouse — are covered by
+// ones — recovery, evolving_warehouse — are covered by
 // their underlying package tests).
 func TestExamplesRun(t *testing.T) {
 	if testing.Short() {

@@ -3,15 +3,20 @@
 // membership with periodic health gossip, consistent-hash job routing
 // on the canonical instance hash (any node accepts any request and
 // forwards it to the owner, so the per-node cache and single-flight
-// machinery keep their hit rates cluster-wide), replicated solution
-// caches, and cross-node incumbent exchange via a last-writer-wins CRDT
-// merge (lww.go).
+// machinery keep their hit rates cluster-wide), id-prefix proxying for
+// jobs, batches and sessions, and replicated solution caches.
+//
+// Owner routing is the only coordination: while the owner is up, every
+// solve of an instance runs there, as the single-node solve. When it is
+// down, the node a request lands on solves it locally; each finished
+// result is replicated to every live peer, which serves the identical
+// request (same solve key) as a cache hit.
 //
 // A Node wraps a service.Server: it owns the HTTP surface (the service
 // routes plus the /cluster/* peer protocol), the gossip and broadcast
-// loops, and the service.Distributor hooks the job manager announces
-// executing solves through. Single-node deployments never construct a
-// Node and are entirely unaffected.
+// loops, and the service.Config.ResultCached callback the job manager
+// reports finished results through. Single-node deployments never
+// construct a Node and are entirely unaffected.
 package cluster
 
 import (
@@ -20,7 +25,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httputil"
 	"net/url"
@@ -30,7 +34,6 @@ import (
 	"time"
 
 	"github.com/evolving-olap/idd/internal/codec"
-	"github.com/evolving-olap/idd/internal/constraint"
 	"github.com/evolving-olap/idd/internal/model"
 	"github.com/evolving-olap/idd/internal/obs"
 	"github.com/evolving-olap/idd/internal/service"
@@ -128,16 +131,16 @@ type Node struct {
 	srv    *service.Server
 	ring   *ring
 	client *http.Client
-	clock  *Clock
-	incs   *lwwMap
 	mux    *http.ServeMux
 
 	mu     sync.Mutex
 	peers  map[string]*peerState // by addr; excludes self
 	byName map[string]*peerState // same peers, by node name
-	active map[string]*activeSolve
 
-	bcast  chan bcastMsg
+	// bcast queues marshaled /cluster/result frames for bcastLoop; its
+	// 512 slots absorb a burst of finished solves while a slow peer
+	// holds the loop, and resultCached drops frames beyond them.
+	bcast  chan []byte
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -145,24 +148,17 @@ type Node struct {
 	m clusterMetrics
 }
 
-type bcastMsg struct {
-	path    string
-	payload []byte
-}
-
 type clusterMetrics struct {
 	forwards         *obs.Counter
 	forwardFallbacks *obs.Counter
 	proxied          *obs.Counter
-	incSent          *obs.Counter
-	incApplied       *obs.Counter
 	resSent          *obs.Counter
 	resApplied       *obs.Counter
 	bcastDropped     *obs.Counter
 }
 
 // New builds a cluster node around a fresh service.Server constructed
-// from svcCfg (the node installs its own NodeName and Distributor into
+// from svcCfg (the node installs its own NodeName and ResultCached into
 // the service config — callers must leave those zero). Start launches
 // the background loops.
 func New(cfg Config, svcCfg service.Config) (*Node, error) {
@@ -175,12 +171,9 @@ func New(cfg Config, svcCfg service.Config) (*Node, error) {
 		name:   NodeName(cfg.Self),
 		ring:   newRing(cfg.Peers),
 		client: &http.Client{}, // per-call timeouts via request contexts
-		clock:  &Clock{},
-		incs:   newLWWMap(0),
 		peers:  make(map[string]*peerState),
 		byName: make(map[string]*peerState),
-		active: make(map[string]*activeSolve),
-		bcast:  make(chan bcastMsg, 512),
+		bcast:  make(chan []byte, 512),
 	}
 	n.ctx, n.cancel = context.WithCancel(context.Background())
 	for _, addr := range cfg.Peers {
@@ -207,13 +200,12 @@ func New(cfg Config, svcCfg service.Config) (*Node, error) {
 	}
 
 	svcCfg.NodeName = n.name
-	svcCfg.Distributor = distributor{n}
+	svcCfg.ResultCached = n.resultCached
 	n.srv = service.New(svcCfg)
 	n.registerMetrics()
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /cluster/health", n.handleHealth)
-	mux.HandleFunc("POST /cluster/incumbent", n.handleIncumbent)
 	mux.HandleFunc("POST /cluster/result", n.handleResult)
 	mux.HandleFunc("GET /healthz", n.handleHealthz)
 	mux.HandleFunc("GET /metrics", n.handleMetrics)
@@ -227,8 +219,9 @@ func New(cfg Config, svcCfg service.Config) (*Node, error) {
 	return n, nil
 }
 
-// Start launches the gossip and broadcast loops. Separate from New so
-// tests can drive the protocol handlers synchronously.
+// Start launches the gossip and broadcast loops. Separate from New so a
+// caller can bring every peer's listener up first, and tests can drive
+// the protocol handlers and the first health probe synchronously.
 func (n *Node) Start() {
 	loops := []func(){n.gossipLoop, n.bcastLoop}
 	n.wg.Add(len(loops))
@@ -274,8 +267,6 @@ func (n *Node) registerMetrics() {
 	m.forwards = reg.Counter("idd_cluster_forwards_total", "requests forwarded to their ring owner")
 	m.forwardFallbacks = reg.Counter("idd_cluster_forward_fallbacks_total", "owner down or unreachable: request served locally instead")
 	m.proxied = reg.Counter("idd_cluster_proxied_total", "id-addressed requests proxied to the owning node")
-	m.incSent = reg.Counter("idd_cluster_incumbent_sent_total", "incumbent broadcasts posted to peers")
-	m.incApplied = reg.Counter("idd_cluster_incumbent_applied_total", "peer incumbents that won the local LWW merge")
 	m.resSent = reg.Counter("idd_cluster_result_sent_total", "finished-result replications posted to peers")
 	m.resApplied = reg.Counter("idd_cluster_result_applied_total", "peer results installed into the local cache")
 	m.bcastDropped = reg.Counter("idd_cluster_broadcast_dropped_total", "broadcasts dropped on backpressure")
@@ -522,19 +513,30 @@ func (n *Node) upPeers() []*peerState {
 }
 
 // ---------------------------------------------------------------------------
-// Broadcasts (incumbents + finished results)
+// Result replication
 
-func (n *Node) enqueueBroadcast(path string, v any) {
-	payload, err := json.Marshal(v)
+// resultMsg is one /cluster/result frame: a finished result in
+// canonical index space under its full solve key. Frames from older
+// peers also carry "node" and "clock" fields, which decode and are
+// ignored.
+type resultMsg struct {
+	Key    string               `json:"key"`
+	Result *service.SolveResult `json:"result"`
+}
+
+// resultCached is the service's ResultCached callback: it queues the
+// finished result for every live peer.
+func (n *Node) resultCached(key string, res *service.SolveResult) {
+	payload, err := json.Marshal(resultMsg{Key: key, Result: res})
 	if err != nil {
 		return
 	}
 	select {
-	case n.bcast <- bcastMsg{path: path, payload: payload}:
+	case n.bcast <- payload:
 	default:
-		// Backpressure: drop rather than stall a solve's publish path.
-		// Incumbents are refreshed by the next improvement; results are
-		// re-learnable from the owner's cache via normal routing.
+		// Backpressure: drop rather than stall the solve's completion.
+		// A dropped result is re-learnable from the owner's cache via
+		// normal routing.
 		n.m.bcastDropped.Inc()
 	}
 }
@@ -544,22 +546,17 @@ func (n *Node) bcastLoop() {
 		select {
 		case <-n.ctx.Done():
 			return
-		case msg := <-n.bcast:
+		case payload := <-n.bcast:
 			for _, ps := range n.upPeers() {
 				ctx, cancel := context.WithTimeout(n.ctx, 2*time.Second)
 				req, _ := http.NewRequestWithContext(ctx, http.MethodPost,
-					ps.addr+msg.path, bytes.NewReader(msg.payload))
+					ps.addr+"/cluster/result", bytes.NewReader(payload))
 				req.Header.Set("Content-Type", "application/json")
 				resp, err := n.client.Do(req)
 				if err == nil {
 					io.Copy(io.Discard, resp.Body)
 					resp.Body.Close()
-					switch msg.path {
-					case "/cluster/incumbent":
-						n.m.incSent.Inc()
-					case "/cluster/result":
-						n.m.resSent.Inc()
-					}
+					n.m.resSent.Inc()
 				} else {
 					n.markDown(ps.addr)
 				}
@@ -569,168 +566,20 @@ func (n *Node) bcastLoop() {
 	}
 }
 
-type incumbentMsg struct {
-	Key string    `json:"key"`
-	Inc Incumbent `json:"incumbent"`
-}
-
-// broadcastIncumbent stamps a locally found improvement and sends it to
-// every live peer (merging it locally first, so the node's own LWW view
-// includes everything it ever published).
-func (n *Node) broadcastIncumbent(key string, order []int, obj float64) {
-	inc := Incumbent{
-		Objective: obj,
-		Order:     append([]int(nil), order...),
-		Clock:     n.clock.Tick(),
-		Node:      n.name,
-	}
-	n.incs.apply(key, inc)
-	n.enqueueBroadcast("/cluster/incumbent", incumbentMsg{Key: key, Inc: inc})
-}
-
-// handleIncumbent merges a peer's incumbent frame. Nothing on the wire
-// is trusted: the objective must be finite and the order a permutation
-// before the frame may enter the LWW table, and while a solve for the
-// key is live here the order must also fit its instance and
-// constraints and the claimed objective must match the one recomputed
-// locally. A frame that understates its objective would otherwise
-// become the solve's answer under the false value (and let an exact
-// backend report it proved); one with a NaN objective would never lose
-// a merge and block every later incumbent for its key.
-func (n *Node) handleIncumbent(w http.ResponseWriter, r *http.Request) {
-	var msg incumbentMsg
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&msg); err != nil ||
-		msg.Key == "" || !validIncumbent(msg.Inc) {
-		http.Error(w, `{"error":"bad incumbent"}`, http.StatusBadRequest)
-		return
-	}
-	as := n.activeSolve(msg.Key)
-	var obj float64
-	if as != nil {
-		var ok bool
-		if obj, ok = as.verify(msg.Inc.Order); !ok ||
-			math.Abs(obj-msg.Inc.Objective) > 1e-9*(1+math.Abs(obj)) {
-			http.Error(w, `{"error":"incumbent does not match the live solve"}`, http.StatusBadRequest)
-			return
-		}
-	}
-	n.clock.Witness(msg.Inc.Clock)
-	if n.incs.apply(msg.Key, msg.Inc) {
-		n.m.incApplied.Inc()
-	}
-	// A live solve for the same key adopts the remote incumbent through
-	// its shared store, under the locally recomputed objective; every
-	// backend prunes against it within its next poll stride. The offer
-	// does not wait on the merge: the table may hold a frame that came
-	// in while no solve was live, unchecked and possibly understated,
-	// which would win every merge; the store keeps only true
-	// improvements.
-	if as != nil {
-		as.start.Store.Offer("cluster", msg.Inc.Order, obj)
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// validIncumbent reports whether a wire incumbent is well formed on its
-// own: a stamp below clockCap, a finite objective and an order that is a
-// non-empty permutation of 0..len-1.
-func validIncumbent(inc Incumbent) bool {
-	if inc.Clock >= clockCap || math.IsNaN(inc.Objective) || math.IsInf(inc.Objective, 0) || len(inc.Order) == 0 {
-		return false
-	}
-	return constraint.CheckOrder(len(inc.Order), nil, inc.Order) == nil
-}
-
-type resultMsg struct {
-	Key    string               `json:"key"`
-	Node   string               `json:"node"`
-	Clock  uint64               `json:"clock"`
-	Result *service.SolveResult `json:"result"`
-}
-
-func (n *Node) resultCached(key string, res *service.SolveResult) {
-	n.enqueueBroadcast("/cluster/result", resultMsg{
-		Key: key, Node: n.name, Clock: n.clock.Tick(), Result: res,
-	})
-}
-
+// handleResult installs a peer's finished result in the local cache
+// under its own solve key only (see Manager.SeedCache). The frame is
+// not checked here, since the instance is known only when a request
+// hits: the cache hit checks the order against it then.
 func (n *Node) handleResult(w http.ResponseWriter, r *http.Request) {
 	var msg resultMsg
 	if err := json.NewDecoder(io.LimitReader(r.Body, 8<<20)).Decode(&msg); err != nil ||
-		msg.Key == "" || msg.Result == nil || msg.Clock >= clockCap {
+		msg.Key == "" || msg.Result == nil {
 		http.Error(w, `{"error":"bad result"}`, http.StatusBadRequest)
 		return
 	}
-	n.clock.Witness(msg.Clock)
 	n.srv.Manager().SeedCache(msg.Key, msg.Result)
 	n.m.resApplied.Inc()
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// ---------------------------------------------------------------------------
-// Live solves (the service.Distributor seam)
-
-// distributor adapts the Node to the service.Distributor seam.
-type distributor struct{ n *Node }
-
-func (d distributor) SolveStarted(s service.SolveStart) service.DistributedSolve {
-	n := d.n
-	as := &activeSolve{n: n, start: s}
-	n.mu.Lock()
-	n.active[s.Key] = as
-	n.mu.Unlock()
-	// A peer may already have solved (or be solving) this key: seed the
-	// store with the replicated incumbent so every local backend starts
-	// from the cluster-wide best. Frames that reached the table while no
-	// solve was live were never checked against the instance, so the
-	// objective is recomputed here too.
-	if inc, ok := n.incs.get(s.Key); ok && !inc.zero() {
-		if obj, ok := as.verify(inc.Order); ok {
-			s.Store.Offer("cluster", inc.Order, obj)
-		}
-	}
-	return as
-}
-
-func (d distributor) ResultCached(key string, res *service.SolveResult) {
-	d.n.resultCached(key, res)
-}
-
-// activeSolve is one executing solve announced by the job manager,
-// alive from SolveStarted to Done.
-type activeSolve struct {
-	n     *Node
-	start service.SolveStart
-}
-
-// verify checks a wire order against the live solve's instance and
-// constraints and returns its locally computed objective.
-func (as *activeSolve) verify(order []int) (float64, bool) {
-	c := as.start.Compiled
-	if constraint.CheckOrder(c.N, as.start.Constraints, order) != nil {
-		return 0, false
-	}
-	return c.Objective(order), true
-}
-
-func (as *activeSolve) Improved(order []int, objective float64) {
-	as.n.broadcastIncumbent(as.start.Key, order, objective)
-}
-
-func (as *activeSolve) Done() {
-	n := as.n
-	n.mu.Lock()
-	if n.active[as.start.Key] == as {
-		delete(n.active, as.start.Key)
-	}
-	n.mu.Unlock()
-}
-
-// activeSolve returns the live solve for key, if any.
-func (n *Node) activeSolve(key string) *activeSolve {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.active[key]
 }
 
 // ---------------------------------------------------------------------------
@@ -784,27 +633,23 @@ func (n *Node) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // ClusterSnapshot is the /metrics JSON "cluster" section.
 type ClusterSnapshot struct {
 	ClusterHealth
-	Forwards          int64 `json:"forwards"`
-	ForwardFallbacks  int64 `json:"forward_fallbacks"`
-	Proxied           int64 `json:"proxied"`
-	IncumbentsSent    int64 `json:"incumbents_sent"`
-	IncumbentsApplied int64 `json:"incumbents_applied"`
-	ResultsSent       int64 `json:"results_sent"`
-	ResultsApplied    int64 `json:"results_applied"`
+	Forwards         int64 `json:"forwards"`
+	ForwardFallbacks int64 `json:"forward_fallbacks"`
+	Proxied          int64 `json:"proxied"`
+	ResultsSent      int64 `json:"results_sent"`
+	ResultsApplied   int64 `json:"results_applied"`
 }
 
 // Snapshot returns the cluster counters (also used by tests asserting
 // cross-node behavior).
 func (n *Node) Snapshot() ClusterSnapshot {
 	return ClusterSnapshot{
-		ClusterHealth:     n.clusterHealth(),
-		Forwards:          n.m.forwards.Value(),
-		ForwardFallbacks:  n.m.forwardFallbacks.Value(),
-		Proxied:           n.m.proxied.Value(),
-		IncumbentsSent:    n.m.incSent.Value(),
-		IncumbentsApplied: n.m.incApplied.Value(),
-		ResultsSent:       n.m.resSent.Value(),
-		ResultsApplied:    n.m.resApplied.Value(),
+		ClusterHealth:    n.clusterHealth(),
+		Forwards:         n.m.forwards.Value(),
+		ForwardFallbacks: n.m.forwardFallbacks.Value(),
+		Proxied:          n.m.proxied.Value(),
+		ResultsSent:      n.m.resSent.Value(),
+		ResultsApplied:   n.m.resApplied.Value(),
 	}
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -10,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -31,8 +33,10 @@ type testCluster struct {
 
 // newTestCluster brings up k nodes. Listeners are bound first so every
 // peer URL is known before any node is constructed (membership is
-// static). Gossip intervals are cranked down so peer discovery and
-// failure detection land in tens of milliseconds.
+// static). Once every listener serves, each node probes its peers once
+// before its loops start, so every node sees every peer up on return.
+// Gossip intervals are cranked down so failure detection lands in tens
+// of milliseconds.
 func newTestCluster(t *testing.T, k int, svcCfg service.Config) *testCluster {
 	t.Helper()
 	tc := &testCluster{t: t}
@@ -58,7 +62,6 @@ func newTestCluster(t *testing.T, k int, svcCfg service.Config) *testCluster {
 		}
 		hs := &http.Server{Handler: n.Handler()}
 		go hs.Serve(lns[i])
-		n.Start()
 		tc.nodes = append(tc.nodes, n)
 		tc.srvs = append(tc.srvs, hs)
 	}
@@ -67,24 +70,16 @@ func newTestCluster(t *testing.T, k int, svcCfg service.Config) *testCluster {
 			tc.stopNode(i)
 		}
 	})
-	// Wait until every node sees every peer up.
-	deadline := time.Now().Add(5 * time.Second)
 	for _, n := range tc.nodes {
-		for {
-			up := 0
-			for _, p := range n.clusterHealth().Peers {
-				if p.State == "up" {
-					up++
-				}
+		n.probePeers()
+		for _, p := range n.clusterHealth().Peers {
+			if p.State != "up" {
+				t.Fatalf("%s sees peer %s %s after probing it", n.Name(), p.Name, p.State)
 			}
-			if up == k-1 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("gossip never converged on %s", n.Name())
-			}
-			time.Sleep(10 * time.Millisecond)
 		}
+	}
+	for _, n := range tc.nodes {
+		n.Start()
 	}
 	return tc
 }
@@ -135,7 +130,7 @@ func genInstance(seed int64, indexes, queries int, interact float64) *model.Inst
 }
 
 // solveBody builds the POST /solve JSON envelope.
-func solveBody(t *testing.T, in *model.Instance, extra map[string]any) []byte {
+func solveBody(t testing.TB, in *model.Instance, extra map[string]any) []byte {
 	t.Helper()
 	m := map[string]any{"instance": in}
 	for k, v := range extra {
@@ -170,6 +165,9 @@ func post(t *testing.T, url string, body []byte, hdr map[string]string) (*http.R
 	return resp, out
 }
 
+// waitFor polls cond until it holds. Result replication is the one
+// cluster effect with no event a test can follow: a peer installs the
+// frame in the background.
 func waitFor(t *testing.T, what string, timeout time.Duration, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -232,14 +230,10 @@ func TestClusterForwardingAndReplication(t *testing.T) {
 	}
 }
 
-// TestClusterProofReplicatesIncumbents: a CP proof forwarded to the ring
-// owner returns the single-node optimum bit for bit, and every
-// improvement the owner finds along the way reaches the other nodes'
-// LWW tables, ending on the proved optimum with an order that really
-// has that objective.
-func TestClusterProofReplicatesIncumbents(t *testing.T) {
+// TestClusterProofMatchesSingleNode: a CP proof forwarded to the ring
+// owner returns the single-node optimum bit for bit.
+func TestClusterProofMatchesSingleNode(t *testing.T) {
 	in := genInstance(33, 14, 10, 0.35)
-	c := model.MustCompile(in)
 	body := solveBody(t, in, map[string]any{"backends": []string{"cp"}, "budget": "30s"})
 	ref := refObjective(t, body)
 
@@ -259,36 +253,64 @@ func TestClusterProofReplicatesIncumbents(t *testing.T) {
 	if res.Objective != ref {
 		t.Fatalf("cluster objective %v != single-node %v (must be bit-identical)", res.Objective, ref)
 	}
+	if got := tc.nodes[(ownerI+1)%3].Snapshot().Forwards; got != 1 {
+		t.Fatalf("forwards = %d, want the one request forwarded to the owner", got)
+	}
+}
 
-	owner := tc.nodes[ownerI]
-	waitFor(t, "incumbent broadcast", 5*time.Second, func() bool {
-		return owner.Snapshot().IncumbentsSent >= 1
+// TestClusterFailoverServesLocally: with the ring owner of an instance
+// stopped, both survivors solve its requests themselves (counted as
+// forward fallbacks), and a survivor that received the other's
+// replicated result serves that request as a cache hit.
+func TestClusterFailoverServesLocally(t *testing.T) {
+	tc := newTestCluster(t, 3, service.Config{Workers: 1})
+	in := genInstance(4, 8, 6, 0.2)
+	ownerI := tc.ownerIdx(in)
+	a, b := (ownerI+1)%3, (ownerI+2)%3
+	tc.stopNode(ownerI)
+
+	// Named backends keep the instance's proved entry out of the
+	// lookup, so b can answer seed 1 from its cache only through a's
+	// replicated result.
+	bodyA := solveBody(t, in, map[string]any{"backends": []string{"cp"}, "seed": 1, "budget": "30s"})
+	bodyB := solveBody(t, in, map[string]any{"backends": []string{"cp"}, "seed": 2, "budget": "30s"})
+	solve := func(i int, body []byte) service.SolveResult {
+		t.Helper()
+		resp, out := post(t, tc.urls[i]+"/solve", body, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("survivor %s: status %d: %s", tc.nodes[i].Name(), resp.StatusCode, out)
+		}
+		var res service.SolveResult
+		if err := json.Unmarshal(out, &res); err != nil {
+			t.Fatal(err)
+		}
+		if err := in.ValidOrder(res.Order); err != nil {
+			t.Fatalf("survivor %s: invalid order: %v", tc.nodes[i].Name(), err)
+		}
+		return res
+	}
+	resA := solve(a, bodyA)
+	resB := solve(b, bodyB)
+	if resA.CacheHit || resB.CacheHit {
+		t.Fatalf("first solves were cache hits: %+v, %+v", resA, resB)
+	}
+	for _, i := range []int{a, b} {
+		if s := tc.nodes[i].Snapshot(); s.ForwardFallbacks != 1 || s.Forwards != 0 {
+			t.Fatalf("survivor %s: forwards %d, fallbacks %d; want 0 and 1",
+				tc.nodes[i].Name(), s.Forwards, s.ForwardFallbacks)
+		}
+	}
+
+	waitFor(t, "result replication", 5*time.Second, func() bool {
+		return tc.nodes[b].Snapshot().ResultsApplied >= 1
 	})
-	for i, n := range tc.nodes {
-		if i == ownerI {
-			continue
-		}
-		var inc Incumbent
-		waitFor(t, "incumbent replication to "+n.Name(), 5*time.Second, func() bool {
-			n.incs.mu.Lock()
-			defer n.incs.mu.Unlock()
-			for _, v := range n.incs.m {
-				inc = v
-			}
-			return len(n.incs.m) == 1 && inc.Objective == res.Objective
-		})
-		if got := n.Snapshot().IncumbentsApplied; got < 1 {
-			t.Fatalf("%s applied no incumbent frames", n.Name())
-		}
-		if inc.Node != owner.Name() {
-			t.Errorf("%s holds an incumbent from %q, want the owner %q", n.Name(), inc.Node, owner.Name())
-		}
-		if err := in.ValidOrder(inc.Order); err != nil {
-			t.Fatalf("%s holds an invalid order: %v", n.Name(), err)
-		}
-		if got := c.Objective(inc.Order); math.Abs(got-inc.Objective) > 1e-9*(1+math.Abs(got)) {
-			t.Fatalf("%s holds objective %v for an order worth %v", n.Name(), inc.Objective, got)
-		}
+	hit := solve(b, bodyA)
+	if !hit.CacheHit || !slices.Equal(hit.Order, resA.Order) ||
+		math.Float64bits(hit.Objective) != math.Float64bits(resA.Objective) {
+		t.Fatalf("survivor %s on the other's request: %+v; want a cache hit on %+v", tc.nodes[b].Name(), hit, resA)
+	}
+	if got := tc.nodes[b].Snapshot().ForwardFallbacks; got != 2 {
+		t.Fatalf("survivor %s: fallbacks %d, want 2", tc.nodes[b].Name(), got)
 	}
 }
 
@@ -339,21 +361,34 @@ func TestClusterJobProxy(t *testing.T) {
 		t.Fatalf("job id %q not prefixed with node name %q", job.ID, tc.nodes[0].Name())
 	}
 
-	waitFor(t, "proxied job completion", 30*time.Second, func() bool {
-		r, err := http.Get(tc.urls[1] + "/jobs/" + job.ID)
-		if err != nil {
-			t.Fatal(err)
+	// Follow the job's event stream through node 1 to its done event.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, tc.urls[1]+"/jobs/"+job.ID+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	if r.StatusCode != http.StatusOK {
+		t.Fatalf("proxied events status %d", r.StatusCode)
+	}
+	var last service.Event
+	sc := bufio.NewScanner(r.Body)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	for last.Type != service.EventDone && sc.Scan() {
+		if data, ok := strings.CutPrefix(sc.Text(), "data: "); ok {
+			if err := json.Unmarshal([]byte(data), &last); err != nil {
+				t.Fatalf("bad SSE data %q: %v", data, err)
+			}
 		}
-		defer r.Body.Close()
-		if r.StatusCode != http.StatusOK {
-			t.Fatalf("proxied GET status %d", r.StatusCode)
-		}
-		var st service.JobStatus
-		if err := json.NewDecoder(r.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		return st.State == service.StateDone
-	})
+	}
+	if last.Type != service.EventDone || last.State != service.StateDone {
+		t.Fatalf("proxied event stream ended at %+v (scan error %v), want done", last, sc.Err())
+	}
 	if got := tc.nodes[1].Snapshot().Proxied; got < 1 {
 		t.Fatalf("expected node 1 to proxy the id-addressed request, proxied=%d", got)
 	}

@@ -61,10 +61,12 @@ type Config struct {
 	// itself, which makes ids self-routing: any peer can tell from the
 	// prefix which node owns the resource and proxy the lookup there.
 	NodeName string
-	// Distributor, when non-nil, bridges executing solves to the
-	// distributed solve cluster (see Distributor). Nil = single-node
-	// behavior, unchanged.
-	Distributor Distributor
+	// ResultCached, when non-nil, observes every finished result as it
+	// enters the local solution cache, under its full solve key. The
+	// result is in canonical index space, so the cluster replicates it
+	// and any peer serves it to a request with the same key. Nil =
+	// single-node behavior, unchanged.
+	ResultCached func(key string, res *SolveResult)
 }
 
 func (c Config) withDefaults() Config {
@@ -506,12 +508,14 @@ func (m *Manager) newID() string {
 // produced by a solve of the identical key) into the solution cache.
 // This is the receiving end of cluster result replication: a peer's
 // finished solve becomes a local cache hit for the next identical
-// request, whichever node it lands on.
+// request, whichever node it lands on. It is stored under its own key
+// only, never under provedKey: this node cannot check a peer's proof,
+// so a peer's proved flag must not answer requests with other keys.
 func (m *Manager) SeedCache(key string, res *SolveResult) {
 	if res == nil || key == "" {
 		return
 	}
-	m.cachePut(key, res)
+	m.cache.put(key, res)
 }
 
 // cachePut stores a finished result under its full solve key and, when
@@ -982,22 +986,6 @@ func (m *Manager) execute(r *run) {
 		}
 	}
 
-	// Cluster hookup: hand the distributor a shared store it can inject
-	// remote incumbents into and announce every local improvement for
-	// broadcast. Single-node mode (nil Distributor) leaves ds nil.
-	var store *portfolio.Store
-	var ds DistributedSolve
-	if m.cfg.Distributor != nil {
-		store = portfolio.NewStore(c.N, cs)
-		ds = m.cfg.Distributor.SolveStarted(SolveStart{
-			Key:         r.key,
-			Compiled:    c,
-			Constraints: cs,
-			Store:       store,
-		})
-		defer ds.Done()
-	}
-
 	opts := portfolio.Options{
 		Backends:  r.params.Backends,
 		Workers:   r.params.Workers,
@@ -1005,7 +993,6 @@ func (m *Manager) execute(r *run) {
 		StepLimit: r.params.StepLimit,
 		Seed:      r.params.Seed,
 		Initial:   initial,
-		Store:     store,
 		OnProgress: func(ev portfolio.ProgressEvent) {
 			r.recordSpan(ev)
 			if ev.Kind == portfolio.ProgressBackendStarted {
@@ -1013,9 +1000,6 @@ func (m *Manager) execute(r *run) {
 				// incumbent, backend, proved, done) is a documented
 				// wire contract; backend starts live in the trace.
 				return
-			}
-			if ds != nil && ev.Kind == portfolio.ProgressImproved {
-				ds.Improved(ev.Order, ev.Objective)
 			}
 			r.emit(progressToEvent(ev), ev.Order)
 		},
@@ -1104,10 +1088,8 @@ func (m *Manager) execute(r *run) {
 	// truncated incumbent under-serves future identical requests.
 	if r.ctx.Err() == nil || res.Proved {
 		m.cachePut(r.key, result)
-		if m.cfg.Distributor != nil {
-			// Replicate the canonical-space result so the identical
-			// request is a cache hit on every peer.
-			m.cfg.Distributor.ResultCached(r.key, result)
+		if m.cfg.ResultCached != nil {
+			m.cfg.ResultCached(r.key, result)
 		}
 	}
 	// Any finished order — even a truncated incumbent — is a useful warm

@@ -11,6 +11,7 @@ import (
 	"github.com/evolving-olap/idd/internal/codec"
 	"github.com/evolving-olap/idd/internal/evolve"
 	"github.com/evolving-olap/idd/internal/model"
+	"github.com/evolving-olap/idd/internal/solver/greedy"
 )
 
 // solveDone submits in (warm-started when warm is non-nil), waits for
@@ -124,38 +125,33 @@ func TestUnprovedResultNotSharedAcrossWarmOrders(t *testing.T) {
 	}
 }
 
-// cacheRecorder is a Distributor that records what the manager
-// replicates and has no live-solve hooks.
+// cacheRecorder is a Config.ResultCached callback that records what
+// the manager replicates.
 type cacheRecorder struct {
 	mu     sync.Mutex
 	keys   []string
 	cached []*SolveResult
 }
 
-func (d *cacheRecorder) SolveStarted(SolveStart) DistributedSolve { return noSolveHooks{} }
-
-func (d *cacheRecorder) ResultCached(key string, res *SolveResult) {
+func (d *cacheRecorder) record(key string, res *SolveResult) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.keys = append(d.keys, key)
 	d.cached = append(d.cached, res)
 }
 
-type noSolveHooks struct{}
-
-func (noSolveHooks) Improved([]int, float64) {}
-func (noSolveHooks) Done()                   {}
-
 // TestReplicatedProofServesPeer: a proved result replicated to a peer
-// (ResultCached on the solving node, SeedCache on the peer) is keyed by
-// instance there too, so the peer serves it to a request with another
-// seed and budget.
+// (ResultCached on the solving node, SeedCache on the peer) answers the
+// identical request there as a hit, but only under its own solve key:
+// the peer cannot check the proof, so a request with another seed is a
+// miss the peer solves itself.
 func TestReplicatedProofServesPeer(t *testing.T) {
 	rec := &cacheRecorder{}
-	owner := newTestManager(t, Config{Workers: 2, Distributor: rec})
+	owner := newTestManager(t, Config{Workers: 2, ResultCached: rec.record})
 	peer := newTestManager(t, Config{Workers: 2})
 	in := trapInstance(t)
-	first := solveDone(t, owner, in, Params{Seed: 1, Budget: Duration(10 * time.Second)}, nil)
+	p := Params{Seed: 1, Budget: Duration(10 * time.Second)}
+	first := solveDone(t, owner, in, p, nil)
 	if !first.Proved {
 		t.Fatalf("owner's solve not proved: %+v", first)
 	}
@@ -166,9 +162,41 @@ func TestReplicatedProofServesPeer(t *testing.T) {
 	peer.SeedCache(rec.keys[0], rec.cached[0])
 	rec.mu.Unlock()
 
-	got := solveDone(t, peer, in, Params{Seed: 7, Budget: Duration(5 * time.Second)}, nil)
-	if !got.CacheHit || !got.Proved || math.Float64bits(got.Objective) != math.Float64bits(first.Objective) {
-		t.Fatalf("peer: %+v; want the replicated proof", got)
+	same := solveDone(t, peer, in, p, nil)
+	if !same.CacheHit || !same.Proved || math.Float64bits(same.Objective) != math.Float64bits(first.Objective) {
+		t.Fatalf("peer, same key: %+v; want the replicated proof", same)
+	}
+	other := solveDone(t, peer, in, Params{Seed: 7, Budget: Duration(5 * time.Second)}, nil)
+	if other.CacheHit {
+		t.Fatalf("peer, another seed: %+v; want a miss", other)
+	}
+}
+
+// TestForgedProofAnswersOnlyItsKey: a replicated frame with a feasible
+// order, an understated objective and a proved flag, sent for one seed,
+// does not answer a default request with another seed, which the node
+// solves to the order's true objective or better.
+func TestForgedProofAnswersOnlyItsKey(t *testing.T) {
+	m := newTestManager(t, Config{Workers: 2})
+	in := trapInstance(t)
+	canon, _ := codec.Canonicalize(in)
+	hash := codec.CanonicalHash(canon)
+	c := model.MustCompile(canon)
+	order := greedy.Solve(c, nil)
+	if err := canon.ValidOrder(order); err != nil {
+		t.Fatalf("forged order must pass the hit's check: %v", err)
+	}
+	truth := c.Objective(order)
+	forged := Params{Seed: 1, Budget: Duration(5 * time.Second)}
+	m.SeedCache(solveKey(hash, forged, m.clampBudget(forged.Budget)),
+		&SolveResult{Order: order, Objective: truth / 2, Proved: true})
+
+	got := solveDone(t, m, in, Params{Seed: 2, Budget: Duration(5 * time.Second)}, nil)
+	if got.CacheHit || got.Objective < truth/2*(1+1e-9) {
+		t.Fatalf("another seed: %+v; want a solve, not the forged objective %v", got, truth/2)
+	}
+	if err := in.ValidOrder(got.Order); err != nil {
+		t.Fatalf("solved order: %v", err)
 	}
 }
 
@@ -186,10 +214,10 @@ func TestMalformedCachedOrderSolvedAsMiss(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		res     SolveResult
-		entries int64 // a proved result is also cached under the instance alone
+		entries int64 // a replicated result is cached under its own key only
 	}{
 		{"out of range", SolveResult{Order: []int{99}, Objective: 1}, 1},
-		{"repeated index, proved", SolveResult{Order: make([]int, len(in.Indexes)), Objective: 1, Proved: true}, 2},
+		{"repeated index, proved", SolveResult{Order: make([]int, len(in.Indexes)), Objective: 1, Proved: true}, 1},
 	} {
 		m := newTestManager(t, Config{Workers: 2})
 		m.SeedCache(solveKey(hash, p, m.clampBudget(p.Budget)), &tc.res)

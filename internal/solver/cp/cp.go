@@ -221,7 +221,6 @@ const pollStride = 64
 // relaxation) builds it once. A Searcher is not safe for concurrent use.
 type Searcher struct {
 	c   *model.Compiled
-	cs  *constraint.Set
 	opt Options
 	lb  *bruteforce.LowerBound
 
@@ -252,6 +251,9 @@ type Searcher struct {
 	order []int
 	// predsLeft[i] = number of not-yet-placed predecessors of i.
 	predsLeft []int
+	// succ[i] lists i's successors in ascending order (static): place
+	// and unplace move their predsLeft.
+	succ [][]int
 	// maxPos/minPos from the constraint relation (static).
 	minPos, maxPos []int
 
@@ -331,7 +333,6 @@ func NewSearcher(c *model.Compiled, cs *constraint.Set) *Searcher {
 	n := c.N
 	s := &Searcher{
 		c:         c,
-		cs:        cs,
 		lb:        bruteforce.NewLowerBound(c),
 		w:         model.NewWalker(c),
 		run:       make([]float64, n+1),
@@ -342,6 +343,7 @@ func NewSearcher(c *model.Compiled, cs *constraint.Set) *Searcher {
 		prev:      make([]int, n+1),
 		order:     make([]int, n),
 		predsLeft: make([]int, n),
+		succ:      make([][]int, n),
 		minPos:    make([]int, n),
 		maxPos:    make([]int, n),
 		fixedPos:  make([]int, n),
@@ -360,10 +362,22 @@ func NewSearcher(c *model.Compiled, cs *constraint.Set) *Searcher {
 		s.candRows[k] = flat[off : off : off+(n-k)]
 		off += n - k
 	}
+	edges := 0
 	for i := 0; i < n; i++ {
 		s.predsLeft[i] = cs.Predecessors(i).Count()
 		s.minPos[i] = cs.MinPos(i)
 		s.maxPos[i] = cs.MaxPos(i)
+		edges += s.predsLeft[i]
+	}
+	// One flat arena backs every successor list too.
+	succs := make([]int, 0, edges)
+	for i := 0; i < n; i++ {
+		from := len(succs)
+		cs.Successors(i).ForEach(func(j int) bool {
+			succs = append(succs, j)
+			return true
+		})
+		s.succ[i] = succs[from:len(succs):len(succs)]
 	}
 	return s
 }
@@ -758,17 +772,15 @@ func (s *Searcher) place(i int) {
 	s.set.Add(i)
 	s.next[s.prev[i]] = s.next[i]
 	s.prev[s.next[i]] = s.prev[i]
-	s.cs.Successors(i).ForEach(func(j int) bool {
+	for _, j := range s.succ[i] {
 		s.predsLeft[j]--
-		return true
-	})
+	}
 }
 
 func (s *Searcher) unplace(i int) {
-	s.cs.Successors(i).ForEach(func(j int) bool {
+	for _, j := range s.succ[i] {
 		s.predsLeft[j]++
-		return true
-	})
+	}
 	s.next[s.prev[i]] = i
 	s.prev[s.next[i]] = i
 	s.set.Remove(i)

@@ -161,12 +161,6 @@ type Options struct {
 	Seed int64
 	// Initial seeds the incumbent store (nil = greedy.Solve).
 	Initial []int
-	// Store, when non-nil, is used as the shared incumbent store instead
-	// of a run-private one. It must have been built with NewStore(c.N,
-	// cs) for the same instance and constraint set. The distributed
-	// cluster injects a store it also feeds remote incumbents into, so
-	// exact provers on this node prune against bests found on another.
-	Store *Store
 	// OnProgress, when non-nil, observes the full anytime progress of the
 	// run: every backend start, every incumbent improvement, every
 	// backend completion, and the optimality proof if one lands. It is
@@ -361,10 +355,7 @@ func Solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, opt Optio
 		}
 	}
 
-	sh := opt.Store
-	if sh == nil {
-		sh = NewStore(c.N, cs)
-	}
+	sh := NewStore(c.N, cs)
 	initial := opt.Initial
 	if initial == nil {
 		initial = greedy.Solve(c, cs)
