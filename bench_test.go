@@ -561,36 +561,6 @@ func BenchmarkAblation_PruneProperties(b *testing.B) {
 	}
 }
 
-func BenchmarkAblation_VNSGroupSize(b *testing.B) {
-	// VNS adaptation granularity (§7.3 uses groups of 20).
-	c := model.MustCompile(datasets.TPCH())
-	init := greedy.Solve(c, nil)
-	for _, g := range []int{5, 20, 80} {
-		b.Run(itob(g), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				local.VNS(c, nil, local.Options{
-					Initial: init, MaxSteps: 8000, GroupSize: g,
-					Rng: rand.New(rand.NewSource(int64(i))),
-				})
-			}
-		})
-	}
-}
-
-func itob(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
 // --- Scalability: VNS on growing synthetic instances (the paper's
 // headline claim is that VNS stays robust into hundreds of indexes) ---
 

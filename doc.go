@@ -23,18 +23,17 @@
 // The solvers plug into everything else through the self-describing
 // registry in internal/solver/backend: each solver package registers a
 // Backend (uniform Solve(ctx, Request) call plus an Info declaring its
-// kind, applicability and finisher rank), and the portfolio's default
-// selection, the finisher choice, iddsolve's -list-solvers flag and
-// iddserver's GET /solvers catalogue are all derived from those
-// declarations — adding a solver is a one-file change. Backends take no
-// per-request knobs. See README.md's "Architecture: the backend
-// registry".
+// kind, rank and applicability), and the portfolio's default selection
+// and race order, iddsolve's -list-solvers flag and iddserver's GET
+// /solvers catalogue are all derived from those declarations — adding a
+// solver is a one-file change. Backends take no per-request knobs. See
+// README.md's "Architecture: the backend registry".
 //
 // Observability is built in, not bolted on: internal/obs is a
 // stdlib-only metrics and tracing core (atomic counters, labeled
 // vectors, fixed-bucket histograms, a sliding-window rate, bounded span
-// traces, and JSON plus Prometheus text-format rendering with its own
-// exposition linter). The CP engine counts its search — nodes and the
+// traces, and Prometheus text-format rendering with its own exposition
+// linter). The CP engine counts its search — nodes and the
 // prune-cause breakdown (incumbent bound / tail bound / memo /
 // infeasible, summing exactly to fails) — in plain ints on the descent
 // path, so the allocation-free guarantees hold with counters live;

@@ -88,8 +88,12 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
+// normalizeAddr reduces a node address to "scheme://host[:port]",
+// defaulting the scheme to http. The scheme is looked for before any
+// path is dropped, so a hostless "http://" is an error rather than the
+// host "http:".
 func normalizeAddr(a string) (string, error) {
-	a = strings.TrimRight(strings.TrimSpace(a), "/")
+	a = strings.TrimSpace(a)
 	if a == "" {
 		return "", fmt.Errorf("empty address")
 	}

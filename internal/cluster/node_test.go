@@ -58,6 +58,8 @@ func TestNormalizeAddr(t *testing.T) {
 	for _, c := range []struct{ name, in string }{
 		{"empty", "  "},
 		{"no host", "http:///solve"},
+		{"scheme only", "http://"},
+		{"scheme and slash only", "https:///"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if got, err := normalizeAddr(c.in); err == nil {

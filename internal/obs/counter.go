@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -30,41 +29,6 @@ func (m *counterMetric) typ() string { return "counter" }
 func (m *counterMetric) samples(fn func(string, []Label, float64)) {
 	fn("", nil, float64(m.c.Value()))
 }
-func (m *counterMetric) jsonValue() any { return m.c.Value() }
-
-// Gauge is a settable instantaneous float64 stored in atomic bits.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add increments by delta with a CAS loop (rarely contended; gauges are
-// set from bookkeeping paths, not per-node hot loops).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-type gaugeMetric struct {
-	desc
-	g *Gauge
-}
-
-func (m *gaugeMetric) typ() string { return "gauge" }
-func (m *gaugeMetric) samples(fn func(string, []Label, float64)) {
-	fn("", nil, m.g.Value())
-}
-func (m *gaugeMetric) jsonValue() any { return m.g.Value() }
 
 type gaugeFuncMetric struct {
 	desc
@@ -75,7 +39,6 @@ func (m *gaugeFuncMetric) typ() string { return "gauge" }
 func (m *gaugeFuncMetric) samples(fn func(string, []Label, float64)) {
 	fn("", nil, m.fn())
 }
-func (m *gaugeFuncMetric) jsonValue() any { return m.fn() }
 
 // CounterVec is a counter family keyed by one label value (created on
 // first use, never removed). With takes a mutex only on the first
@@ -122,4 +85,3 @@ func (m *counterVecMetric) samples(fn func(string, []Label, float64)) {
 		fn("", []Label{{m.v.label, k}}, float64(snap[k]))
 	}
 }
-func (m *counterVecMetric) jsonValue() any { return m.v.Snapshot() }

@@ -13,7 +13,7 @@ import (
 func TestExpositionFormatLint(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("idd_lint_jobs_total", "Jobs accepted.").Add(3)
-	r.Gauge("idd_lint_queue_depth", "Jobs waiting.").Set(2)
+	r.GaugeFunc("idd_lint_queue_depth", "Jobs waiting.", func() float64 { return 2 })
 	r.GaugeFunc("idd_lint_uptime_seconds", "Uptime.", func() float64 { return 1.5 })
 	v := r.CounterVec("idd_lint_wins_total", "Wins by backend.", "backend")
 	v.With("cp").Add(2)
@@ -47,6 +47,8 @@ func TestExpositionFormatLint(t *testing.T) {
 		`idd_lint_wins_total{backend="we\"ird\\back"} 1`,
 		"# TYPE idd_lint_wait_seconds histogram",
 		"# HELP idd_lint_jobs_total Jobs accepted.",
+		"# TYPE idd_lint_queue_depth gauge",
+		"idd_lint_queue_depth 2",
 		// Vec histograms: per-child bucket series carry both the family
 		// label and the le bound; each child restarts its own cumulative
 		// sequence (which the lint must key per series, not per family).

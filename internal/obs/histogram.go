@@ -168,32 +168,6 @@ func (m *histogramMetric) samples(fn func(string, []Label, float64)) {
 	histogramSamples(m.h, Label{}, fn)
 }
 
-// histogramJSON is the JSON digest shared by Histogram and HistogramVec
-// children: totals, interpolated quantiles, cumulative buckets.
-func histogramJSON(h *Histogram) map[string]any {
-	counts := h.snapshot()
-	buckets := make(map[string]int64, len(counts))
-	var cum int64
-	for i, c := range counts {
-		cum += c
-		le := "+Inf"
-		if i < len(h.bounds) {
-			le = formatFloat(h.bounds[i])
-		}
-		buckets[le] = cum
-	}
-	return map[string]any{
-		"count":   h.Count(),
-		"sum":     h.Sum(),
-		"p50":     h.Quantile(0.50),
-		"p95":     h.Quantile(0.95),
-		"p99":     h.Quantile(0.99),
-		"buckets": buckets,
-	}
-}
-
-func (m *histogramMetric) jsonValue() any { return histogramJSON(m.h) }
-
 // HistogramVec is a histogram family keyed by one label value. Children
 // share the family's bucket layout, are created on first use and never
 // removed; With takes a mutex only on the first sighting of a label
@@ -243,15 +217,6 @@ func (m *histogramVecMetric) samples(fn func(string, []Label, float64)) {
 	for _, k := range sortedKeys(snap) {
 		histogramSamples(snap[k], Label{m.v.label, k}, fn)
 	}
-}
-
-func (m *histogramVecMetric) jsonValue() any {
-	snap := m.v.Snapshot()
-	out := make(map[string]any, len(snap))
-	for k, h := range snap {
-		out[k] = histogramJSON(h)
-	}
-	return out
 }
 
 // RateWindow estimates an event rate over a sliding time window from a

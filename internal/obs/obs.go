@@ -1,6 +1,6 @@
 // Package obs is the zero-dependency observability core: atomic
-// counters, gauges and fixed-bucket histograms behind a registry that
-// renders both JSON and the Prometheus text exposition format, a
+// counters, render-time gauges and fixed-bucket histograms behind a
+// registry that renders the Prometheus text exposition format, a
 // sliding-window rate estimator, and a bounded per-solve "flight
 // recorder" trace of timestamped span events.
 //
@@ -12,10 +12,9 @@
 // plain ints in per-worker scratch and fold them into obs counters once
 // per solve — the package is the sink, not the accumulator.
 //
-// There is one process-wide Default registry for binaries that want it;
-// subsystems that may be instantiated several times per process (the
-// solve service, tests) create their own with NewRegistry so counters
-// never bleed between instances.
+// There is no process-wide registry: every subsystem (the solve
+// service, tests) creates its own with NewRegistry, so counters never
+// bleed between instances.
 package obs
 
 import (
@@ -33,14 +32,12 @@ type Label struct {
 }
 
 // metric is one registered instrument. samples streams the exposition
-// samples (suffix and optional labels appended to the metric name);
-// jsonValue returns the metric's JSON form for Registry.Snapshot.
+// samples (suffix and optional labels appended to the metric name).
 type metric interface {
 	name() string
 	help() string
 	typ() string
 	samples(fn func(suffix string, labels []Label, v float64))
-	jsonValue() any
 }
 
 // desc is the shared name/help header of every metric.
@@ -64,12 +61,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{names: make(map[string]struct{})}
 }
-
-var defaultRegistry = NewRegistry()
-
-// Default is the process-wide registry (for binaries with exactly one
-// instance of everything; subsystems should prefer their own).
-func Default() *Registry { return defaultRegistry }
 
 // validName reports whether s is a legal Prometheus metric name.
 func validName(s string) bool {
@@ -124,13 +115,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return c
 }
 
-// Gauge registers and returns a settable instantaneous value.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(&gaugeMetric{desc: desc{name, help}, g: g})
-	return g
-}
-
 // GaugeFunc registers a gauge whose value is computed at render time.
 // fn must be safe to call from any goroutine and must not call back
 // into this registry.
@@ -174,15 +158,6 @@ func (r *Registry) HistogramVec(name, help, label string, bounds []float64) *His
 	v := &HistogramVec{label: label, bounds: bounds, children: make(map[string]*Histogram)}
 	r.register(&histogramVecMetric{desc: desc{name, help}, v: v})
 	return v
-}
-
-// Snapshot returns the registry's metrics as a JSON-marshalable map:
-// counters and gauges as numbers, counter vecs as {label: count},
-// histograms as {count, sum, buckets: {le: cumulative}}.
-func (r *Registry) Snapshot() map[string]any {
-	out := make(map[string]any)
-	r.each(func(m metric) { out[m.name()] = m.jsonValue() })
-	return out
 }
 
 // sortedKeys returns the map's keys in deterministic order (exposition

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -16,11 +17,9 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := c.Value(); got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
 	}
-	g := r.Gauge("idd_test_gauge", "a gauge")
-	g.Set(1.5)
-	g.Add(-0.5)
-	if got := g.Value(); got != 1.0 {
-		t.Fatalf("gauge = %v, want 1", got)
+	r.GaugeFunc("idd_test_gauge", "a gauge", func() float64 { return 1 })
+	if text := render(t, r); !strings.Contains(text, "\nidd_test_gauge 1\n") {
+		t.Fatalf("gauge sample missing:\n%s", text)
 	}
 	v := r.CounterVec("idd_test_wins_total", "wins", "backend")
 	v.With("cp").Add(3)
@@ -56,7 +55,8 @@ func mustPanic(t *testing.T, what string, fn func()) {
 func TestConcurrentWriters(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("idd_conc_total", "")
-	g := r.Gauge("idd_conc_gauge", "")
+	var gv atomic.Int64
+	r.GaugeFunc("idd_conc_gauge", "", func() float64 { return float64(gv.Load()) })
 	h := r.Histogram("idd_conc_seconds", "", nil)
 	v := r.CounterVec("idd_conc_vec_total", "", "worker")
 	labels := []string{"a", "b", "c", "d"}
@@ -70,13 +70,13 @@ func TestConcurrentWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
-				g.Add(1)
+				gv.Add(1)
 				h.Observe(float64(i%100) / 100)
 				v.With(labels[w%len(labels)]).Inc()
 			}
 		}(w)
 	}
-	// Concurrent readers: render + snapshot while writers run.
+	// A concurrent reader renders while writers run.
 	done := make(chan struct{})
 	go func() {
 		for {
@@ -89,7 +89,6 @@ func TestConcurrentWriters(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				r.Snapshot()
 			}
 		}
 	}()
@@ -99,8 +98,8 @@ func TestConcurrentWriters(t *testing.T) {
 	if got := c.Value(); got != workers*perWorker {
 		t.Fatalf("counter = %d, want %d", got, workers*perWorker)
 	}
-	if got := g.Value(); got != workers*perWorker {
-		t.Fatalf("gauge = %v, want %d", got, workers*perWorker)
+	if text := render(t, r); !strings.Contains(text, "\nidd_conc_gauge "+formatFloat(workers*perWorker)+"\n") {
+		t.Fatalf("gauge sample is not %d:\n%s", workers*perWorker, text)
 	}
 	if got := h.Count(); got != workers*perWorker {
 		t.Fatalf("histogram count = %d, want %d", got, workers*perWorker)
@@ -271,22 +270,27 @@ func TestTraceConcurrent(t *testing.T) {
 	}
 }
 
-func TestSnapshotJSONShape(t *testing.T) {
+// render returns r's text exposition.
+func render(t *testing.T, r *Registry) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := r.RenderText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+// TestGaugeFuncReadsAtRender: a GaugeFunc stores no value; every render
+// calls it, so the exposition follows its source between scrapes.
+func TestGaugeFuncReadsAtRender(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("c_total", "").Add(7)
-	h := r.Histogram("h_seconds", "", []float64{1, 2})
-	h.Observe(0.5)
-	h.Observe(5)
-	snap := r.Snapshot()
-	if snap["c_total"].(int64) != 7 {
-		t.Fatalf("counter json = %v", snap["c_total"])
+	depth := 2.0
+	r.GaugeFunc("idd_test_depth", "", func() float64 { return depth })
+	if text := render(t, r); !strings.Contains(text, "\nidd_test_depth 2\n") {
+		t.Fatalf("first render:\n%s", text)
 	}
-	hm := snap["h_seconds"].(map[string]any)
-	if hm["count"].(int64) != 2 {
-		t.Fatalf("histogram count json = %v", hm["count"])
-	}
-	buckets := hm["buckets"].(map[string]int64)
-	if buckets["1"] != 1 || buckets["2"] != 1 || buckets["+Inf"] != 2 {
-		t.Fatalf("buckets = %v", buckets)
+	depth = 0.5
+	if text := render(t, r); !strings.Contains(text, "\nidd_test_depth 0.5\n") {
+		t.Fatalf("second render:\n%s", text)
 	}
 }

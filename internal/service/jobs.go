@@ -407,13 +407,15 @@ func (q *runQueue) Pop() any {
 type Manager struct {
 	cfg     Config
 	metrics *Metrics
-	cache   *lruCache
-	// hints maps a structural hash to the index-name order of the last
-	// finished solve with that structure: the delta-aware half of the
-	// cache. A weight-only change misses the full solve key (the
-	// canonical hash moved) but hits here, and the old incumbent seeds
-	// the re-solve as a warm start instead of starting cold.
-	hints *hintCache
+	cache   *lru[*SolveResult]
+	// hints maps a structural hash (index names and plan shapes, no
+	// float parameters — see codec.StructuralHash) to the index-name
+	// order of the last finished solve with that structure: the
+	// delta-aware half of the cache. A weight-only change misses the
+	// full solve key (the canonical hash moved) but hits here, and the
+	// old incumbent seeds the re-solve as a warm start instead of
+	// starting cold.
+	hints *lru[[]string]
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -452,8 +454,8 @@ func NewManager(cfg Config) *Manager {
 		buckets:  make(map[string]*tokenBucket),
 	}
 	m.sched = newTenantSched(m.cfg.DefaultBudget.Seconds())
-	m.cache = newLRUCache(m.cfg.CacheSize)
-	m.hints = newHintCache(m.cfg.CacheSize)
+	m.cache = newLRU[*SolveResult](m.cfg.CacheSize)
+	m.hints = newLRU[[]string](m.cfg.CacheSize)
 	m.metrics.bindGauges(m)
 	m.cond = sync.NewCond(&m.mu)
 	m.baseCtx, m.baseCancel = context.WithCancel(context.Background())

@@ -598,11 +598,8 @@ type SolverInfo struct {
 	Kind string `json:"kind"`
 	// Proves marks backends whose results can carry an optimality
 	// proof: exactly the exact kind.
-	Proves bool `json:"proves,omitempty"`
-	// FinisherRank orders the anytime backends for the portfolio's
-	// exploitation tail (higher wins; 0 = never the finisher).
-	FinisherRank int    `json:"finisher_rank,omitempty"`
-	Summary      string `json:"summary,omitempty"`
+	Proves  bool   `json:"proves,omitempty"`
+	Summary string `json:"summary,omitempty"`
 }
 
 // Solvers snapshots the registry in its listing order (also used by
@@ -612,11 +609,10 @@ func Solvers() []SolverInfo {
 	for _, b := range backend.All() {
 		info := b.Info()
 		out = append(out, SolverInfo{
-			Name:         info.Name,
-			Kind:         info.Kind.String(),
-			Proves:       info.Kind == backend.KindExact,
-			FinisherRank: info.Finisher,
-			Summary:      info.Summary,
+			Name:    info.Name,
+			Kind:    info.Kind.String(),
+			Proves:  info.Kind == backend.KindExact,
+			Summary: info.Summary,
 		})
 	}
 	return out

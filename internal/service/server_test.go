@@ -777,7 +777,7 @@ func TestDurationJSON(t *testing.T) {
 }
 
 func TestLRUCacheEviction(t *testing.T) {
-	c := newLRUCache(2)
+	c := newLRU[*SolveResult](2)
 	r := func(obj float64) *SolveResult { return &SolveResult{Objective: obj} }
 	c.put("a", r(1))
 	c.put("b", r(2))

@@ -18,6 +18,7 @@ import (
 	"github.com/evolving-olap/idd/internal/datasets"
 	"github.com/evolving-olap/idd/internal/model"
 	"github.com/evolving-olap/idd/internal/prune"
+	"github.com/evolving-olap/idd/internal/solver/backend"
 	"github.com/evolving-olap/idd/internal/solver/cp"
 	"github.com/evolving-olap/idd/internal/solver/greedy"
 )
@@ -48,9 +49,19 @@ func TestSolversEndpoint(t *testing.T) {
 	if c := byName["cp"]; c.Kind != "exact" || !c.Proves {
 		t.Errorf("cp self-description wrong: %+v", c)
 	}
-	if byName["vns"].FinisherRank <= byName["lns"].FinisherRank {
-		t.Errorf("vns must outrank lns as finisher: %d vs %d",
-			byName["vns"].FinisherRank, byName["lns"].FinisherRank)
+	if v := byName["vns"]; v.Kind != "anytime" || v.Proves {
+		t.Errorf("vns self-description wrong: %+v", v)
+	}
+	// The catalogue lists backends in the registry's rank order, the
+	// order a sliced race runs them in.
+	names := backend.Names()
+	if len(body.Solvers) != len(names) {
+		t.Fatalf("/solvers lists %d backends, registry has %d", len(body.Solvers), len(names))
+	}
+	for i, s := range body.Solvers {
+		if s.Name != names[i] {
+			t.Fatalf("/solvers[%d] = %q, want %q (rank order %v)", i, s.Name, names[i], names)
+		}
 	}
 }
 

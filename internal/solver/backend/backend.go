@@ -4,12 +4,12 @@
 // A backend is one deployment-ordering algorithm (greedy, cp, vns, ...)
 // wrapped behind a uniform Solve(ctx, Request) Outcome call and
 // described by an Info record: its kind (exact / anytime /
-// constructive), an applicability predicate and a finisher rank.
-// Everything downstream — the portfolio's default selection, the
-// finisher choice, `iddsolve -list-solvers` and the service's GET
-// /solvers endpoint — is derived from these declarations, so adding a
-// solver is a one-file change: write the backend, register it in an
-// init(), and every layer picks it up.
+// constructive), a listing rank and an applicability predicate.
+// Everything downstream — the portfolio's default selection and race
+// order, `iddsolve -list-solvers` and the service's GET /solvers
+// endpoint — is derived from these declarations, so adding a solver is
+// a one-file change: write the backend, register it in an init(), and
+// every layer picks it up.
 package backend
 
 import (
@@ -52,8 +52,8 @@ func (k Kind) String() string {
 }
 
 // Info is a backend's self-description. Every field feeds a concrete
-// derivation: Rank orders listings, Applicable derives the portfolio's
-// default set, Finisher derives the exploitation-tail choice.
+// derivation: Rank orders listings and the portfolio's race, Applicable
+// derives the portfolio's default set.
 type Info struct {
 	// Name is the unique registry key ("cp", "vns", ...).
 	Name string
@@ -65,10 +65,6 @@ type Info struct {
 	// broken by name). Conventionally constructive solvers sit lowest,
 	// then exact, then anytime.
 	Rank int
-	// Finisher ranks anytime backends for the portfolio's exploitation
-	// tail: among the enabled backends the highest positive rank runs
-	// the leftover budget undisturbed. 0 = never a finisher.
-	Finisher int
 	// Applicable reports whether the backend belongs in the default
 	// portfolio set for an instance (nil = always). Enumerative solvers
 	// use it to bow out beyond their tractable size.

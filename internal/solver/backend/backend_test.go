@@ -41,12 +41,12 @@ func init() {
 	Register(fake{fakeInfo("zfake-b", 9001)})
 	Register(fake{info: Info{
 		Name: "zfake-a", Kind: KindAnytime, Summary: "registry test fixture",
-		Rank: 9000, Finisher: 3,
+		Rank:       9000,
 		Applicable: func(c *model.Compiled) bool { return c.N <= 4 },
 	}})
 	Register(fake{info: Info{
 		Name: "zfake-c", Kind: KindAnytime, Summary: "registry test fixture",
-		Rank: 9000, Finisher: 7,
+		Rank: 9000,
 	}})
 }
 
@@ -125,15 +125,17 @@ func TestDefaultHonorsApplicability(t *testing.T) {
 	}
 }
 
-func TestFinisherRanking(t *testing.T) {
-	if got := Finisher([]string{"zfake-b"}); got != "" {
-		t.Fatalf("non-anytime finisher %q", got)
+// TestDefaultRankOrder: the default roster is the race order, so it
+// follows declared rank (ties by name) like every other listing.
+func TestDefaultRankOrder(t *testing.T) {
+	var fakes []string
+	for _, n := range Default(tiny(t, 3)) {
+		if strings.HasPrefix(n, "zfake-") {
+			fakes = append(fakes, n)
+		}
 	}
-	if got := Finisher([]string{"zfake-a", "zfake-c"}); got != "zfake-c" {
-		t.Fatalf("finisher = %q, want zfake-c (higher declared rank)", got)
-	}
-	if got := Finisher([]string{"zfake-a", "no-such"}); got != "zfake-a" {
-		t.Fatalf("finisher = %q, want zfake-a", got)
+	if strings.Join(fakes, ",") != "zfake-a,zfake-c,zfake-b" {
+		t.Fatalf("Default(n=3) fixture order = %v, want zfake-a,zfake-c,zfake-b", fakes)
 	}
 }
 

@@ -41,19 +41,33 @@ func TestRegistryIntegrity(t *testing.T) {
 		if k := info.Kind.String(); k == "unknown" {
 			t.Errorf("%s: invalid Kind %d", name, info.Kind)
 		}
-		if info.Finisher > 0 && info.Kind != backend.KindAnytime {
-			t.Errorf("%s: only anytime backends can be finishers (kind %s)", name, info.Kind)
-		}
 		// Info must be stable: derivations call it repeatedly.
 		again := b.Info()
 		if again.Name != info.Name || again.Kind != info.Kind || again.Rank != info.Rank {
 			t.Errorf("%s: Info() is not stable across calls", name)
 		}
 	}
+	builtin := map[string]bool{}
 	for _, want := range []string{"greedy", "dp", "bruteforce", "astar", "cp",
 		"tabu-b", "tabu-f", "lns", "vns", "anneal"} {
 		if !seen[want] {
 			t.Errorf("built-in backend %q is not registered", want)
 		}
+		builtin[want] = true
+	}
+	// A sliced race runs in rank order, so the built-in ranks must put
+	// constructive backends first, then exact, then anytime: the exact
+	// ones prune against a constructive seed, and the anytime ones get
+	// whatever budget is left.
+	last := backend.KindConstructive
+	for _, b := range all {
+		info := b.Info()
+		if !builtin[info.Name] {
+			continue
+		}
+		if info.Kind < last {
+			t.Errorf("%s (%s) ranks after a %s backend", info.Name, info.Kind, last)
+		}
+		last = info.Kind
 	}
 }

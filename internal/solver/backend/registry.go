@@ -89,23 +89,6 @@ func Default(c *model.Compiled) []string {
 	return out
 }
 
-// Finisher picks the backend that runs the portfolio's exploitation
-// tail: among names, the one with the highest declared positive
-// Finisher rank ("" when none of them is a finisher).
-func Finisher(names []string) string {
-	best, bestRank := "", 0
-	for _, n := range names {
-		b, ok := Lookup(n)
-		if !ok {
-			continue
-		}
-		if info := b.Info(); info.Finisher > bestRank {
-			best, bestRank = info.Name, info.Finisher
-		}
-	}
-	return best
-}
-
 // CheckNames validates a caller-supplied backend list against the
 // registry; the error lists the valid set so HTTP handlers can forward
 // it as a 400 body.

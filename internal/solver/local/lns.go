@@ -6,10 +6,17 @@ import (
 	"github.com/evolving-olap/idd/internal/solver/cp"
 )
 
+// LNS's fixed parameters: the fraction of indexes relaxed per iteration
+// and the CP failure limit per relaxation.
+const (
+	lnsRelaxFraction = 0.05
+	lnsFailLimit     = 500
+)
+
 // LNS runs Large Neighborhood Search (§7.2) with fixed parameters: each
-// iteration relaxes a random RelaxFraction of the indexes (default 5%),
-// freezes the rest at their current positions, and asks the CP engine to
-// re-optimize the relaxed slots under a failure limit (default 500).
+// iteration relaxes a random lnsRelaxFraction of the indexes, freezes the
+// rest at their current positions, and asks the CP engine to re-optimize
+// the relaxed slots under a failure limit of lnsFailLimit.
 // Every relaxation of a run is solved on one cp.Searcher.
 func LNS(c *model.Compiled, cs *constraint.Set, opt Options) Result {
 	if opt.Rng == nil {
@@ -24,15 +31,7 @@ func LNS(c *model.Compiled, cs *constraint.Set, opt Options) Result {
 	tr := &tracker{b: b, onImprove: opt.OnImprove}
 	tr.record(cur, curObj)
 
-	relax := opt.RelaxFraction
-	if relax == 0 {
-		relax = 0.05
-	}
-	failLimit := opt.FailLimit
-	if failLimit == 0 {
-		failLimit = 500
-	}
-	size := max(2, int(relax*float64(c.N)+0.5))
+	size := max(2, int(lnsRelaxFraction*float64(c.N)+0.5))
 
 	r := newRelaxer(c, cs)
 	var accepted int64
@@ -42,7 +41,7 @@ func LNS(c *model.Compiled, cs *constraint.Set, opt Options) Result {
 		if cur, curObj, adopted = tr.adopt(&opt, cur, curObj); adopted {
 			exact = false // another backend's value: the search replays cur
 		}
-		improved, impObj, _, nodes := r.relaxAndSolve(cur, curObj, exact, size, failLimit, b, opt)
+		improved, impObj, _, nodes := r.relaxAndSolve(cur, curObj, exact, size, lnsFailLimit, b, opt)
 		b.spend(nodes)
 		if improved != nil {
 			cur = improved

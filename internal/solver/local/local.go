@@ -50,14 +50,6 @@ type Options struct {
 	MaxSteps int64
 	// Rng drives randomized decisions; required for LNS/VNS.
 	Rng *rand.Rand
-	// Tabu search: tenure in iterations (0 = max(7, n/8)).
-	TabuTenure int
-	// LNS: fraction of indexes relaxed per iteration (0 = 0.05).
-	RelaxFraction float64
-	// LNS: CP failure limit per relaxation (0 = 500).
-	FailLimit int64
-	// VNS: number of relaxations per adaptation group (0 = 20).
-	GroupSize int
 	// OnImprove, when non-nil, is invoked for every new best solution
 	// with a copy of the order (used by the Figure 13 decomposition).
 	OnImprove func(order []int, objective float64)

@@ -11,22 +11,19 @@ import (
 	"github.com/evolving-olap/idd/internal/solver/backend"
 )
 
-// The five local searches register as anytime backends. Finisher ranks
-// encode the paper's stability ordering (§7.3): VNS is the most
-// scalable and stable searcher, so it wins the portfolio's exploitation
-// tail whenever it is enabled; LNS, the tabu variants and annealing
-// follow in that order.
+// The five local searches register as anytime backends, ranked after
+// the constructive and exact ones so a sliced race runs them last.
 func init() {
 	for _, s := range []asBackend{
-		{name: "tabu-b", rank: 70, finisher: 20, run: TabuBSwap,
+		{name: "tabu-b", rank: 70, run: TabuBSwap,
 			summary: "tabu search over the backward-swap neighborhood (TS-BSwap, §7.1)"},
-		{name: "tabu-f", rank: 71, finisher: 30, run: TabuFSwap,
+		{name: "tabu-f", rank: 71, run: TabuFSwap,
 			summary: "tabu search over the forward-swap neighborhood (TS-FSwap, §7.1)"},
-		{name: "lns", rank: 72, finisher: 40, run: LNS,
+		{name: "lns", rank: 72, run: LNS,
 			summary: "large neighborhood search relaxing random index subsets through CP (§7.2)"},
-		{name: "vns", rank: 73, finisher: 50, run: VNS,
+		{name: "vns", rank: 73, run: VNS,
 			summary: "adaptive variable neighborhood search (§7.3); the paper's most stable searcher"},
-		{name: "anneal", rank: 74, finisher: 10, run: Anneal,
+		{name: "anneal", rank: 74, run: Anneal,
 			summary: "simulated annealing over swap/insert moves with geometric cooling"},
 	} {
 		backend.Register(s)
@@ -35,20 +32,18 @@ func init() {
 
 // asBackend adapts one local search to the registry contract.
 type asBackend struct {
-	name     string
-	rank     int
-	finisher int
-	summary  string
-	run      func(*model.Compiled, *constraint.Set, Options) Result
+	name    string
+	rank    int
+	summary string
+	run     func(*model.Compiled, *constraint.Set, Options) Result
 }
 
 func (s asBackend) Info() backend.Info {
 	return backend.Info{
-		Name:     s.name,
-		Kind:     backend.KindAnytime,
-		Rank:     s.rank,
-		Finisher: s.finisher,
-		Summary:  s.summary,
+		Name:    s.name,
+		Kind:    backend.KindAnytime,
+		Rank:    s.rank,
+		Summary: s.summary,
 	}
 }
 

@@ -39,10 +39,7 @@ func tabu(c *model.Compiled, cs *constraint.Set, opt Options, firstImprove bool)
 	tr.record(cur, curObj)
 	best := append([]int(nil), cur...)
 
-	tenure := opt.TabuTenure
-	if tenure == 0 {
-		tenure = max(7, n/8)
-	}
+	tenure := max(7, n/8) // in iterations
 	// tabuUntil[i] = iteration until which moving index i is forbidden.
 	tabuUntil := make([]int, n)
 

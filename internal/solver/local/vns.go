@@ -5,9 +5,17 @@ import (
 	"github.com/evolving-olap/idd/internal/model"
 )
 
+// VNS's fixed parameters: relaxations per adaptation group (§7.3 uses
+// 20), and the starting CP failure limit, small because adaptation grows
+// it.
+const (
+	vnsGroupSize = 20
+	vnsFailLimit = 100
+)
+
 // VNS runs the Variable Neighborhood Search of §7.3: LNS whose relaxation
 // size and failure limit adapt to the CP solver's behaviour. Relaxations
-// are grouped (default 20 per group); when more than 75% of a group's
+// are grouped (vnsGroupSize per group); when more than 75% of a group's
 // relaxations end with an exhaustion proof, the search is stuck in a local
 // minimum and the relaxation size grows by 1% of the indexes; otherwise
 // the neighborhood needs more exploration and the failure limit grows by
@@ -26,14 +34,7 @@ func VNS(c *model.Compiled, cs *constraint.Set, opt Options) Result {
 	tr := &tracker{b: b, onImprove: opt.OnImprove}
 	tr.record(cur, curObj)
 
-	groupSize := opt.GroupSize
-	if groupSize == 0 {
-		groupSize = 20
-	}
-	failLimit := opt.FailLimit
-	if failLimit == 0 {
-		failLimit = 100 // start small; adaptation will grow it
-	}
+	failLimit := int64(vnsFailLimit)
 	size := max(2, c.N/50) // start with a small neighborhood (~2%)
 	grow := max(1, c.N/100)
 
@@ -61,7 +62,7 @@ func VNS(c *model.Compiled, cs *constraint.Set, opt Options) Result {
 				tr.record(cur, curObj)
 			}
 		}
-		if tried >= groupSize {
+		if tried >= vnsGroupSize {
 			if float64(proofs) > 0.75*float64(tried) {
 				// Mostly proofs: the neighborhood is too small to escape
 				// the local minimum — widen it.

@@ -16,7 +16,10 @@ import (
 	"github.com/evolving-olap/idd/internal/solver/solvertest"
 )
 
-func init() { backend.Register(panicky{}) }
+func init() {
+	backend.Register(panicky{})
+	backend.Register(&deadlineProbe{})
+}
 
 // panicky panics on every solve. It is applicable to nothing, so it
 // never joins a default roster; only a caller that names it runs it.
@@ -34,9 +37,8 @@ func (panicky) Info() backend.Info {
 
 func (panicky) Solve(context.Context, backend.Request) backend.Outcome { panic("boom") }
 
-// TestOneNameRosterRunsOnce: a roster of one anytime backend is not
-// sliced, so no finisher replays it; the result carries exactly one
-// BackendResult.
+// TestOneNameRosterRunsOnce: a roster of one anytime backend runs once;
+// the result carries exactly one BackendResult.
 func TestOneNameRosterRunsOnce(t *testing.T) {
 	in := datasets.ReducedTPCH(16, datasets.Mid)
 	c := model.MustCompile(in)
@@ -55,6 +57,76 @@ func TestOneNameRosterRunsOnce(t *testing.T) {
 			}
 			t.Errorf("%s: ran %v, want [%s]", name, names, name)
 		}
+	}
+}
+
+// deadlineProbe records the deadline of the context it is solved under
+// and returns its initial order at once. Like panicky it is applicable
+// to nothing, so only a caller that names it runs it.
+type deadlineProbe struct {
+	mu       sync.Mutex
+	deadline time.Time
+}
+
+func (*deadlineProbe) Info() backend.Info {
+	return backend.Info{
+		Name:       "deadline-probe",
+		Kind:       backend.KindConstructive,
+		Rank:       9001,
+		Summary:    "test-only backend that records its slice's deadline",
+		Applicable: func(*model.Compiled) bool { return false },
+	}
+}
+
+func (p *deadlineProbe) Solve(ctx context.Context, req backend.Request) backend.Outcome {
+	d, _ := ctx.Deadline()
+	p.mu.Lock()
+	p.deadline = d
+	p.mu.Unlock()
+	return backend.Outcome{Order: req.Initial, Objective: req.Compiled.Objective(req.Initial)}
+}
+
+// TestSlicedRaceIsTheRoster: a one-worker race over more backends than
+// workers runs each roster name once, in roster order, and nothing
+// after it. No budget is held back: the last backend to start gets
+// everything up to the overall deadline.
+func TestSlicedRaceIsTheRoster(t *testing.T) {
+	in := datasets.ReducedTPCH(16, datasets.Mid)
+	c := model.MustCompile(in)
+	cs := sched.PrecedenceSet(in)
+	b, _ := backend.Lookup("deadline-probe")
+	probe := b.(*deadlineProbe)
+	roster := []string{"greedy", "tabu-f", "vns", "deadline-probe"}
+	const budget = 30 * time.Second
+	before := time.Now()
+	res, err := Solve(context.Background(), c, cs, Options{
+		Backends: roster, Workers: 1, Budget: budget, StepLimit: 2000, Seed: 7,
+	})
+	after := time.Now()
+	if err != nil {
+		t.Fatal(err)
+	}
+	solvertest.RequireFeasible(t, c.N, cs, res.Order)
+	if len(res.Backends) != len(roster) {
+		t.Fatalf("%d BackendResults for a %d-name roster: %+v", len(res.Backends), len(roster), res.Backends)
+	}
+	for i, br := range res.Backends {
+		if br.Name != roster[i] {
+			t.Errorf("Backends[%d] = %q, want %q", i, br.Name, roster[i])
+		}
+		if br.Skipped || br.Err != nil {
+			t.Errorf("%s: skipped=%v err=%v", br.Name, br.Skipped, br.Err)
+		}
+	}
+	if strings.HasSuffix(res.Winner, "+") {
+		t.Errorf("winner %q names a pass outside the roster", res.Winner)
+	}
+	probe.mu.Lock()
+	deadline := probe.deadline
+	probe.mu.Unlock()
+	if deadline.Before(before.Add(budget)) || deadline.After(after.Add(budget)) {
+		t.Errorf("last slice ends %v after the solve began, want the whole %v budget",
+			deadline.Sub(before), budget)
 	}
 }
 

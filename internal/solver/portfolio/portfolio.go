@@ -17,12 +17,11 @@
 //
 // The backends themselves come from the self-describing registry in
 // internal/solver/backend: the orchestrator derives the default
-// selection from each backend's declared applicability, the finisher
-// from the declared anytime ranking, and hands every backend the same
-// backend.Request envelope (instance, budget slice, step limit, seed,
-// initial order, publish/consume hooks). Registering a new backend —
-// even from a test file — makes it available here with no portfolio
-// edits.
+// selection and its order from each backend's declared applicability
+// and rank, and hands every backend the same backend.Request envelope
+// (instance, budget slice, step limit, seed, initial order,
+// publish/consume hooks). Registering a new backend — even from a test
+// file — makes it available here with no portfolio edits.
 package portfolio
 
 import (
@@ -151,7 +150,8 @@ type Options struct {
 	// Budget is the overall wall-clock budget shared by all backends
 	// (0 = 10s). When there are more backends than workers the remaining
 	// budget is sliced across the queued backends so late starters still
-	// get a fair share.
+	// get a fair share; the last backend to start may run to the overall
+	// deadline.
 	Budget time.Duration
 	// StepLimit, when positive, additionally bounds every backend's
 	// search steps (local-search steps / CP nodes / A* expansions),
@@ -301,14 +301,12 @@ type Result struct {
 	Order     []int
 	Objective float64
 	// Winner is the backend that published the incumbent ("seed" when no
-	// backend improved on the initial order, "<name>+" when the finisher
-	// pass improved it further).
+	// backend improved on the initial order).
 	Winner string
 	// Proved is true when some exact backend proved the incumbent
 	// optimal.
 	Proved bool
-	// Backends holds telemetry in Options.Backends order, followed by
-	// the finisher pass when one ran.
+	// Backends holds one entry per roster name, in roster order.
 	Backends []BackendResult
 }
 
@@ -346,14 +344,6 @@ func Solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, opt Optio
 			opt.OnProgress(ev)
 		}
 	}
-	improved := func(backend string, order []int, obj float64) {
-		if opt.OnProgress != nil {
-			opt.OnProgress(ProgressEvent{
-				Kind: ProgressImproved, Backend: backend,
-				Order: append([]int(nil), order...), Objective: obj,
-			})
-		}
-	}
 
 	sh := NewStore(c.N, cs)
 	initial := opt.Initial
@@ -371,28 +361,7 @@ func Solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, opt Optio
 	}
 	parent, cancel := context.WithCancel(ctx)
 	defer cancel()
-	start := time.Now()
-	overall := start.Add(budget)
-
-	// When there are more backends than workers the exploration phase is
-	// time-sliced, which handicaps every anytime solver against a
-	// standalone full-budget run. Reserve an exploitation tail: after the
-	// sliced race, the strongest anytime backend restarts from the
-	// initial order with everything that is left (see the finisher pass
-	// below). With enough workers the race itself gets the whole budget,
-	// and a finisher would only replay a backend that already ran.
-	exploreDeadline := overall
-	finisher := ""
-	if workers < len(names) {
-		finisher = backend.Finisher(names)
-	}
-	if finisher != "" {
-		// The fewer the workers, the more the race is sliced and the more
-		// budget the finisher needs to compete with a standalone
-		// full-budget run: 1 worker keeps 1/3 for exploration, many
-		// workers keep nearly all of it.
-		exploreDeadline = start.Add(budget * time.Duration(workers) / time.Duration(workers+2))
-	}
+	overall := time.Now().Add(budget)
 
 	results := make([]BackendResult, len(names))
 	var queued atomic.Int64
@@ -411,7 +380,7 @@ func Solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, opt Optio
 			b, _ := backend.Lookup(name)
 			exact := b.Info().Kind == backend.KindExact
 			left := queued.Add(-1) + 1 // backends not yet started, incl. this one
-			remaining := time.Until(exploreDeadline)
+			remaining := time.Until(overall)
 			br := BackendResult{Name: name, Objective: math.Inf(1), BestPublished: math.Inf(1)}
 			if remaining <= 0 || parent.Err() != nil {
 				br.Skipped = true
@@ -446,7 +415,12 @@ func Solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, opt Optio
 				br.BestPublished = obj
 				br.Improvements++
 				pubMu.Unlock()
-				improved(name, order, obj)
+				if opt.OnProgress != nil {
+					opt.OnProgress(ProgressEvent{
+						Kind: ProgressImproved, Backend: name,
+						Order: append([]int(nil), order...), Objective: obj,
+					})
+				}
 			}
 			req := backend.Request{
 				Compiled:    c,
@@ -502,59 +476,6 @@ func Solve(ctx context.Context, c *model.Compiled, cs *constraint.Set, opt Optio
 	}
 	work() // worker 0 runs on the caller's goroutine
 	wg.Wait()
-
-	// Finisher pass: exploitation of whatever budget the sliced race left
-	// over. The strongest anytime backend in the set reruns undisturbed
-	// until the overall deadline, starting from the *initial* order, not
-	// the incumbent: a heuristic incumbent can sit in a worse basin than
-	// the greedy seed, and adopting it would trap the finisher there. The
-	// store keeps whichever of the race and the finisher ends up best, so
-	// the portfolio result is the minimum of both.
-	if finisher != "" && !proved.Load() && parent.Err() == nil {
-		if rem := time.Until(overall); rem > budget/20 {
-			fb, _ := backend.Lookup(finisher)
-			fname := finisher + "+"
-			fbr := BackendResult{Name: fname, BestPublished: math.Inf(1)}
-			publish := func(o []int, obj float64) {
-				if !sh.Offer(fname, o, obj) {
-					return
-				}
-				fbr.BestPublished = obj
-				fbr.Improvements++
-				improved(fname, o, obj)
-			}
-			emit(ProgressEvent{Kind: ProgressBackendStarted, Backend: fname,
-				Objective: sh.Objective()})
-			fstart := time.Now()
-			// Seed is Options.Seed alone (not a per-backend mix) so the
-			// finisher walks the same trajectory a standalone run of the
-			// same searcher with the same seed would. No Incumbent hook:
-			// the finisher restarts from the initial order on purpose
-			// (see above) and must not re-adopt the race's incumbent.
-			fout := call(parent, fb, fname, backend.Request{
-				Compiled:    c,
-				Constraints: cs,
-				Budget:      rem,
-				StepLimit:   opt.StepLimit,
-				Seed:        opt.Seed,
-				Initial:     initial,
-				Publish:     publish,
-			})
-			if fout.Order != nil {
-				publish(fout.Order, fout.Objective)
-			}
-			fbr.Objective = fout.Objective
-			fbr.Order = fout.Order
-			fbr.Err = fout.Err
-			fbr.Iterations = fout.Iterations
-			fbr.Counters = fout.Counters
-			fbr.Wall = time.Since(fstart)
-			results = append(results, fbr)
-			emit(ProgressEvent{Kind: ProgressBackendDone, Backend: fname,
-				Objective: fbr.Objective, Err: fbr.Err,
-				Iterations: fbr.Iterations, Wall: fbr.Wall})
-		}
-	}
 
 	order, obj, winner := sh.Best()
 	return Result{
