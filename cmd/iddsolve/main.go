@@ -164,7 +164,7 @@ func main() {
 	}()
 	var tr *obs.Trace
 	if *trace || *traceJS {
-		tr = obs.NewTrace(0)
+		tr = obs.NewTrace()
 		tr.Record(obs.SpanStarted)
 	}
 	start := time.Now()
@@ -237,11 +237,7 @@ func main() {
 
 // printTraceText renders the flight-recorder timeline for humans.
 func printTraceText(w io.Writer, snap obs.TraceSnapshot) {
-	fmt.Fprintf(w, "trace (%d spans", snap.Total)
-	if snap.Dropped > 0 {
-		fmt.Fprintf(w, ", oldest %d dropped", snap.Dropped)
-	}
-	fmt.Fprintln(w, "):")
+	fmt.Fprintf(w, "trace (%d spans):\n", len(snap.Spans))
 	for _, sp := range snap.Spans {
 		line := fmt.Sprintf("  %4d %10.1fms  %-13s %-10s", sp.Seq, sp.ElapsedMS, sp.Kind, sp.Backend)
 		if sp.Objective != nil {

@@ -31,16 +31,17 @@
 //
 // Observability is built in, not bolted on: internal/obs is a
 // stdlib-only metrics and tracing core (atomic counters, labeled
-// vectors, fixed-bucket histograms, a sliding-window rate, bounded span
-// traces, and Prometheus text-format rendering with its own exposition
+// vectors, fixed-bucket histograms, a sliding-window rate, append-only
+// span traces, and Prometheus text-format rendering with its own exposition
 // linter). The CP engine counts its search — nodes and the
 // prune-cause breakdown (incumbent bound / tail bound / memo /
 // infeasible, summing exactly to fails) — in plain ints on the descent
 // path, so the allocation-free guarantees hold with counters live;
 // results surface the counters through backend.Outcome and
 // portfolio.BackendResult into iddsolve -json and the service API. Each
-// service job additionally records a flight-recorder trace (queued →
-// started → incumbents → proved → done) served by GET /jobs/{id}/trace,
+// service job additionally records a flight-recorder trace of every
+// span (queued → started → incumbents → proved → done), kept as long as
+// the job is retained and served by GET /jobs/{id}/trace,
 // and GET /metrics speaks both JSON and the Prometheus exposition
 // format. See README.md's "Observability" section for the metric
 // catalogue and trace format.

@@ -122,6 +122,8 @@ func TestValidateCatchesProblems(t *testing.T) {
 	}{
 		{"dup name", func(in *Instance) { in.Indexes[1].Name = in.Indexes[0].Name }, "duplicate name"},
 		{"empty name", func(in *Instance) { in.Indexes[0].Name = "" }, "empty name"},
+		{"non-UTF-8 index name", func(in *Instance) { in.Indexes[0].Name = "\xe2" }, "not valid UTF-8"},
+		{"non-UTF-8 query name", func(in *Instance) { in.Queries[0].Name = "q\xff" }, "not valid UTF-8"},
 		{"bad cost", func(in *Instance) { in.Indexes[0].CreateCost = 0 }, "must be positive"},
 		{"bad runtime", func(in *Instance) { in.Queries[0].Runtime = -1 }, "must be positive"},
 		{"neg weight", func(in *Instance) { in.Queries[0].Weight = -2 }, "negative weight"},

@@ -3,19 +3,24 @@ package model
 import (
 	"fmt"
 	"sort"
+	"unicode/utf8"
 )
 
-// Validate checks structural integrity of the instance: references in
-// range, positive costs and runtimes, plan speedups within query runtime,
-// duplicate-free plan index sets, build discounts smaller than creation
-// costs, and an acyclic precedence relation. It returns the first problem
-// found.
+// Validate checks structural integrity of the instance: names that are
+// valid UTF-8 (a JSON answer could not name the index otherwise),
+// references in range, positive costs and runtimes, plan speedups
+// within query runtime, duplicate-free plan index sets, build discounts
+// smaller than creation costs, and an acyclic precedence relation. It
+// returns the first problem found.
 func (in *Instance) Validate() error {
 	n := len(in.Indexes)
 	names := make(map[string]bool, n)
 	for i, ix := range in.Indexes {
 		if ix.Name == "" {
 			return fmt.Errorf("index %d: empty name", i)
+		}
+		if !utf8.ValidString(ix.Name) {
+			return fmt.Errorf("index %d: name %q is not valid UTF-8", i, ix.Name)
 		}
 		if names[ix.Name] {
 			return fmt.Errorf("index %d: duplicate name %q", i, ix.Name)
@@ -26,6 +31,9 @@ func (in *Instance) Validate() error {
 		}
 	}
 	for q, qu := range in.Queries {
+		if !utf8.ValidString(qu.Name) {
+			return fmt.Errorf("query %d: name %q is not valid UTF-8", q, qu.Name)
+		}
 		if qu.Runtime <= 0 {
 			return fmt.Errorf("query %d (%s): runtime %v must be positive", q, qu.Name, qu.Runtime)
 		}

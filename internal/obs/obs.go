@@ -1,7 +1,7 @@
 // Package obs is the zero-dependency observability core: atomic
 // counters, render-time gauges and fixed-bucket histograms behind a
 // registry that renders the Prometheus text exposition format, a
-// sliding-window rate estimator, and a bounded per-solve "flight
+// sliding-window rate estimator, and an append-only per-solve "flight
 // recorder" trace of timestamped span events.
 //
 // Everything here is built for hot paths: Counter.Add and

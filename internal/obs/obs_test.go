@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"encoding/json"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -213,15 +215,15 @@ func TestRateWindowCapacityOverflow(t *testing.T) {
 	}
 }
 
-func TestTraceRecordsAndOverflows(t *testing.T) {
-	tr := NewTrace(4)
+func TestTraceRecordsInOrder(t *testing.T) {
+	tr := NewTrace()
 	tr.Record(SpanQueued)
 	tr.Record(SpanStarted)
 	tr.RecordBackend(SpanBackendStart, "cp", "")
 	tr.RecordObjective(SpanIncumbent, "cp", 12.5, "")
 	snap := tr.Snapshot()
-	if snap.Total != 4 || snap.Dropped != 0 || len(snap.Spans) != 4 {
-		t.Fatalf("snapshot = total %d dropped %d spans %d", snap.Total, snap.Dropped, len(snap.Spans))
+	if len(snap.Spans) != 4 {
+		t.Fatalf("snapshot has %d spans, want 4", len(snap.Spans))
 	}
 	if snap.Spans[0].Kind != SpanQueued || snap.Spans[3].Kind != SpanIncumbent {
 		t.Fatalf("span order wrong: %+v", snap.Spans)
@@ -235,23 +237,34 @@ func TestTraceRecordsAndOverflows(t *testing.T) {
 		}
 	}
 
-	// Overflow: oldest spans drop, newest survive with original seqs.
+	// A snapshot is a copy: later spans extend the trace, not it.
 	tr.RecordObjective(SpanIncumbent, "cp", 11.0, "")
 	tr.Record(SpanProved)
+	if len(snap.Spans) != 4 {
+		t.Fatalf("earlier snapshot grew to %d spans", len(snap.Spans))
+	}
 	snap = tr.Snapshot()
-	if snap.Total != 6 || snap.Dropped != 2 || len(snap.Spans) != 4 {
-		t.Fatalf("overflow snapshot = total %d dropped %d spans %d", snap.Total, snap.Dropped, len(snap.Spans))
-	}
-	if snap.Spans[0].Seq != 3 || snap.Spans[3].Seq != 6 {
-		t.Fatalf("surviving seqs = %d..%d, want 3..6", snap.Spans[0].Seq, snap.Spans[3].Seq)
-	}
-	if snap.Spans[3].Kind != SpanProved {
-		t.Fatalf("tail span = %q", snap.Spans[3].Kind)
+	if len(snap.Spans) != 6 || snap.Spans[5].Seq != 6 || snap.Spans[5].Kind != SpanProved {
+		t.Fatalf("after two more spans: %+v", snap.Spans)
 	}
 }
 
+// TestTraceEmptySnapshot: a trace with no spans renders "spans": [],
+// not null.
+func TestTraceEmptySnapshot(t *testing.T) {
+	b, err := json.Marshal(NewTrace().Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"spans":[]`) {
+		t.Fatalf("empty trace renders %s", b)
+	}
+}
+
+// TestTraceConcurrent: concurrent writers lose no span, and Seq numbers
+// each recorded span exactly once.
 func TestTraceConcurrent(t *testing.T) {
-	tr := NewTrace(64)
+	tr := NewTrace()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -265,9 +278,35 @@ func TestTraceConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	snap := tr.Snapshot()
-	if snap.Total != 2000 || snap.Dropped != 2000-64 || len(snap.Spans) != 64 {
-		t.Fatalf("snapshot = total %d dropped %d spans %d", snap.Total, snap.Dropped, len(snap.Spans))
+	if len(snap.Spans) != 2000 {
+		t.Fatalf("snapshot has %d spans, want 2000", len(snap.Spans))
 	}
+	for i, s := range snap.Spans {
+		if s.Seq != i+1 {
+			t.Fatalf("spans[%d].Seq = %d, want %d", i, s.Seq, i+1)
+		}
+	}
+}
+
+// TestTraceFootprint: a trace costs its spans. 100 traces of 8 spans
+// allocate well under 1 MB in all; a fixed 512-span buffer per trace
+// would allocate 3.6 MB before the first span.
+func TestTraceFootprint(t *testing.T) {
+	traces := make([]*Trace, 100)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range traces {
+		tr := NewTrace()
+		for k := 0; k < 8; k++ {
+			tr.RecordObjective(SpanIncumbent, "cp", float64(k), "")
+		}
+		traces[i] = tr
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1_000_000 {
+		t.Fatalf("100 traces of 8 spans allocated %d bytes, want under 1 MB", got)
+	}
+	runtime.KeepAlive(traces)
 }
 
 // render returns r's text exposition.

@@ -40,32 +40,19 @@ type Span struct {
 	Detail    string   `json:"detail,omitempty"`
 }
 
-// Trace is a bounded ring of spans: the per-solve flight recorder.
-// When full it drops the oldest spans and counts them, so a pathological
-// solve with millions of incumbent improvements costs bounded memory
-// and the tail of the story (which is the interesting part) survives.
-// All methods are safe for concurrent use.
+// Trace is the per-solve flight recorder: an append-only list of spans.
+// It holds every span its solve records; what bounds its memory is the
+// lifetime of its owner (a service job lives until the retention cap
+// evicts it). All methods are safe for concurrent use.
 type Trace struct {
-	mu      sync.Mutex
-	start   time.Time
-	buf     []Span
-	head    int // next write position
-	n       int // live entries
-	seq     int // total spans ever recorded
-	dropped int
+	mu    sync.Mutex
+	start time.Time
+	spans []Span
 }
 
-// DefaultTraceCap is the ring capacity used when NewTrace is given 0.
-const DefaultTraceCap = 512
-
-// NewTrace returns a flight recorder holding at most capacity spans
-// (0 = DefaultTraceCap). The trace clock starts at the first Record.
-func NewTrace(capacity int) *Trace {
-	if capacity <= 0 {
-		capacity = DefaultTraceCap
-	}
-	return &Trace{buf: make([]Span, capacity)}
-}
+// NewTrace returns an empty flight recorder. The trace clock starts at
+// the first Record.
+func NewTrace() *Trace { return &Trace{} }
 
 // Record appends a span with the given kind at time now.
 func (t *Trace) Record(kind string) { t.record(kind, "", nil, "") }
@@ -85,53 +72,32 @@ func (t *Trace) record(kind, backend string, objective *float64, detail string) 
 	now := time.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.seq == 0 {
+	if len(t.spans) == 0 {
 		t.start = now
 	}
-	t.seq++
-	s := Span{
-		Seq:       t.seq,
+	t.spans = append(t.spans, Span{
+		Seq:       len(t.spans) + 1,
 		ElapsedMS: float64(now.Sub(t.start)) / float64(time.Millisecond),
 		Kind:      kind,
 		Backend:   backend,
+		Objective: objective, // RecordObjective's own copy
 		Detail:    detail,
-	}
-	if objective != nil {
-		v := *objective
-		s.Objective = &v
-	}
-	t.buf[t.head] = s
-	t.head = (t.head + 1) % len(t.buf)
-	if t.n < len(t.buf) {
-		t.n++
-	} else {
-		t.dropped++
-	}
+	})
 }
 
-// TraceSnapshot is a consistent copy of a trace: the surviving spans in
-// record order plus bookkeeping about what the ring dropped.
+// TraceSnapshot is a consistent copy of a trace: its spans in record
+// order.
 type TraceSnapshot struct {
 	StartedAt time.Time `json:"started_at"`
-	Total     int       `json:"total_spans"`
-	Dropped   int       `json:"dropped_spans"`
 	Spans     []Span    `json:"spans"`
 }
 
-// Snapshot copies the trace. Spans are ordered oldest first; if the
-// ring overflowed, Dropped counts the spans lost from the front and the
-// surviving spans keep their original Seq numbers.
+// Snapshot copies the trace, oldest span first.
 func (t *Trace) Snapshot() TraceSnapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	spans := make([]Span, t.n)
-	for i := 0; i < t.n; i++ {
-		spans[i] = t.buf[(t.head-t.n+i+len(t.buf))%len(t.buf)]
-	}
 	return TraceSnapshot{
 		StartedAt: t.start,
-		Total:     t.seq,
-		Dropped:   t.dropped,
-		Spans:     spans,
+		Spans:     append(make([]Span, 0, len(t.spans)), t.spans...),
 	}
 }

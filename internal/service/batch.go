@@ -283,9 +283,5 @@ func (m *Manager) CancelBatch(id string) error {
 func (m *Manager) noteFinishedBatch(id string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.finishedBatches = append(m.finishedBatches, id)
-	for len(m.finishedBatches) > maxFinishedBatches {
-		delete(m.batches, m.finishedBatches[0])
-		m.finishedBatches = m.finishedBatches[1:]
-	}
+	m.finishedBatches = retain(m.finishedBatches, id, maxFinishedBatches, m.batches)
 }

@@ -139,8 +139,8 @@ type Job struct {
 	// positions; names mirrors the request's index names.
 	origOf []int
 
-	// trace is the job's flight recorder: a bounded ring of timestamped
-	// spans (queued → started → backend starts/finishes → every incumbent
+	// trace is the job's flight recorder: every timestamped span
+	// (queued → started → backend starts/finishes → every incumbent
 	// improvement → proved/done) served by GET /jobs/{id}/trace. It has
 	// its own lock and is written outside j.mu.
 	trace *obs.Trace
@@ -191,12 +191,7 @@ func (j *Job) Status() JobStatus {
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // TraceSnapshot returns the job's flight-recorder trace.
-func (j *Job) TraceSnapshot() obs.TraceSnapshot {
-	if j.trace == nil {
-		return obs.TraceSnapshot{Spans: []obs.Span{}}
-	}
-	return j.trace.Snapshot()
-}
+func (j *Job) TraceSnapshot() obs.TraceSnapshot { return j.trace.Snapshot() }
 
 // translate maps a canonical-space order into this job's index space.
 func (j *Job) translate(order []int) []int {
@@ -216,9 +211,7 @@ func (j *Job) start(now time.Time) {
 	}
 	j.state = StateRunning
 	j.startedAt = now
-	if j.trace != nil {
-		j.trace.Record(obs.SpanStarted)
-	}
+	j.trace.Record(obs.SpanStarted)
 	j.log.append(Event{Type: EventStarted})
 }
 
@@ -237,15 +230,13 @@ func (j *Job) finish(state string, res *SolveResult, err error) bool {
 	j.finishedAt = time.Now()
 	j.result = res
 	j.err = err
-	if j.trace != nil {
-		switch {
-		case err != nil:
-			j.trace.RecordBackend(obs.SpanError, "", err.Error())
-		case res != nil:
-			j.trace.RecordObjective(obs.SpanDone, res.Winner, res.Objective, state)
-		default:
-			j.trace.RecordBackend(obs.SpanDone, "", state)
-		}
+	switch {
+	case err != nil:
+		j.trace.RecordBackend(obs.SpanError, "", err.Error())
+	case res != nil:
+		j.trace.RecordObjective(obs.SpanDone, res.Winner, res.Objective, state)
+	default:
+		j.trace.RecordBackend(obs.SpanDone, "", state)
 	}
 	ev := Event{Type: EventDone, State: state}
 	if res != nil {
@@ -333,31 +324,28 @@ func (r *run) detach(j *Job) bool {
 	return len(r.jobs) == 0
 }
 
-// emit fans one translated event out to every attached job. Holding
-// r.mu across the fan-out gives all jobs the same event order even when
-// portfolio backends report concurrently.
-func (r *run) emit(ev Event, order []int) {
+// progress fans one portfolio progress event out to every attached job:
+// a span in its trace and a translated event in its log. Backend starts
+// are trace-only: the SSE event set (queued, started, incumbent,
+// backend, proved, done) is a documented wire contract. Holding r.mu
+// across the fan-out gives all jobs the same span and event order even
+// when portfolio backends report concurrently.
+func (r *run) progress(pev portfolio.ProgressEvent) {
+	ev := progressToEvent(pev)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, j := range r.jobs {
+		portfolio.RecordSpan(j.trace, pev)
+		if pev.Kind == portfolio.ProgressBackendStarted {
+			continue
+		}
 		jev := ev
-		if order != nil {
-			jev.Order = j.translate(order)
+		if pev.Order != nil {
+			jev.Order = j.translate(pev.Order)
 		}
 		j.mu.Lock()
 		j.log.append(jev)
 		j.mu.Unlock()
-	}
-}
-
-// recordSpan mirrors one portfolio progress event into the trace of
-// every attached job. Holding r.mu keeps the span order consistent
-// across jobs, exactly like emit does for events.
-func (r *run) recordSpan(ev portfolio.ProgressEvent) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, j := range r.jobs {
-		portfolio.RecordSpan(j.trace, ev)
 	}
 }
 
@@ -367,9 +355,7 @@ func (r *run) record(kind, name, detail string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, j := range r.jobs {
-		if j.trace != nil {
-			j.trace.RecordBackend(kind, name, detail)
-		}
+		j.trace.RecordBackend(kind, name, detail)
 	}
 }
 
@@ -407,7 +393,7 @@ func (q *runQueue) Pop() any {
 type Manager struct {
 	cfg     Config
 	metrics *Metrics
-	cache   *lru[*SolveResult]
+	cache   *lru[cacheEntry]
 	// hints maps a structural hash (index names and plan shapes, no
 	// float parameters — see codec.StructuralHash) to the index-name
 	// order of the last finished solve with that structure: the
@@ -454,7 +440,7 @@ func NewManager(cfg Config) *Manager {
 		buckets:  make(map[string]*tokenBucket),
 	}
 	m.sched = newTenantSched(m.cfg.DefaultBudget.Seconds())
-	m.cache = newLRU[*SolveResult](m.cfg.CacheSize)
+	m.cache = newLRU[cacheEntry](m.cfg.CacheSize)
 	m.hints = newLRU[[]string](m.cfg.CacheSize)
 	m.metrics.bindGauges(m)
 	m.cond = sync.NewCond(&m.mu)
@@ -513,21 +499,32 @@ func (m *Manager) newID() string {
 // request, whichever node it lands on. It is stored under its own key
 // only, never under provedKey: this node cannot check a peer's proof,
 // so a peer's proved flag must not answer requests with other keys.
+// Nor can it check the rest of the frame until a request brings the
+// instance, so the entry is marked as a peer's and checked on its first
+// hit (see cachedResult).
 func (m *Manager) SeedCache(key string, res *SolveResult) {
 	if res == nil || key == "" {
 		return
 	}
-	m.cache.put(key, res)
+	m.cache.put(key, cacheEntry{res: res, peer: true})
+}
+
+// cacheEntry is one solution-cache value: a result in canonical index
+// space, and whether it came from a peer (SeedCache) and is not yet
+// checked against its instance.
+type cacheEntry struct {
+	res  *SolveResult
+	peer bool
 }
 
 // cachePut stores a finished result under its full solve key and, when
 // it is proved, under its instance alone (provedKey), where any request
 // for the instance with the default backend selection finds it.
 func (m *Manager) cachePut(key string, res *SolveResult) {
-	m.cache.put(key, res)
+	m.cache.put(key, cacheEntry{res: res})
 	if res.Proved {
 		hash, _, _ := strings.Cut(key, "|") // solveKey leads with the hash
-		m.cache.put(provedKey(hash), res)
+		m.cache.put(provedKey(hash), cacheEntry{res: res})
 	}
 }
 
@@ -690,7 +687,7 @@ func (m *Manager) submitWarm(in *model.Instance, p Params, warmNames []string, p
 		state:    StateQueued,
 		done:     make(chan struct{}),
 		queuedAt: time.Now(),
-		trace:    obs.NewTrace(0),
+		trace:    obs.NewTrace(),
 	}
 	j.trace.RecordBackend(obs.SpanQueued, "", "tenant="+tenant)
 	j.log.append(Event{Type: EventQueued})
@@ -785,24 +782,60 @@ func (m *Manager) submitWarm(in *model.Instance, p Params, warmNames []string, p
 // that reverts a delta comes back to it), so there is no need to prove
 // it again. An entry whose order is not a feasible order of canon — a
 // malformed result replicated from a peer — is dropped and counted, and
-// never translated or served.
+// never translated or served. So is a peer's entry whose objective is
+// not its order's; one that passes is replaced by its checked copy.
 func (m *Manager) cachedResult(canon *model.Instance, key, hash string, proved bool) (*SolveResult, bool) {
 	keys, n := [2]string{key}, 1
 	if proved {
 		keys[1], n = provedKey(hash), 2
 	}
 	for _, k := range keys[:n] {
-		res, ok := m.cache.get(k)
+		e, ok := m.cache.get(k)
 		if !ok {
 			continue
 		}
-		if canon.ValidOrder(res.Order) == nil {
-			return res, true
+		if canon.ValidOrder(e.res.Order) == nil {
+			if !e.peer {
+				return e.res, true
+			}
+			if res := checkReplicated(canon, e.res); res != nil {
+				m.cache.put(k, cacheEntry{res: res})
+				return res, true
+			}
 		}
 		m.cache.remove(k)
 		m.metrics.cacheRejected.Add(1)
 	}
 	return nil, false
+}
+
+// checkReplicated recomputes a peer's result from its order, a feasible
+// order of canon: it returns a copy with the order's names, deploy time
+// and runtimes, or nil when the frame's objective differs from the
+// order's by more than 1e-9 relative.
+func checkReplicated(canon *model.Instance, res *SolveResult) *SolveResult {
+	c, err := model.Compile(canon)
+	if err != nil {
+		return nil
+	}
+	out := *res
+	obj := describe(&out, c)
+	if !(math.Abs(res.Objective-obj) <= 1e-9*math.Abs(obj)) { // NaN fails too
+		return nil
+	}
+	return &out
+}
+
+// describe fills res's index names, deploy time and runtimes from its
+// order on c and returns the order's objective.
+func describe(res *SolveResult, c *model.Compiled) float64 {
+	res.Names = make([]string, len(res.Order))
+	for k, ix := range res.Order {
+		res.Names[k] = c.Inst.Indexes[ix].Name
+	}
+	obj, deploy, final := c.Evaluate(res.Order)
+	res.DeployTime, res.BaseRuntime, res.FinalRuntime = deploy, c.Base, final
+	return obj
 }
 
 // settle finishes j (see Job.finish), counts it, records it for
@@ -824,13 +857,21 @@ func (m *Manager) settle(j *Job, state string, res *SolveResult, err error) {
 		m.metrics.jobsCanceled.Add(1)
 	}
 	m.mu.Lock()
-	m.finished = append(m.finished, j.ID)
-	for len(m.finished) > m.cfg.MaxFinishedJobs {
-		delete(m.jobs, m.finished[0])
-		m.finished = m.finished[1:]
-	}
+	m.finished = retain(m.finished, j.ID, m.cfg.MaxFinishedJobs, m.jobs)
 	m.mu.Unlock()
 	close(j.done)
+}
+
+// retain appends id to fifo, the oldest-first list of retained terminal
+// ids, and deletes the oldest from byID until at most limit remain. The
+// caller holds m.mu.
+func retain[V any](fifo []string, id string, limit int, byID map[string]V) []string {
+	fifo = append(fifo, id)
+	for len(fifo) > limit {
+		delete(byID, fifo[0])
+		fifo = fifo[1:]
+	}
+	return fifo
 }
 
 // Get looks a job up by id.
@@ -989,22 +1030,13 @@ func (m *Manager) execute(r *run) {
 	}
 
 	opts := portfolio.Options{
-		Backends:  r.params.Backends,
-		Workers:   r.params.Workers,
-		Budget:    r.budget,
-		StepLimit: r.params.StepLimit,
-		Seed:      r.params.Seed,
-		Initial:   initial,
-		OnProgress: func(ev portfolio.ProgressEvent) {
-			r.recordSpan(ev)
-			if ev.Kind == portfolio.ProgressBackendStarted {
-				// Trace-only: the SSE event set (queued, started,
-				// incumbent, backend, proved, done) is a documented
-				// wire contract; backend starts live in the trace.
-				return
-			}
-			r.emit(progressToEvent(ev), ev.Order)
-		},
+		Backends:   r.params.Backends,
+		Workers:    r.params.Workers,
+		Budget:     r.budget,
+		StepLimit:  r.params.StepLimit,
+		Seed:       r.params.Seed,
+		Initial:    initial,
+		OnProgress: r.progress,
 	}
 	// The portfolio enforces its own budget; the outer timeout only
 	// reaps a stuck backend, so give it headroom. Each attempt (routed
@@ -1062,14 +1094,7 @@ func (m *Manager) execute(r *run) {
 		Wall:        Duration(wall),
 		Backends:    make([]BackendSummary, 0, len(res.Backends)),
 	}
-	result.Names = make([]string, len(res.Order))
-	for k, ix := range res.Order {
-		result.Names[k] = r.canon.Indexes[ix].Name
-	}
-	_, deploy, final := c.Evaluate(res.Order)
-	result.DeployTime = deploy
-	result.BaseRuntime = c.Base
-	result.FinalRuntime = final
+	describe(result, c)
 	for _, b := range res.Backends {
 		bs := BackendSummary{
 			Name: b.Name, Proved: b.Proved, Improvements: b.Improvements,
@@ -1118,7 +1143,7 @@ func (m *Manager) fail(r *run, err error) {
 }
 
 // progressToEvent maps a portfolio progress event onto the wire event
-// (order translation happens per job in run.emit).
+// (order translation happens per job in run.progress).
 func progressToEvent(ev portfolio.ProgressEvent) Event {
 	out := Event{Backend: ev.Backend}
 	switch ev.Kind {

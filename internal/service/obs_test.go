@@ -52,9 +52,6 @@ func TestTraceReplaysIncumbents(t *testing.T) {
 	if tr.ID != st.ID || tr.State != StateDone {
 		t.Fatalf("trace header: %+v", tr)
 	}
-	if tr.Dropped != 0 {
-		t.Fatalf("short solve dropped %d spans", tr.Dropped)
-	}
 	if len(tr.Spans) < 5 {
 		t.Fatalf("only %d spans: %+v", len(tr.Spans), tr.Spans)
 	}
@@ -174,6 +171,85 @@ func TestTraceFastPathFallback(t *testing.T) {
 	if fallbacks != 1 || !raced {
 		t.Fatalf("trace has %d fastpath spans (want 1), race started %v: %+v",
 			fallbacks, raced, tr.Spans)
+	}
+}
+
+// TestTraceSpansBoundedByEvents: a job's trace is at most about twice
+// its event log. Spans beyond the events are backend starts, each with
+// a matching backend event, plus at most one each of warm-start,
+// fastpath and cache-hit, so a trace holds at most 2·len(events)+3
+// spans: for a fast-path proof, a race, a fast-path fallback, a warm
+// start and a cache hit.
+func TestTraceSpansBoundedByEvents(t *testing.T) {
+	m := newTestManager(t, Config{Workers: 1})
+	small, slow := trapInstance(t), slowInstance(5)
+	raceParams := Params{Budget: Duration(10 * time.Second), StepLimit: 200, Seed: 1}
+	race := solveDone(t, m, slow, raceParams, nil)
+	for _, tc := range []struct {
+		name   string
+		submit func() (*Job, error)
+		want   string // the span kind the case must record
+		routed bool
+	}{
+		{"fast-path proof", func() (*Job, error) {
+			return m.Submit(small, Params{Budget: Duration(10 * time.Second)})
+		}, obs.SpanProved, true},
+		{"race", func() (*Job, error) {
+			return m.Submit(slow, Params{Budget: Duration(10 * time.Second), StepLimit: 200, Seed: 2})
+		}, obs.SpanBackendStart, false},
+		{"fast-path fallback", func() (*Job, error) {
+			return m.Submit(datasets.ReducedTPCH(10, datasets.Low),
+				Params{Budget: Duration(10 * time.Second), StepLimit: 50})
+		}, obs.SpanFastPath, false},
+		{"warm start", func() (*Job, error) {
+			return m.SubmitWarm(slow, raceParams, race.Names)
+		}, obs.SpanWarmStart, false},
+		{"cache hit", func() (*Job, error) {
+			return m.Submit(small, Params{Budget: Duration(10 * time.Second)})
+		}, obs.SpanCacheHit, true},
+	} {
+		j, err := tc.submit()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		st := waitDone(t, j, 20*time.Second)
+		if st.State != StateDone || st.Result.Routed != tc.routed {
+			t.Fatalf("%s: job ended %+v, want routed %v", tc.name, st, tc.routed)
+		}
+		events, _, _ := j.eventsSince(0)
+		spans := j.TraceSnapshot().Spans
+		if len(spans) > 2*len(events)+3 {
+			t.Errorf("%s: %d spans for %d events, want at most %d",
+				tc.name, len(spans), len(events), 2*len(events)+3)
+		}
+		backendEvents := map[string]int{}
+		for _, ev := range events {
+			if ev.Type == EventBackend {
+				backendEvents[ev.Backend]++
+			}
+		}
+		kinds := map[string]int{}
+		starts := map[string]int{}
+		for _, sp := range spans {
+			kinds[sp.Kind]++
+			if sp.Kind == obs.SpanBackendStart {
+				starts[sp.Backend]++
+			}
+		}
+		for name, n := range starts {
+			if n > backendEvents[name] {
+				t.Errorf("%s: %d backend-start spans for %s, %d backend events",
+					tc.name, n, name, backendEvents[name])
+			}
+		}
+		for _, kind := range []string{obs.SpanWarmStart, obs.SpanFastPath, obs.SpanCacheHit} {
+			if kinds[kind] > 1 {
+				t.Errorf("%s: %d %s spans, want at most 1", tc.name, kinds[kind], kind)
+			}
+		}
+		if kinds[tc.want] == 0 {
+			t.Errorf("%s: no %s span in %+v", tc.name, tc.want, spans)
+		}
 	}
 }
 

@@ -241,3 +241,56 @@ func TestMalformedCachedOrderSolvedAsMiss(t *testing.T) {
 		}
 	}
 }
+
+// TestReplicatedResultCheckedOnHit: a peer's frame is checked on its
+// first hit against the request's instance. A frame under the request's
+// own key with a feasible order and half that order's objective is
+// dropped, counted in idd_cache_rejected_total and solved as a miss (it
+// used to be served). A frame with the true objective is served, with
+// the names, deploy time and runtimes of its order rather than the
+// frame's.
+func TestReplicatedResultCheckedOnHit(t *testing.T) {
+	in := trapInstance(t)
+	canon, _ := codec.Canonicalize(in)
+	hash := codec.CanonicalHash(canon)
+	c := model.MustCompile(canon)
+	order := greedy.Solve(c, nil)
+	truth, deploy, final := c.Evaluate(order)
+	p := Params{Seed: 1, Budget: Duration(5 * time.Second)}
+
+	m := newTestManager(t, Config{Workers: 2})
+	key := solveKey(hash, p, m.clampBudget(p.Budget))
+	m.SeedCache(key, &SolveResult{Order: order, Objective: truth / 2, Proved: true})
+	got := solveDone(t, m, in, p, nil)
+	if got.CacheHit || got.Objective < truth/2*(1+1e-9) {
+		t.Fatalf("own key: %+v; want a solve, not the forged objective %v", got, truth/2)
+	}
+	if err := in.ValidOrder(got.Order); err != nil {
+		t.Fatalf("solved order: %v", err)
+	}
+	if n := m.metrics.cacheRejected.Value(); n != 1 {
+		t.Fatalf("%d cached results rejected, want 1", n)
+	}
+
+	m = newTestManager(t, Config{Workers: 2})
+	m.SeedCache(key, &SolveResult{Order: order, Objective: truth, Names: []string{"forged"},
+		DeployTime: -1, FinalRuntime: -1})
+	for round := 0; round < 2; round++ {
+		got = solveDone(t, m, in, p, nil)
+		if !got.CacheHit || got.Objective != truth {
+			t.Fatalf("round %d: %+v; want a hit with objective %v", round, got, truth)
+		}
+		if got.DeployTime != deploy || got.FinalRuntime != final || got.BaseRuntime != c.Base {
+			t.Fatalf("round %d: deploy %v final %v base %v; want %v %v %v", round,
+				got.DeployTime, got.FinalRuntime, got.BaseRuntime, deploy, final, c.Base)
+		}
+		for k, ix := range order {
+			if k >= len(got.Names) || got.Names[k] != canon.Indexes[ix].Name {
+				t.Fatalf("round %d: names %v, want the order's", round, got.Names)
+			}
+		}
+	}
+	if n := m.metrics.cacheRejected.Value(); n != 0 {
+		t.Fatalf("%d honest results rejected", n)
+	}
+}

@@ -247,11 +247,7 @@ func (m *Manager) CloseSession(id string) (*Session, error) {
 	s.mu.Unlock()
 
 	m.mu.Lock()
-	m.closedSessions = append(m.closedSessions, id)
-	for len(m.closedSessions) > maxClosedSessions {
-		delete(m.sessions, m.closedSessions[0])
-		m.closedSessions = m.closedSessions[1:]
-	}
+	m.closedSessions = retain(m.closedSessions, id, maxClosedSessions, m.sessions)
 	m.mu.Unlock()
 	return s, nil
 }

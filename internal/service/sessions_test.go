@@ -444,7 +444,7 @@ func TestWarmRejectedDegradesToCold(t *testing.T) {
 	j := &Job{
 		ID: "warm-rej", hash: "h", tenant: DefaultTenant, origOf: origOf,
 		state: StateQueued, done: make(chan struct{}),
-		queuedAt: time.Now(), trace: obs.NewTrace(0),
+		queuedAt: time.Now(), trace: obs.NewTrace(),
 	}
 	r := &run{
 		key: "warm-rej-key", canon: canon,

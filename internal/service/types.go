@@ -7,10 +7,11 @@
 // solve); and per-job server-sent event streams relaying every incumbent
 // improvement as the portfolio finds it.
 //
-// Observability is built on internal/obs: every job carries a bounded
-// flight-recorder trace of timestamped spans, and the manager keeps
-// Prometheus-convention counters and latency histograms (queue wait,
-// solve wall, end-to-end) on a per-manager registry.
+// Observability is built on internal/obs: every job carries a
+// flight-recorder trace of all its timestamped spans, kept as long as
+// the job is (the retention cap is a job's one memory bound), and the
+// manager keeps Prometheus-convention counters and latency histograms
+// (queue wait, solve wall, end-to-end) on a per-manager registry.
 //
 // The service is multi-tenant: requests carry a tenant id (X-Tenant
 // header or "tenant" field), dispatch is deficit round-robin across

@@ -184,7 +184,7 @@ func TestRecordSpan(t *testing.T) {
 		{"done error", ProgressEvent{Kind: ProgressBackendDone, Backend: "panicky", Err: errors.New("backend panicky panicked: boom"), Objective: math.Inf(1)}, obs.SpanBackendDone, nil, "backend panicky panicked: boom"},
 		{"done error with objective", ProgressEvent{Kind: ProgressBackendDone, Backend: "cp", Err: context.Canceled, Objective: obj}, obs.SpanBackendDone, &obj, context.Canceled.Error()},
 	} {
-		tr := obs.NewTrace(0)
+		tr := obs.NewTrace()
 		RecordSpan(tr, c.ev)
 		spans := tr.Snapshot().Spans
 		if len(spans) != 1 {
